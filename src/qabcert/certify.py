@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh, frobenius_norm, hermitize, random_hermitian
+from .linalg import (
+    REPAIR_FLOOR,
+    Spectrum,
+    eigh,
+    floor_spectrum,
+    frobenius_norm,
+    hermitize,
+    random_hermitian,
+)
 from .mixture import MixtureFamily
 from .qab_core import Objective, Trajectory, d_omega
 from .quantum import relative_entropy
@@ -102,18 +110,18 @@ def _ratio_stats(ratios, indices, skipped) -> RatioStats:
     )
 
 
+def _scan(nums, dens, skip_tol: float) -> RatioStats:
+    """Stats of nums[j] / dens[j], skipping divergences at or below ``skip_tol``."""
+    # Written as "not <=" so that a NaN divergence is kept and shows in the stats.
+    kept = [j for j, den in enumerate(dens) if not den <= skip_tol]
+    return _ratio_stats([float(nums[j] / dens[j]) for j in kept], kept, len(dens) - len(kept))
+
+
 def check_a3(traj: Trajectory, gamma: float, skip_tol: float = DIVERGENCE_SKIP_TOL) -> RatioStats:
     """Per-step ratios D_Omega / D over consecutive iterates."""
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
-    ratios, indices, skipped = [], [], 0
-    for j, (kl, dom) in enumerate(zip(traj.step_kl, traj.step_domega)):
-        if kl <= skip_tol:
-            skipped += 1
-            continue
-        ratios.append(dom / kl)
-        indices.append(j)
-    return _ratio_stats(ratios, indices, skipped)
+    return _scan(traj.step_domega, traj.step_kl, skip_tol)
 
 
 def check_a2(traj: Trajectory, obj: Objective, skip_tol: float = DIVERGENCE_SKIP_TOL) -> RatioStats:
@@ -122,16 +130,7 @@ def check_a2(traj: Trajectory, obj: Objective, skip_tol: float = DIVERGENCE_SKIP
         raise ValueError("trajectory must hold at least two states")
     final = traj.states[-1]
     others = np.stack(traj.states[:-1])
-    nums = d_omega(final, others, obj)
-    dens = relative_entropy(final, others)
-    ratios, indices, skipped = [], [], 0
-    for j in range(len(traj.states) - 1):
-        if dens[j] <= skip_tol:
-            skipped += 1
-            continue
-        ratios.append(float(nums[j] / dens[j]))
-        indices.append(j)
-    return _ratio_stats(ratios, indices, skipped)
+    return _scan(d_omega(final, others, obj), relative_entropy(final, others), skip_tol)
 
 
 def _draw_perturbation(final: np.ndarray, rng: np.random.Generator, eps_max: float):
@@ -150,22 +149,12 @@ def _repair_candidates(raw: np.ndarray):
     more than 10% of trace mass (those get resampled).
     """
     spec = eigh(raw)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w = spec.eigenvalues
     removed = np.sum(np.maximum(-w, 0.0), axis=-1)
     kept = np.sum(np.maximum(w, 0.0), axis=-1)
     heavy = (kept <= 0) | (removed > CLIP_MASS_FRACTION * kept)
-    w = np.maximum(w, 0.0)
-    w = w / np.where(kept > 0, kept, 1.0)[..., None]
-    w = np.maximum(w, 1e-12)
-    cand = hermitize(np.einsum("...ik,...k,...jk->...ij", v, w, np.conj(v)))
-    cand = cand / np.trace(cand, axis1=-2, axis2=-1).real[..., None, None]
-    return cand, heavy
-
-
-def _perturbed_candidate(final: np.ndarray, rng: np.random.Generator, eps_max: float):
-    """One neighborhood sample: draw, clip, renormalize, restore full rank."""
-    cand, heavy = _repair_candidates(_draw_perturbation(final, rng, eps_max))
-    return cand, bool(heavy)
+    clipped = np.maximum(w, 0.0) / np.where(kept > 0, kept, 1.0)[..., None]
+    return floor_spectrum(Spectrum(clipped, spec.eigenvectors), REPAIR_FLOOR).matrix(), heavy
 
 
 def check_a1(
@@ -197,30 +186,24 @@ def check_a1(
     rngs = [np.random.default_rng([base_seed, i]) for i in range(n_samples)]
     raw = np.stack([_draw_perturbation(final, rng, eps_max) for rng in rngs])
     candidates, heavy = _repair_candidates(raw)
-    candidates = list(candidates)
-    dens = np.atleast_1d(relative_entropy(final, np.stack(candidates)))
+    dens = relative_entropy(final, candidates)
     accepted = ~heavy & (dens > skip_tol)
-    skipped = 0
     for i in np.nonzero(~accepted)[0]:
-        ok = False
         for _ in range(MAX_RESAMPLE_ATTEMPTS - 1):
-            cand, heavy_clip = _perturbed_candidate(final, rngs[i], eps_max)
+            cand, heavy_clip = _repair_candidates(_draw_perturbation(final, rngs[i], eps_max))
             if heavy_clip:
                 continue
             den = relative_entropy(final, cand)
-            if den <= skip_tol:
-                continue
-            candidates[i], dens[i], ok = cand, den, True
-            break
-        accepted[i] = ok
-        skipped += 0 if ok else 1
+            if not den <= skip_tol:
+                candidates[i], dens[i], accepted[i] = cand, den, True
+                break
 
-    indices = [int(i) for i in np.nonzero(accepted)[0]]
-    if not indices:
+    indices = np.nonzero(accepted)[0]
+    if indices.size == 0:
         raise ValueError("all neighborhood samples degenerated; nothing to certify")
-    nums = np.atleast_1d(d_omega(final, np.stack([candidates[i] for i in indices]), obj))
+    nums = d_omega(final, candidates[indices], obj)
     ratios = [float(n / dens[i]) for n, i in zip(nums, indices)]
-    return _ratio_stats(ratios, indices, skipped)
+    return _ratio_stats(ratios, indices, n_samples - indices.size)
 
 
 def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int) -> float:
@@ -241,55 +224,28 @@ def stationarity_residual(
     Directions are Hermitian matrices supported on the eigenspace of
     ``final`` above ``support_cutoff`` (relative), orthogonal to the
     support identity and to every constraint observable under the
-    Frobenius inner product.  A value near zero certifies first-order
-    stationarity of the convergent.
+    Frobenius inner product.  The supremum is the Frobenius norm of omega,
+    compressed to the support, with those directions projected out.  A
+    value near zero certifies first-order stationarity of the convergent.
     """
     spec = eigh(final)
     w, v = spec.eigenvalues, spec.eigenvectors
-    keep = w > support_cutoff * w[-1]
-    vs = v[:, keep]
-    s = int(np.sum(keep))
-    if s <= 1:
+    vs = v[:, w > support_cutoff * w[-1]]
+    if vs.shape[1] <= 1:
         return 0.0
 
-    omega_s = np.conj(vs.T) @ hermitize(obj.omega(final)) @ vs
-
-    # Orthonormal Hermitian basis of the support subspace.
-    basis = []
-    for i in range(s):
-        e = np.zeros((s, s), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(s):
-        for j in range(i + 1, s):
-            e = np.zeros((s, s), dtype=complex)
-            e[i, j] = e[j, i] = 1 / np.sqrt(2)
-            basis.append(e)
-            e = np.zeros((s, s), dtype=complex)
-            e[i, j] = -1j / np.sqrt(2)
-            e[j, i] = 1j / np.sqrt(2)
-            basis.append(e)
-
-    # Remove the span of the support identity and the projected constraints.
-    excluded = [np.eye(s, dtype=complex) / np.sqrt(s)]
-    if fam is not None:
-        for h in fam.observables:
-            hs = np.conj(vs.T) @ h @ vs
-            for q in excluded:
-                hs = hs - np.trace(np.conj(q.T) @ hs) * q
-            norm = float(frobenius_norm(hs))
-            if norm > 1e-12:
-                excluded.append(hs / norm)
-
-    residual = 0.0
-    for t_m in basis:
-        for q in excluded:
-            t_m = t_m - np.trace(np.conj(q.T) @ t_m) * q
-        norm = float(frobenius_norm(t_m))
-        if norm <= 1e-12:
-            continue
-        residual = max(residual, abs(float(np.trace(t_m @ omega_s).real)) / norm)
-    return residual
+    residual = np.conj(vs.T) @ hermitize(obj.omega(final)) @ vs
+    excluded = [np.eye(len(w))] + list(fam.observables if fam is not None else ())
+    basis = []  # orthonormal span of the excluded directions on the support
+    for h in excluded:
+        hs = np.conj(vs.T) @ h @ vs
+        for q in basis:
+            hs = hs - np.vdot(q, hs) * q
+        norm = float(frobenius_norm(hs))
+        if norm > 1e-12:
+            basis.append(hs / norm)
+            residual = residual - np.vdot(basis[-1], residual) * basis[-1]
+    return float(frobenius_norm(residual))
 
 
 def certify(

@@ -18,12 +18,15 @@ is the true channel relative entropy in nats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .certify import CertificationReport, certify
 from .linalg import (
+    SUPPORT_CUTOFF,
+    OUTSIDE_MASS_TOL,
+    eigh,
     hermitize,
     kron,
     matrix_inv_sqrt,
@@ -33,7 +36,7 @@ from .linalg import (
 )
 from .mixture import MixtureFamily, e_project
 from .qab_core import Objective, QabOptions, Trajectory, qab_run
-from .quantum import BELL_STATES, ChoiMatrix, relative_entropy, sandwich
+from .quantum import BELL_STATES, ChoiMatrix, relative_entropy, support_overlap
 
 __all__ = [
     "ChannelObjective",
@@ -80,52 +83,46 @@ class ChannelPair:
         return self.choi_n.dim_b
 
 
-def _sandwich_pieces(rho_a: np.ndarray, pair: ChannelPair, reg: float):
-    rho_a = np.asarray(rho_a, dtype=complex)
+def _sandwiches(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF):
+    """(sqrt(rho) x I, rho^(-1/2) x I, S_N, S_M) from one decomposition of rho."""
+    spec = eigh(rho_a)
     eye_b = np.eye(pair.dim_b)
-    sq = kron(matrix_sqrt(rho_a, reg), eye_b)
-    isq = kron(matrix_inv_sqrt(rho_a, reg), eye_b)
+    sq = kron(matrix_sqrt(spec, reg), eye_b)
+    isq = kron(matrix_inv_sqrt(spec, reg), eye_b)
     s_n = hermitize(sq @ pair.choi_n.mat @ sq)
     s_m = hermitize(sq @ pair.choi_m.mat @ sq)
     return sq, isq, s_n, s_m
 
 
-def _check_support(s_n: np.ndarray, s_m: np.ndarray) -> None:
-    w, u = np.linalg.eigh(hermitize(s_m))
-    cut = 1e-12 * np.maximum(w[..., -1:], 0.0)
-    udag = np.conj(np.swapaxes(u, -1, -2))
-    diag = np.einsum("...ki,...ij,...jk->...k", udag, s_n, u).real
-    outside = np.sum(np.where(w > cut, 0.0, diag), axis=-1)
-    if np.any(outside > 1e-10):
+def omega1(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """-Tr_B(Gamma_N (sqrt(rho) x I) [log S_N - log S_M] (rho^(-1/2) x I)).
+
+    Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
+    -D(S_N || S_M).  Stack-aware in ``rho_a``.  Raises
+    :class:`SupportViolationError` when S_N leaks outside the support of S_M.
+    """
+    sq, isq, s_n, s_m = _sandwiches(rho_a, pair, reg)
+    spec_m = eigh(s_m)
+    outside, _ = support_overlap(s_n, spec_m)
+    if np.any(outside > OUTSIDE_MASS_TOL):
         raise SupportViolationError(
             "support of sandwich(rho, Gamma_N) is not contained in the "
             "support of sandwich(rho, Gamma_M); the objective is -inf "
             f"(leaked mass {float(np.max(outside)):.3e})"
         )
-
-
-def omega1(rho_a: np.ndarray, pair: ChannelPair, reg: float = 1e-12) -> np.ndarray:
-    """-Tr_B(Gamma_N (sqrt(rho) x I) [log S_N - log S_M] (rho^(-1/2) x I)).
-
-    Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
-    -D(S_N || S_M).  Stack-aware in ``rho_a``.
-    """
-    sq, isq, s_n, s_m = _sandwich_pieces(rho_a, pair, reg)
-    _check_support(s_n, s_m)
-    log_diff = matrix_log(s_n) - matrix_log(s_m)
+    log_diff = matrix_log(s_n) - matrix_log(spec_m)
     inner = pair.choi_n.mat @ sq @ log_diff @ isq
     return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
 
 
-def omega(rho_a: np.ndarray, pair: ChannelPair, reg: float = 1e-12) -> np.ndarray:
+def omega(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF) -> np.ndarray:
     """Hermitian part of :func:`omega1`; same weighted trace against rho."""
     return hermitize(omega1(rho_a, pair, reg))
 
 
 def objective_value(rho_a: np.ndarray, pair: ChannelPair):
     """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss."""
-    s_n = sandwich(rho_a, pair.choi_n)
-    s_m = sandwich(rho_a, pair.choi_m)
+    _, _, s_n, s_m = _sandwiches(rho_a, pair)
     out = -relative_entropy(s_n, s_m)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -138,7 +135,7 @@ class ChannelObjective(Objective):
     by ``dim_a`` to recover the channel divergence.
     """
 
-    def __init__(self, pair: ChannelPair, reg: float = 1e-12):
+    def __init__(self, pair: ChannelPair, reg: float = SUPPORT_CUTOFF):
         self.pair = pair
         self.reg = reg
         self.dim = pair.dim_a
@@ -170,7 +167,7 @@ def solve_unconstrained(
     eps_max: float = 0.1,
     cert_seed: int = 0,
 ) -> SolveResult:
-    """Run the unconstrained iteration and certify the trajectory."""
+    """Run the iteration under ``opts`` (unconstrained unless it sets a family) and certify."""
     obj = ChannelObjective(pair)
     traj = qab_run(obj, opts)
     report = certify(traj, obj, opts.gamma, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
@@ -194,22 +191,13 @@ def solve_energy_constrained(
         return solve_unconstrained(
             pair, opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
         )
-    obj = ChannelObjective(pair)
     initial = opts.initial
     if np.max(np.abs(constraints.residuals(initial))) > 1e-8:
         initial, _ = e_project(matrix_log(initial), constraints, tol=opts.tau_tol)
-    run_opts = QabOptions(
-        initial=initial,
-        gamma=opts.gamma,
-        max_iters=opts.max_iters,
-        family=constraints,
-        divergence_stop=opts.divergence_stop,
-        tau_tol=opts.tau_tol,
-        tau_max_iters=opts.tau_max_iters,
+    run_opts = replace(opts, initial=initial, family=constraints)
+    return solve_unconstrained(
+        pair, run_opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
     )
-    traj = qab_run(obj, run_opts)
-    report = certify(traj, obj, opts.gamma, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
-    return SolveResult(value=obj.divergence(traj), trajectory=traj, report=report)
 
 
 def bell_weights(choi: ChoiMatrix, atol: float = 1e-10) -> np.ndarray:

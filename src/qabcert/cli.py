@@ -38,7 +38,7 @@ from .channel_re import (
 )
 from .linalg import hermitize
 from .mixture import InfeasibleFamilyError, MixtureFamily
-from .qab_core import IterationError, QabOptions
+from .qab_core import IterationError, QabOptions, qab_run
 from .quantum import (
     PAULI_X,
     PAULI_Y,
@@ -177,8 +177,11 @@ def _parse_channel(spec: str, parameter: float | None = None) -> ChoiMatrix:
     raise UsageError(f"unknown channel source {spec!r} (not a builtin, not a file)")
 
 
-def _is_sweepable(spec: str) -> bool:
-    return spec in ("dephasing", "depolarizing")
+def _channel_pair(cfg: RunConfig, p: float | None = None) -> ChannelPair:
+    """The configured pair; ``p`` parameterizes a parameterless channel-m."""
+    return ChannelPair(
+        choi_n=_parse_channel(cfg.channel_n), choi_m=_parse_channel(cfg.channel_m, parameter=p)
+    )
 
 
 def _parse_constraint(entry: str):
@@ -223,15 +226,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _config_values(cfg: RunConfig) -> dict:
+    """Resolved config by field name, with list values joined by ';'."""
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(RunConfig)}
+    return {k: ";".join(v) if isinstance(v, list) else v for k, v in values.items()}
+
+
 def _config_header(cfg: RunConfig) -> list:
     lines = [f"# qabcert-version={__version__}"]
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(cfg, field.name)
-        if isinstance(value, list):
-            value = ";".join(value)
-        elif value is None:
-            value = ""
-        lines.append(f"# {field.name}={_fmt(value) if not isinstance(value, str) else value}")
+    for name, value in _config_values(cfg).items():
+        lines.append(f"# {name}={'' if value is None else _fmt(value)}")
     return lines
 
 
@@ -247,17 +251,20 @@ def _write_csv(path: str, cfg: RunConfig, columns, rows) -> None:
         Path(path).write_text(text)
 
 
-def _solve_point(cfg: RunConfig, pair: ChannelPair, index: int):
+def _qab_options(cfg: RunConfig, pair: ChannelPair, index: int) -> QabOptions:
     initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, index, 0]))
-    opts = QabOptions(
+    return QabOptions(
         initial=initial,
         gamma=cfg.gamma,
         max_iters=cfg.iterations,
         divergence_stop=cfg.stop,
     )
+
+
+def _solve_point(cfg: RunConfig, pair: ChannelPair, index: int):
     return solve_unconstrained(
         pair,
-        opts,
+        _qab_options(cfg, pair, index),
         n_samples=cfg.samples,
         eps_max=cfg.eps_max,
         cert_seed=_derive_seed(cfg.seed, index, 1),
@@ -270,10 +277,7 @@ def _sweep_row(cfg: RunConfig, p: float, index: int):
     row = {c: float("nan") for c in SWEEP_COLUMNS}
     row.update(p=p, certified=False, iterations=0, status="ok")
     try:
-        pair = ChannelPair(
-            choi_n=_parse_channel(cfg.channel_n),
-            choi_m=_parse_channel(cfg.channel_m, parameter=p),
-        )
+        pair = _channel_pair(cfg, p)
     except UsageError:
         raise
     except Exception as exc:  # invalid parameter for this point
@@ -311,18 +315,19 @@ def _sweep_row(cfg: RunConfig, p: float, index: int):
 
 
 def _grid(cfg: RunConfig) -> list:
+    """The p grid of a sweep over a parameterless builtin channel-m."""
+    if cfg.channel_m not in ("dephasing", "depolarizing"):
+        raise UsageError(
+            f"{cfg.command} needs a parameterless builtin channel-m (got {cfg.channel_m!r})"
+        )
     if cfg.p_steps == 1:
         return [cfg.p_min]
     return list(np.linspace(cfg.p_min, cfg.p_max, cfg.p_steps))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if not _is_sweepable(cfg.channel_m):
-        raise UsageError(
-            f"sweep needs a parameterless builtin channel-m (got {cfg.channel_m!r})"
-        )
-    _parse_channel(cfg.channel_n)  # validate before computing
     grid = _grid(cfg)
+    _parse_channel(cfg.channel_n)  # validate before computing
 
     def work(item):
         index, p = item
@@ -335,11 +340,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    if _is_sweepable(cfg.channel_m):
-        raise UsageError("solve needs an explicit channel-m parameter (e.g. depolarizing:0.05)")
-    pair = ChannelPair(
-        choi_n=_parse_channel(cfg.channel_n), choi_m=_parse_channel(cfg.channel_m)
-    )
+    _channel_pair(cfg)  # validate before computing
     _, _, arg = cfg.channel_m.partition(":")
     p = float(arg) if arg else float("nan")
     row, result = _sweep_row(cfg, p, 0)
@@ -350,11 +351,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    if _is_sweepable(cfg.channel_m):
-        raise UsageError("certify needs an explicit channel-m parameter")
-    pair = ChannelPair(
-        choi_n=_parse_channel(cfg.channel_n), choi_m=_parse_channel(cfg.channel_m)
-    )
+    pair = _channel_pair(cfg)
     obj = ChannelObjective(pair)
     if cfg.trajectory:
         path = Path(cfg.trajectory)
@@ -363,24 +360,19 @@ def cmd_certify(cfg: RunConfig) -> int:
         traj = load_trajectory(path)
         if not traj.states:
             raise UsageError("trajectory file does not contain state dumps")
-        report = certify(
-            traj,
-            obj,
-            cfg.gamma,
-            n_samples=cfg.samples,
-            eps_max=cfg.eps_max,
-            seed=_derive_seed(cfg.seed, 0, 1),
-        )
     else:
-        result = _solve_point(cfg, pair, 0)
-        report = result.report
-    config_doc = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(cfg, f.name)
-        config_doc[f.name] = ";".join(value) if isinstance(value, list) else value
+        traj = qab_run(obj, _qab_options(cfg, pair, 0))
+    report = certify(
+        traj,
+        obj,
+        cfg.gamma,
+        n_samples=cfg.samples,
+        eps_max=cfg.eps_max,
+        seed=_derive_seed(cfg.seed, 0, 1),
+    )
     doc = {
         "version": __version__,
-        "config": config_doc,
+        "config": _config_values(cfg),
         "report": report_to_dict(report),
     }
     text = json.dumps(doc, indent=1)
@@ -392,26 +384,15 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def cmd_energy(cfg: RunConfig) -> int:
-    if _is_sweepable(cfg.channel_m):
-        raise UsageError("energy needs an explicit channel-m parameter")
-    pair = ChannelPair(
-        choi_n=_parse_channel(cfg.channel_n), choi_m=_parse_channel(cfg.channel_m)
-    )
+    pair = _channel_pair(cfg)
     if cfg.constraints is None and not cfg.constraints_file:
         cfg.constraints = ["sigma-z=-0.25"]
     family = _build_family(cfg)
-    initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, 0, 0]))
-    opts = QabOptions(
-        initial=initial,
-        gamma=cfg.gamma,
-        max_iters=cfg.iterations,
-        divergence_stop=cfg.stop,
-    )
     try:
         result = solve_energy_constrained(
             pair,
             family,
-            opts,
+            _qab_options(cfg, pair, 0),
             n_samples=cfg.samples,
             eps_max=cfg.eps_max,
             cert_seed=_derive_seed(cfg.seed, 0, 1),
@@ -440,16 +421,10 @@ def cmd_energy(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_compare(cfg: RunConfig) -> int:
-    if not _is_sweepable(cfg.channel_m):
-        raise UsageError(
-            f"oracle-compare needs a parameterless builtin channel-m (got {cfg.channel_m!r})"
-        )
-    choi_n = _parse_channel(cfg.channel_n)
     grid = _grid(cfg)
     # The Bell oracle must apply to the whole sweep: check both channels now.
-    probe = ChannelPair(choi_n=choi_n, choi_m=_parse_channel(cfg.channel_m, parameter=grid[0]))
     try:
-        bell_diagonal_oracle(probe)
+        bell_diagonal_oracle(_channel_pair(cfg, grid[0]))
     except OracleInapplicableError as exc:
         raise UsageError(f"oracle-compare requires a Bell-diagonal pair: {exc}") from exc
 
@@ -457,7 +432,7 @@ def cmd_oracle_compare(cfg: RunConfig) -> int:
     rows = []
     failed = False
     for index, p in enumerate(grid):
-        pair = ChannelPair(choi_n=choi_n, choi_m=_parse_channel(cfg.channel_m, parameter=float(p)))
+        pair = _channel_pair(cfg, float(p))
         row = {c: float("nan") for c in ORACLE_COLUMNS}
         row.update(p=float(p), status="ok")
         row["bell_oracle"] = bell_diagonal_oracle(pair) / scale
@@ -525,13 +500,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, field.name, value)
     cfg.command = args.command
-    if args.channel_m is None and "channel_m" not in doc:
-        per_command = {
-            "solve": "depolarizing:0.05",
-            "certify": "depolarizing:0.05",
-            "energy": "depolarizing:0.05",
-        }
-        cfg.channel_m = per_command.get(cfg.command, cfg.channel_m)
+    single_pair = cfg.command in ("solve", "certify", "energy")
+    if single_pair and args.channel_m is None and "channel_m" not in doc:
+        cfg.channel_m = "depolarizing:0.05"
     if cfg.constraints is not None:
         cfg.constraints = list(cfg.constraints)
     cfg.validate()

@@ -5,10 +5,22 @@ operands: an array of shape ``(..., d, d)`` is treated as a batch of ``d x d``
 matrices and results broadcast accordingly.  Outputs of spectral operations
 are always re-symmetrized, so ``||M - M^dag||_F <= 1e-12`` holds for every
 returned matrix.
+
+A :class:`Spectrum` is what layers pass to each other, so each state is
+decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`,
+:func:`matrix_exp`, :func:`matrix_sqrt`, :func:`matrix_inv_sqrt`),
+:func:`floor_spectrum` and ``quantum.relative_entropy`` accept one in place
+of a matrix, and :func:`gibbs_spectrum` returns one.
+
+Support and floor constants: ``SUPPORT_CUTOFF`` (1e-12, relative eigenvalue
+cutoff of supports), ``OUTSIDE_MASS_TOL`` (1e-10, leaked mass that makes a
+relative entropy ``+inf``), ``STATE_FLOOR`` (1e-14, eigenvalue floor of
+iterates) and ``REPAIR_FLOOR`` (1e-12, floor of repaired (a1) samples).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,9 +31,11 @@ __all__ = [
     "MatrixDomainError",
     "Spectrum",
     "eigh",
+    "floor_spectrum",
     "frobenius_norm",
+    "gibbs_spectrum",
+    "gibbs_state",
     "hermitize",
-    "is_hermitian",
     "kron",
     "matrix_exp",
     "matrix_fn",
@@ -30,12 +44,14 @@ __all__ = [
     "matrix_sqrt",
     "partial_trace",
     "random_hermitian",
-    "trace",
 ]
 
 # Relative eigenvalue threshold below which a matrix is treated as living on
 # the orthogonal complement (support convention for log / x^(-1/2) / sqrt).
-DEFAULT_SUPPORT_CUTOFF = 1e-12
+SUPPORT_CUTOFF = 1e-12
+OUTSIDE_MASS_TOL = 1e-10
+STATE_FLOOR = 1e-14
+REPAIR_FLOOR = 1e-12
 
 
 class DecompositionError(RuntimeError):
@@ -56,16 +72,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    return bool(np.all(np.abs(m - np.conj(np.swapaxes(m, -1, -2))) <= tol))
-
-
-def trace(m: np.ndarray) -> np.ndarray | complex:
-    """Trace over the last two axes."""
-    return np.trace(m, axis1=-2, axis2=-1)
-
-
 def frobenius_norm(m: np.ndarray) -> np.ndarray | float:
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
@@ -82,6 +88,11 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def matrix(self) -> np.ndarray:
+        """The matrix V diag(w) V^dag, re-symmetrized."""
+        v = self.eigenvectors
+        return hermitize(np.einsum("...ik,...k,...jk->...ij", v, self.eigenvalues, np.conj(v)))
+
 
 def eigh(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (or stack of them)."""
@@ -93,17 +104,18 @@ def eigh(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def _reconstruct(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = np.einsum("...ik,...k,...jk->...ij", v, w, np.conj(v))
-    return hermitize(out)
+def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:
+    return m if isinstance(m, Spectrum) else eigh(m)
 
 
 def matrix_fn(
-    m: np.ndarray,
+    m: np.ndarray | Spectrum,
     f: Callable[[np.ndarray], np.ndarray],
     support_cutoff: float = 0.0,
 ) -> np.ndarray:
     """Apply a scalar function to the spectrum: V f(lambda) V^dag.
+
+    ``m`` is a matrix or its already computed :class:`Spectrum`.
 
     With ``support_cutoff > 0`` the function is evaluated on the support
     only: eigenvalues at or below ``support_cutoff * max(eigenvalue, 0)``
@@ -112,7 +124,7 @@ def matrix_fn(
     mode for log, sqrt and x^(-1/2); plain functions such as exp take
     ``support_cutoff = 0``.
     """
-    spec = eigh(m)
+    spec = _spectrum(m)
     w = spec.eigenvalues
     if support_cutoff > 0:
         cut = support_cutoff * np.maximum(w[..., -1], 0.0)
@@ -126,22 +138,22 @@ def matrix_fn(
         fw = np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
     else:
         fw = f(w)
-    return _reconstruct(spec.eigenvectors, fw)
+    return Spectrum(fw, spec.eigenvectors).matrix()
 
 
-def matrix_log(m: np.ndarray, support_cutoff: float = DEFAULT_SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_log(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     return matrix_fn(m, np.log, support_cutoff)
 
 
-def matrix_exp(m: np.ndarray) -> np.ndarray:
+def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
     return matrix_fn(m, np.exp)
 
 
-def matrix_sqrt(m: np.ndarray, support_cutoff: float = DEFAULT_SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_sqrt(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     return matrix_fn(m, np.sqrt, support_cutoff)
 
 
-def matrix_inv_sqrt(m: np.ndarray, support_cutoff: float = DEFAULT_SUPPORT_CUTOFF) -> np.ndarray:
+def matrix_inv_sqrt(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
     return matrix_fn(m, lambda x: 1.0 / np.sqrt(x), support_cutoff)
 
 
@@ -153,13 +165,24 @@ def log_trace_exp(m: np.ndarray) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def gibbs_state(m: np.ndarray) -> np.ndarray:
-    """exp(m) / Tr exp(m), evaluated stably via an eigenvalue shift."""
+def gibbs_spectrum(m: np.ndarray) -> Spectrum:
+    """Spectrum of exp(m) / Tr exp(m), evaluated stably via an eigenvalue shift."""
     spec = eigh(m)
     w = spec.eigenvalues
     e = np.exp(w - w[..., -1:])
-    e = e / np.sum(e, axis=-1, keepdims=True)
-    return _reconstruct(spec.eigenvectors, e)
+    return Spectrum(e / np.sum(e, axis=-1, keepdims=True), spec.eigenvectors)
+
+
+def gibbs_state(m: np.ndarray) -> np.ndarray:
+    """exp(m) / Tr exp(m), evaluated stably via an eigenvalue shift."""
+    return gibbs_spectrum(m).matrix()
+
+
+def floor_spectrum(m: np.ndarray | Spectrum, floor: float) -> Spectrum:
+    """Raise eigenvalues below ``floor`` to it and renormalize to unit trace."""
+    spec = _spectrum(m)
+    w = np.maximum(spec.eigenvalues, floor)
+    return Spectrum(w / np.sum(w, axis=-1, keepdims=True), spec.eigenvectors)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,13 +213,9 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-_TRIU_CACHE: dict = {}
-
-
+@functools.cache
 def _triu(dim: int):
-    if dim not in _TRIU_CACHE:
-        _TRIU_CACHE[dim] = np.triu_indices(dim, k=1)
-    return _TRIU_CACHE[dim]
+    return np.triu_indices(dim, k=1)
 
 
 def random_hermitian(dim: int, seed) -> np.ndarray:

@@ -165,11 +165,13 @@ def e_project(
 
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)
     grad_norm = np.inf
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         g = free_energy_gradient(base, fam, tau)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= tol:
             return gibbs_state(_shifted(base, fam, tau)), TauSolution(tau, grad_norm, it)
+        if it == max_iters:
+            break
 
         # Hessian of the free energy by central differences of the gradient.
         hess = np.zeros((k, k))
@@ -208,9 +210,4 @@ def e_project(
                 "tau diverged while the constraint gradient stayed "
                 f"{grad_norm:.3e} away from zero; the family appears infeasible"
             )
-
-    g = free_energy_gradient(base, fam, tau)
-    grad_norm = float(np.linalg.norm(g))
-    if grad_norm <= tol:
-        return gibbs_state(_shifted(base, fam, tau)), TauSolution(tau, grad_norm, max_iters)
     raise EProjectionError(grad_norm, max_iters)

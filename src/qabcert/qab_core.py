@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import eigh, gibbs_state, hermitize, matrix_fn
+from .linalg import (
+    STATE_FLOOR,
+    eigh,
+    floor_spectrum,
+    gibbs_spectrum,
+    gibbs_state,
+    hermitize,
+    matrix_fn,
+)
 from .mixture import EProjectionError, MixtureFamily, TauSolution, e_project
 from .quantum import relative_entropy
 
@@ -29,8 +37,6 @@ __all__ = [
     "j_function",
     "qab_run",
 ]
-
-STATE_FLOOR = 1e-14
 
 
 class IterationError(RuntimeError):
@@ -108,43 +114,29 @@ class Trajectory:
     step_domega: list = field(default_factory=list)
     tau_history: list = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     def check_consistent(self) -> None:
         n = len(self.states)
         if len(self.values) != n or len(self.step_kl) != n - 1 or len(self.step_domega) != n - 1:
             raise ValueError("trajectory sequences have inconsistent lengths")
 
 
-def _full_rank_log(rho: np.ndarray) -> np.ndarray:
-    # Plain spectral log: iterates are floored at STATE_FLOOR, which sits
-    # below the relative support cutoff, so the support convention must not
-    # zero those eigenvalues out.
-    return matrix_fn(rho, np.log, 0.0)
-
-
 def floor_state(rho: np.ndarray, floor: float = STATE_FLOOR) -> np.ndarray:
     """Raise eigenvalues below ``floor`` and renormalize, keeping log rho finite."""
-    spec = eigh(rho)
-    w = spec.eigenvalues
-    if w.min() >= floor:
-        return hermitize(rho / np.trace(rho).real)
-    w = np.maximum(w, floor)
-    w = w / w.sum()
-    v = spec.eigenvectors
-    return hermitize(np.einsum("ik,k,jk->ij", v, w, np.conj(v)))
+    return floor_spectrum(rho, floor).matrix()
 
 
 def f3_map(rho: np.ndarray, obj: Objective, gamma: float) -> np.ndarray:
     """Trace-normalized exp(log rho - omega(rho)/gamma)."""
-    w = np.linalg.eigvalsh(hermitize(rho))
+    spec = eigh(rho)
+    w = spec.eigenvalues
     if w.min() <= 1e-15 * w.max():
         raise ValueError(
             "rho is rank deficient beyond the support cutoff; floor its "
             "eigenvalues first (see floor_state)"
         )
-    return gibbs_state(_full_rank_log(rho) - obj.omega(rho) / gamma)
+    # Plain spectral log (no support cutoff): floored eigenvalues sit below
+    # the relative support cutoff and must not be zeroed out.
+    return gibbs_state(matrix_fn(spec, np.log) - obj.omega(rho) / gamma)
 
 
 def d_omega(rho: np.ndarray, sigma: np.ndarray, obj: Objective):
@@ -169,11 +161,15 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     With a family present each step e-projects the log-domain update onto
     the constraints (warm starting tau from the previous step); otherwise
     the bare trace-normalized update is used.  Iterate eigenvalues are
-    floored at 1e-14 so the next logarithm stays finite.
+    floored at ``STATE_FLOOR`` so the next logarithm stays finite.  Each
+    iterate is carried with its spectrum, so log rho and the per-step
+    divergence need no further decomposition.
     """
     family = opts.family
-    rho = floor_state(opts.initial)
-    if family is not None and family.size > 0:
+    constrained = family is not None and family.size > 0
+    spec = floor_spectrum(opts.initial, STATE_FLOOR)
+    rho = spec.matrix()
+    if constrained:
         resid = family.residuals(rho)
         if np.max(np.abs(resid)) > 1e-8:
             raise ValueError(
@@ -185,13 +181,13 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     omega_cur = hermitize(obj.omega(rho))
     traj.states.append(rho)
     traj.values.append(float(np.einsum("ij,ji->", rho, omega_cur).real))
-    tau_prev = np.zeros(family.size) if family is not None else None
+    tau_prev = None
 
     for t in range(opts.max_iters):
-        log_domain = _full_rank_log(rho) - omega_cur / opts.gamma
+        log_domain = matrix_fn(spec, np.log) - omega_cur / opts.gamma
         try:
-            if family is not None and family.size > 0:
-                nxt, tau_sol = e_project(
+            if constrained:
+                update, tau_sol = e_project(
                     log_domain,
                     family,
                     tol=opts.tau_tol,
@@ -201,20 +197,21 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
                 tau_prev = tau_sol.tau
                 traj.tau_history.append(tau_sol)
             else:
-                nxt = gibbs_state(log_domain)
+                update = gibbs_spectrum(log_domain)
         except EProjectionError as exc:
             raise IterationError(t + 1, exc) from exc
-        nxt = floor_state(nxt)
+        spec_nxt = floor_spectrum(update, STATE_FLOOR)
+        nxt = spec_nxt.matrix()
 
         omega_nxt = hermitize(obj.omega(nxt))
-        kl = relative_entropy(nxt, rho)
+        kl = relative_entropy(spec_nxt, spec)
         dom = float(np.einsum("ij,ji->", nxt, omega_nxt - omega_cur).real)
         traj.states.append(nxt)
         traj.values.append(float(np.einsum("ij,ji->", nxt, omega_nxt).real))
         traj.step_kl.append(kl)
         traj.step_domega.append(dom)
 
-        rho, omega_cur = nxt, omega_nxt
+        spec, omega_cur = spec_nxt, omega_nxt
         if opts.divergence_stop is not None and kl < opts.divergence_stop:
             break
 

@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    SUPPORT_CUTOFF,
+    OUTSIDE_MASS_TOL,
+    Spectrum,
     eigh,
     hermitize,
     kron,
     matrix_sqrt,
     partial_trace,
-    trace,
 )
 
 __all__ = [
@@ -35,18 +37,15 @@ __all__ = [
     "maximally_entangled",
     "random_density",
     "relative_entropy",
-    "require_density",
     "sandwich",
+    "support_overlap",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_B00 = np.array([1, 0, 0, 0], dtype=complex)
-_B01 = np.array([0, 1, 0, 0], dtype=complex)
-_B10 = np.array([0, 0, 1, 0], dtype=complex)
-_B11 = np.array([0, 0, 0, 1], dtype=complex)
+_B00, _B01, _B10, _B11 = np.eye(4, dtype=complex)
 
 #: Phi+, Phi-, Psi+, Psi- as kets.
 BELL_STATES = (
@@ -59,20 +58,6 @@ BELL_STATES = (
 
 def _projector(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, np.conj(ket))
-
-
-def require_density(rho: np.ndarray, psd_tol: float = 1e-10, trace_tol: float = 1e-10) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD and unit trace to tolerance)."""
-    rho = np.asarray(rho, dtype=complex)
-    if not np.all(np.abs(rho - np.conj(rho.T)) <= 1e-10):
-        raise ValueError("density matrix is not Hermitian")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if w.min() < -psd_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr} deviates from 1")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -181,25 +166,52 @@ def random_density(dim: int, seed) -> np.ndarray:
     return hermitize(rho)
 
 
+def support_overlap(
+    rho: np.ndarray | Spectrum,
+    sigma: Spectrum,
+    support_cutoff: float = SUPPORT_CUTOFF,
+):
+    """``(outside_mass, Tr rho log sigma)`` from the weights <u_k| rho |u_k>.
+
+    The u_k are the eigenvectors of ``sigma``; those whose eigenvalue is at
+    or below ``support_cutoff`` times the largest lie outside the support.
+    """
+    ws, u = sigma.eigenvalues, sigma.eigenvectors
+    udag = np.conj(np.swapaxes(u, -1, -2))
+    if isinstance(rho, Spectrum):
+        overlap = np.abs(udag @ rho.eigenvectors) ** 2
+        diag = np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
+    else:
+        diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
+    inside = ws > support_cutoff * np.maximum(ws[..., -1:], 0.0)
+    outside_mass = np.sum(np.where(inside, 0.0, diag), axis=-1)
+    tr_log = np.sum(np.where(inside, diag * np.log(np.where(inside, ws, 1.0)), 0.0), axis=-1)
+    return outside_mass, tr_log
+
+
 def relative_entropy(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    support_cutoff: float = 1e-12,
+    rho: np.ndarray | Spectrum,
+    sigma: np.ndarray | Spectrum,
+    support_cutoff: float = SUPPORT_CUTOFF,
     psd_tol: float = 1e-10,
-    outside_mass_tol: float = 1e-10,
+    outside_mass_tol: float = OUTSIDE_MASS_TOL,
 ):
     """Umegaki relative entropy Tr rho (log rho - log sigma) in nats.
 
     Inputs must be PSD to ``psd_tol`` but need not have unit trace.  When
     the eigenvalue mass of ``rho`` outside the support of ``sigma`` exceeds
-    ``outside_mass_tol`` the result is ``+inf``.  Accepts stacks on either
-    argument (broadcasting) and then returns an array.
+    ``outside_mass_tol`` the result is ``+inf``.  Either argument may be a
+    :class:`~qabcert.linalg.Spectrum` already computed by the caller.
+    Accepts stacks on either argument (broadcasting) and then returns an
+    array.
     """
-    rho = hermitize(rho)
-    sigma = hermitize(sigma)
-    wr = np.linalg.eigvalsh(rho)
-    spec_s = eigh(sigma)
-    ws, u = spec_s.eigenvalues, spec_s.eigenvectors
+    if isinstance(rho, Spectrum):
+        wr = rho.eigenvalues
+    else:
+        rho = hermitize(rho)
+        wr = np.linalg.eigvalsh(rho)
+    spec_s = sigma if isinstance(sigma, Spectrum) else eigh(sigma)
+    ws = spec_s.eigenvalues
     if np.min(wr) < -psd_tol:
         raise ValueError(f"rho has negative eigenvalue {float(np.min(wr)):.3e}")
     if np.min(ws) < -psd_tol:
@@ -209,16 +221,6 @@ def relative_entropy(
     tr_rlogr = np.sum(
         np.where(wr > cut_r, wr * np.log(np.where(wr > cut_r, wr, 1.0)), 0.0), axis=-1
     )
-
-    cut_s = support_cutoff * np.maximum(ws[..., -1:], 0.0)
-    # <u_k| rho |u_k> for each eigenvector of sigma, batched.
-    udag = np.conj(np.swapaxes(u, -1, -2))
-    diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
-    inside = ws > cut_s
-    outside_mass = np.sum(np.where(inside, 0.0, diag), axis=-1)
-    tr_rlogs = np.sum(
-        np.where(inside, diag * np.log(np.where(inside, ws, 1.0)), 0.0), axis=-1
-    )
-
+    outside_mass, tr_rlogs = support_overlap(rho, spec_s, support_cutoff)
     out = np.where(outside_mass > outside_mass_tol, np.inf, tr_rlogr - tr_rlogs)
     return float(out) if np.ndim(out) == 0 else out

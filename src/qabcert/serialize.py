@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import CertificationReport, RatioStats
+from .certify import DIVERGENCE_SKIP_TOL, CertificationReport, RatioStats
 from .mixture import MixtureFamily, TauSolution
 from .qab_core import Trajectory
-from .quantum import ChoiMatrix
+from .quantum import ChoiMatrix, choi_from_kraus
 
 __all__ = [
     "complex_matrix_to_pairs",
@@ -44,22 +44,15 @@ def pairs_to_complex_matrix(rows: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
 
 
-def _channel_doc(choi: ChoiMatrix, kraus=None) -> dict:
+def save_channel(path, choi: ChoiMatrix) -> None:
     doc = {
-        "format": "choi" if kraus is None else "kraus",
+        "format": "choi",
         "dim_a": choi.dim_a,
         "dim_b": choi.dim_b,
         "normalization": CHOI_NORMALIZATION_TAG,
+        "choi": complex_matrix_to_pairs(choi.mat),
     }
-    if kraus is None:
-        doc["choi"] = complex_matrix_to_pairs(choi.mat)
-    else:
-        doc["kraus"] = [complex_matrix_to_pairs(k) for k in kraus]
-    return doc
-
-
-def save_channel(path, choi: ChoiMatrix) -> None:
-    Path(path).write_text(json.dumps(_channel_doc(choi), indent=1))
+    Path(path).write_text(json.dumps(doc, indent=1))
 
 
 def load_channel(path) -> ChoiMatrix:
@@ -71,8 +64,6 @@ def load_channel(path) -> ChoiMatrix:
         mat = pairs_to_complex_matrix(doc["choi"])
         return ChoiMatrix(mat=mat, dim_a=dim_a, dim_b=dim_b)
     if doc["format"] == "kraus":
-        from .quantum import choi_from_kraus
-
         ops = [pairs_to_complex_matrix(k) for k in doc["kraus"]]
         return choi_from_kraus(ops)
     raise ValueError(f"unknown channel format {doc['format']!r}")
@@ -144,17 +135,6 @@ def load_trajectory(path) -> Trajectory:
     return trajectory_from_dict(json.loads(Path(path).read_text()))
 
 
-def _ratio_stats_dict(stats: RatioStats) -> dict:
-    return {
-        "min": stats.min,
-        "max": stats.max,
-        "count": stats.count,
-        "arg_min": stats.arg_min,
-        "arg_max": stats.arg_max,
-        "skipped": stats.skipped,
-    }
-
-
 def report_to_dict(report: CertificationReport) -> dict:
     """Stable-key-order dict of a report, including every threshold and seed."""
     return {
@@ -162,14 +142,14 @@ def report_to_dict(report: CertificationReport) -> dict:
         "samples": report.samples,
         "seed": report.seed,
         "eps_max": report.eps_max,
-        "divergence_skip_tol": 1e-14,
-        "a1": _ratio_stats_dict(report.a1),
+        "divergence_skip_tol": DIVERGENCE_SKIP_TOL,
+        "a1": dataclasses.asdict(report.a1),
         "a1_pass": report.a1_pass,
         "a1_margin": report.a1_margin,
-        "a2": _ratio_stats_dict(report.a2),
+        "a2": dataclasses.asdict(report.a2),
         "a2_pass": report.a2_pass,
         "a2_tolerance": report.a2_tolerance,
-        "a3": _ratio_stats_dict(report.a3),
+        "a3": dataclasses.asdict(report.a3),
         "a3_pass": report.a3_pass,
         "bound_value": report.bound_value,
         "bound_t0": report.bound_t0,
@@ -180,21 +160,10 @@ def report_to_dict(report: CertificationReport) -> dict:
 
 
 def report_from_dict(doc: dict) -> CertificationReport:
-    def stats(d):
-        return RatioStats(
-            min=d["min"],
-            max=d["max"],
-            count=d["count"],
-            arg_min=d["arg_min"],
-            arg_max=d["arg_max"],
-            skipped=d["skipped"],
-        )
-
     fields = {f.name for f in dataclasses.fields(CertificationReport)}
     kwargs = {k: v for k, v in doc.items() if k in fields}
-    kwargs["a1"] = stats(doc["a1"])
-    kwargs["a2"] = stats(doc["a2"])
-    kwargs["a3"] = stats(doc["a3"])
+    for key in ("a1", "a2", "a3"):
+        kwargs[key] = RatioStats(**doc[key])
     return CertificationReport(**kwargs)
 
 

@@ -165,6 +165,29 @@ class TestStationarityResidual:
         obj, traj = channel_run
         assert stationarity_residual(traj.states[-1], obj) <= 1e-4
 
+    def test_constant_objective_attains_projection_norm(self):
+        # The sup over unit tangent directions at I/4 is ||K - (Tr K / 4) I||_F;
+        # a maximum over a fixed matrix basis gave 1.570 here instead of 2.476.
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        k = (g + np.conj(g.T)) / 2
+        expected = np.linalg.norm(k - np.trace(k).real / 4 * np.eye(4))
+        assert expected == pytest.approx(2.476, abs=1e-3)
+        residual = stationarity_residual(np.eye(4) / 4, ConstantObjective(k))
+        assert residual == pytest.approx(expected, abs=1e-12)
+
+    def test_constraint_directions_projected_out(self):
+        # Omega inside span{I, H} has no feasible component; adding a
+        # direction orthogonal to both is seen at full norm.
+        h = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        t = np.zeros((3, 3), dtype=complex)
+        t[0, 1] = t[1, 0] = 1.0
+        fam = MixtureFamily(observables=(h,), targets=(0.0,))
+        rho = np.eye(3) / 3
+        assert stationarity_residual(rho, ConstantObjective(2 * np.eye(3) + 0.5 * h), fam) <= 1e-12
+        residual = stationarity_residual(rho, ConstantObjective(0.5 * h + 3 * t), fam)
+        assert residual == pytest.approx(3 * np.sqrt(2), abs=1e-12)
+
 
 class TestCertify:
     def test_constant_objective_passes(self, rng):

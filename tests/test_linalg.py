@@ -14,7 +14,7 @@ from qabcert import (
     partial_trace,
     random_hermitian,
 )
-from qabcert.linalg import frobenius_norm
+from qabcert.linalg import floor_spectrum, frobenius_norm, gibbs_spectrum, gibbs_state
 from qabcert.quantum import PAULI_X, maximally_entangled
 
 
@@ -101,6 +101,29 @@ class TestMatrixFn:
         batched = matrix_log(stack)
         for i in range(5):
             assert np.allclose(batched[i], matrix_log(stack[i]), atol=1e-12)
+
+    def test_spectrum_input_matches_matrix_input(self, rng):
+        m = matrix_exp(random_hermitian_scaled(rng, 3))
+        stack = np.stack([m, matrix_exp(random_hermitian_scaled(rng, 3))])
+        for x in (m, stack):
+            for fn in (matrix_log, matrix_exp, matrix_sqrt, matrix_inv_sqrt):
+                assert np.array_equal(fn(eigh(x)), fn(x))
+
+
+class TestSpectrumHelpers:
+    def test_gibbs_spectrum_reconstructs_gibbs_state(self, rng):
+        h = random_hermitian_scaled(rng, 3, 5.0)
+        spec = gibbs_spectrum(h)
+        assert np.sum(spec.eigenvalues) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(spec.matrix(), gibbs_state(h))
+        expected = matrix_exp(h) / np.trace(matrix_exp(h)).real
+        assert np.allclose(gibbs_state(h), expected, atol=1e-12)
+
+    def test_floor_spectrum_floors_and_renormalizes(self):
+        spec = floor_spectrum(np.diag([2.0, 0.0, -1e-17]), 1e-3)
+        assert np.allclose(spec.eigenvalues, np.array([1e-3, 1e-3, 2.0]) / 2.002)
+        kept = floor_spectrum(eigh(np.diag([0.75, 0.25])), 1e-3)
+        assert np.array_equal(kept.eigenvalues, [0.25, 0.75])
 
 
 class TestPartialTrace:

@@ -148,6 +148,35 @@ class TestQabRun:
             assert np.max(np.abs(fam.residuals(state))) <= 1e-8
         assert len(traj.tau_history) == len(traj.states) - 1
 
+    def test_steps_match_floored_f3_map(self):
+        obj = ChannelObjective(paper_pair())
+        traj = qab_run(obj, QabOptions(initial=random_density(2, 7), max_iters=30))
+        for cur, nxt in zip(traj.states, traj.states[1:]):
+            assert np.max(np.abs(nxt - floor_state(f3_map(cur, obj, 1.0)))) <= 1e-12
+
+    def test_unconstrained_step_decomposes_at_most_four_matrices(self, monkeypatch):
+        # log rho_t and D(rho_{t+1} || rho_t) reuse known spectra; omega takes
+        # three decompositions (rho, S_N, S_M) and the Gibbs update one.
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        obj = ChannelObjective(paper_pair())
+        opts = {n: QabOptions(initial=random_density(2, 9), max_iters=n) for n in (10, 30)}
+        counts = {}
+        for n, o in opts.items():
+            calls.clear()
+            traj = qab_run(obj, o)
+            assert len(traj.states) == n + 1
+            counts[n] = len(calls)
+        assert counts[30] - counts[10] <= 4 * 20
+        assert counts[10] <= 4 * 10 + 5
+
     def test_invalid_options(self, rng):
         with pytest.raises(ValueError):
             QabOptions(initial=random_state(rng, 2), gamma=0.0)

@@ -6,6 +6,7 @@ from qabcert import (
     choi_from_kraus,
     dephasing_choi,
     depolarizing_choi,
+    eigh,
     hermitize,
     kron,
     maximally_entangled,
@@ -64,6 +65,20 @@ class TestRelativeEntropy:
         assert out.shape == (4,)
         for i in range(4):
             assert out[i] == pytest.approx(relative_entropy(rho, sigmas[i]), abs=1e-12)
+
+    def test_spectrum_arguments_match_matrices(self, rng):
+        rho = random_state(rng, 3)
+        sigmas = np.stack([random_state(rng, 3) for _ in range(4)])
+        pure = np.diag([1.0, 0.0, 0.0])
+        for r, s in ((rho, sigmas), (sigmas, rho), (pure, sigmas[0]), (sigmas[1], pure)):
+            expected = relative_entropy(r, s)
+            for got in (
+                relative_entropy(eigh(r), s),
+                relative_entropy(r, eigh(s)),
+                relative_entropy(eigh(r), eigh(s)),
+            ):
+                assert np.allclose(got, expected, atol=1e-12, rtol=0)
+        assert relative_entropy(eigh(sigmas[1]), eigh(pure)) == np.inf
 
 
 class TestChoiConstructors:

@@ -145,7 +145,7 @@ def _draw_perturbation(final: np.ndarray, rng: np.random.Generator, eps_max: flo
 def _repair_candidates(raw: np.ndarray):
     """PSD repair of a stack: clip at 0, renormalize, floor to full rank.
 
-    Returns the repaired stack and a mask of draws whose clipping removed
+    Returns the repaired spectra and a mask of draws whose clipping removed
     more than 10% of trace mass (those get resampled).
     """
     spec = eigh(raw)
@@ -154,7 +154,7 @@ def _repair_candidates(raw: np.ndarray):
     kept = np.sum(np.maximum(w, 0.0), axis=-1)
     heavy = (kept <= 0) | (removed > CLIP_MASS_FRACTION * kept)
     clipped = np.maximum(w, 0.0) / np.where(kept > 0, kept, 1.0)[..., None]
-    return floor_spectrum(Spectrum(clipped, spec.eigenvectors), REPAIR_FLOOR).matrix(), heavy
+    return floor_spectrum(Spectrum(clipped, spec.eigenvectors), REPAIR_FLOOR), heavy
 
 
 def check_a1(
@@ -185,17 +185,20 @@ def check_a1(
     # batch; the (rare) rejects then re-enter their own stream sequentially.
     rngs = [np.random.default_rng([base_seed, i]) for i in range(n_samples)]
     raw = np.stack([_draw_perturbation(final, rng, eps_max) for rng in rngs])
-    candidates, heavy = _repair_candidates(raw)
-    dens = relative_entropy(final, candidates)
+    # Repaired candidates are full rank, but their renormalized REPAIR_FLOOR sits
+    # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
+    repaired, heavy = _repair_candidates(raw)
+    dens = relative_entropy(final, repaired, support_cutoff=0.0)
+    candidates = repaired.matrix()
     accepted = ~heavy & (dens > skip_tol)
     for i in np.nonzero(~accepted)[0]:
         for _ in range(MAX_RESAMPLE_ATTEMPTS - 1):
             cand, heavy_clip = _repair_candidates(_draw_perturbation(final, rngs[i], eps_max))
             if heavy_clip:
                 continue
-            den = relative_entropy(final, cand)
+            den = relative_entropy(final, cand, support_cutoff=0.0)
             if not den <= skip_tol:
-                candidates[i], dens[i], accepted[i] = cand, den, True
+                candidates[i], dens[i], accepted[i] = cand.matrix(), den, True
                 break
 
     indices = np.nonzero(accepted)[0]

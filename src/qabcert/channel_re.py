@@ -193,7 +193,7 @@ def solve_energy_constrained(
         )
     initial = opts.initial
     if np.max(np.abs(constraints.residuals(initial))) > 1e-8:
-        initial, _ = e_project(matrix_log(initial), constraints, tol=opts.tau_tol)
+        initial = e_project(matrix_log(initial), constraints, tol=opts.tau_tol)[0].matrix()
     run_opts = replace(opts, initial=initial, family=constraints)
     return solve_unconstrained(
         pair, run_opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed

@@ -19,7 +19,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +111,6 @@ class RunConfig:
     stop_kl: float = 1e-10
     log_base: str = "e"
     out: str = ""
-    workers: int = 2
     grid_resolution: int = 50
     constraints: list | None = None  # None means "use the command default"
     constraints_file: str = ""
@@ -140,8 +138,6 @@ class RunConfig:
             raise UsageError("log-base must be 'e' or '2'")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if self.workers < 1:
-            raise UsageError("workers must be >= 1")
         if self.grid_resolution < 2:
             raise UsageError("grid-resolution must be >= 2")
 
@@ -328,13 +324,7 @@ def _grid(cfg: RunConfig) -> list:
 def cmd_sweep(cfg: RunConfig) -> int:
     grid = _grid(cfg)
     _parse_channel(cfg.channel_n)  # validate before computing
-
-    def work(item):
-        index, p = item
-        return _sweep_row(cfg, float(p), index)[0]
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        rows = list(pool.map(work, enumerate(grid)))
+    rows = [_sweep_row(cfg, float(p), index)[0] for index, p in enumerate(grid)]
     _write_csv(cfg.out or "sweep.csv", cfg, SWEEP_COLUMNS, rows)
     return 1 if any(str(r["status"]).startswith("failed") for r in rows) else 0
 
@@ -469,7 +459,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--stop-kl", dest="stop_kl", type=float)
     sub.add_argument("--log-base", dest="log_base", choices=("e", "2"))
     sub.add_argument("--out")
-    sub.add_argument("--workers", type=int)
     sub.add_argument("--grid-resolution", dest="grid_resolution", type=int)
     sub.add_argument(
         "--constraint",

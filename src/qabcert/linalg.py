@@ -157,14 +157,6 @@ def matrix_inv_sqrt(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CU
     return matrix_fn(m, lambda x: 1.0 / np.sqrt(x), support_cutoff)
 
 
-def log_trace_exp(m: np.ndarray) -> np.ndarray | float:
-    """log Tr exp(m), evaluated stably via an eigenvalue shift."""
-    w = eigh(m).eigenvalues
-    top = w[..., -1]
-    out = top + np.log(np.sum(np.exp(w - top[..., None]), axis=-1))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def gibbs_spectrum(m: np.ndarray) -> Spectrum:
     """Spectrum of exp(m) / Tr exp(m), evaluated stably via an eigenvalue shift."""
     spec = eigh(m)

@@ -4,8 +4,8 @@ A mixture family is the set of states satisfying ``Tr rho H_j = c_j`` for
 linearly independent Hermitian observables ``H_j``.  The e-projection of a
 state onto the family is the minimizer of ``D(sigma || rho)``; it has Gibbs
 form ``C exp(log rho + sum_j tau_j H_j)`` where ``tau`` solves a small
-convex minimization, handled here by a damped Newton method with a
-finite-difference Hessian of the exact gradient.
+convex minimization, handled here by a damped Newton method with the exact
+(Kubo-Mori) Hessian; the Gibbs state is returned as a ``linalg.Spectrum``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gibbs_state, hermitize, log_trace_exp
+from .linalg import Spectrum, eigh, gibbs_spectrum, hermitize
 
 __all__ = [
     "EProjectionError",
@@ -94,11 +94,36 @@ class TauSolution:
     iterations: int
 
 
-def _shifted(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray) -> np.ndarray:
-    m = np.asarray(base, dtype=complex)
+def _evaluate(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray):
+    """Free energy, gradient, exact Hessian and Gibbs spectrum at ``tau``.
+
+    One eigendecomposition ``w, V`` of ``base + sum_j tau_j H_j`` gives all
+    four.  The Hessian is the Kubo-Mori covariance, in the eigenbasis
+    ``sum_ab (H_j)_ab (H_k)_ba K_ab - m_j m_k`` with ``m_j = Tr(G H_j)``,
+    Gibbs weights ``p``, ``K_ab = (p_b - p_a) / (w_b - w_a)``, ``K_aa = p_a``.
+    """
+    m = base
     for t, h in zip(tau, fam.observables):
         m = m + t * h
-    return m
+    spec = eigh(m)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    e = np.exp(w - w[-1])
+    p = e / np.sum(e)
+    value = float(w[-1] + np.log(np.sum(e)) - np.dot(tau, fam.targets))
+    rotated = np.array([np.conj(v.T) @ h @ v for h in fam.observables]).reshape(-1, *v.shape)
+    mean = np.einsum("jaa,a->j", rotated, p).real
+
+    # K_ab = p_a expm1(gap) / gap for |gap| <= 1, where p_b - p_a cancels;
+    # beyond, the plain quotient is exact and p_a expm1(gap) can be 0 * inf.
+    gap = w[None, :] - w[:, None]
+    far = np.abs(gap) > 1.0
+    near = ~far & (gap != 0)
+    ratio = np.ones_like(gap)
+    ratio[near] = np.expm1(gap[near]) / gap[near]
+    kernel = p[:, None] * ratio
+    kernel[far] = (p[None, :] - p[:, None])[far] / gap[far]
+    hess = np.einsum("jab,kba,ab->jk", rotated, rotated, kernel).real - np.outer(mean, mean)
+    return value, mean - np.asarray(fam.targets), hess, Spectrum(p, v)
 
 
 def free_energy(base: np.ndarray, fam: MixtureFamily, tau) -> float:
@@ -107,10 +132,7 @@ def free_energy(base: np.ndarray, fam: MixtureFamily, tau) -> float:
     ``base`` is the log-domain matrix (log rho, possibly shifted by an
     objective term); the value is finite for every finite tau.
     """
-    tau = np.asarray(tau, dtype=float)
-    return float(log_trace_exp(_shifted(base, fam, tau))) - float(
-        np.dot(tau, fam.targets) if tau.size else 0.0
-    )
+    return _evaluate(np.asarray(base, dtype=complex), fam, np.asarray(tau, dtype=float))[0]
 
 
 def free_energy_gradient(base: np.ndarray, fam: MixtureFamily, tau) -> np.ndarray:
@@ -119,13 +141,7 @@ def free_energy_gradient(base: np.ndarray, fam: MixtureFamily, tau) -> np.ndarra
     Uses d/dt Tr exp(A + t H) = Tr(exp(A + t H) H), so no finite
     differences are involved.
     """
-    tau = np.asarray(tau, dtype=float)
-    if fam.size == 0:
-        return np.zeros(0)
-    g = gibbs_state(_shifted(base, fam, tau))
-    return np.array(
-        [np.trace(g @ h).real - c for h, c in zip(fam.observables, fam.targets)]
-    )
+    return _evaluate(np.asarray(base, dtype=complex), fam, np.asarray(tau, dtype=float))[1]
 
 
 def _spectral_feasibility(fam: MixtureFamily) -> None:
@@ -149,41 +165,31 @@ def e_project(
 ):
     """e-projection onto ``fam`` of the state with log-domain matrix ``base``.
 
-    Returns ``(rho, TauSolution)`` where ``rho = C exp(base + sum tau_j H_j)``
-    satisfies every constraint within the gradient tolerance.  ``tau0`` warm
-    starts the solver.  Damped Newton with central-difference Hessian of the
-    exact gradient, Armijo backtracking, and a gradient-descent fallback when
-    the Hessian is near-singular.
+    Returns ``(Spectrum, TauSolution)``, the spectrum of
+    ``rho = C exp(base + sum tau_j H_j)``, which satisfies every constraint
+    within the gradient tolerance.  ``tau0`` warm starts the solver.  Damped
+    Newton with the exact Hessian, Armijo backtracking (its accepted trial is
+    the next iterate's evaluation), and a gradient-descent fallback when the
+    Hessian is near-singular.
     """
     base = np.asarray(rho_log_domain, dtype=complex)
     if not np.all(np.isfinite(base)):
         raise ValueError("log-domain matrix has non-finite entries")
     k = fam.size
     if k == 0:
-        return gibbs_state(base), TauSolution(np.zeros(0), 0.0, 0)
+        return gibbs_spectrum(base), TauSolution(np.zeros(0), 0.0, 0)
     _spectral_feasibility(fam)
 
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)
+    f0, g, hess, gibbs = _evaluate(base, fam, tau)
     grad_norm = np.inf
     for it in range(max_iters + 1):
-        g = free_energy_gradient(base, fam, tau)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= tol:
-            return gibbs_state(_shifted(base, fam, tau)), TauSolution(tau, grad_norm, it)
+            return gibbs, TauSolution(tau, grad_norm, it)
         if it == max_iters:
             break
 
-        # Hessian of the free energy by central differences of the gradient.
-        hess = np.zeros((k, k))
-        for j in range(k):
-            h = 1e-5 * max(1.0, abs(tau[j]))
-            step = np.zeros(k)
-            step[j] = h
-            hess[:, j] = (
-                free_energy_gradient(base, fam, tau + step)
-                - free_energy_gradient(base, fam, tau - step)
-            ) / (2 * h)
-        hess = (hess + hess.T) / 2
         try:
             direction = np.linalg.solve(hess, -g)
             if not np.all(np.isfinite(direction)) or float(np.dot(direction, g)) >= 0:
@@ -191,19 +197,17 @@ def e_project(
         except np.linalg.LinAlgError:
             direction = -g
 
-        f0 = free_energy(base, fam, tau)
         slope = float(np.dot(g, direction))
         step_size = 1.0
+        trial = _evaluate(base, fam, tau + direction)
         if abs(slope) > 1e-14 * max(1.0, abs(f0)):
             # Armijo backtracking; skipped when the predicted decrease is
             # below float resolution (full Newton step is safe there).
-            while (
-                free_energy(base, fam, tau + step_size * direction)
-                > f0 + 1e-4 * step_size * slope
-                and step_size > 1e-12
-            ):
+            while trial[0] > f0 + 1e-4 * step_size * slope and step_size > 1e-12:
                 step_size *= 0.5
+                trial = _evaluate(base, fam, tau + step_size * direction)
         tau = tau + step_size * direction
+        f0, g, hess, gibbs = trial
 
         if np.linalg.norm(tau) > 1e6:
             raise InfeasibleFamilyError(

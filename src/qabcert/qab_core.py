@@ -23,7 +23,7 @@ from .linalg import (
     hermitize,
     matrix_fn,
 )
-from .mixture import EProjectionError, MixtureFamily, TauSolution, e_project
+from .mixture import EProjectionError, MixtureFamily, e_project
 from .quantum import relative_entropy
 
 __all__ = [

@@ -180,9 +180,9 @@ def test_criterion_5_e_projection_correctness():
     for _ in range(100):
         dim = int(rng.choice([2, 3]))
         fam = random_family(dim, int(rng.choice([1, 2])))
-        sigma = e_project(matrix_log(random_density(dim, rng)), fam)[0]
+        sigma = e_project(matrix_log(random_density(dim, rng)), fam)[0].matrix()
         rho = random_density(dim, rng)
-        proj = e_project(matrix_log(rho), fam)[0]
+        proj = e_project(matrix_log(rho), fam)[0].matrix()
         gap = abs(
             relative_entropy(sigma, rho)
             - relative_entropy(sigma, proj)

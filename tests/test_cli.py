@@ -31,15 +31,6 @@ class TestSweep:
         assert run(*args, "--out", str(out)) == 0
         assert out.read_bytes() == first
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ("sweep", "--p-min", "0.04", "--p-max", "0.1", "--p-steps", "3", *FAST)
-        assert run(*args, "--workers", "1", "--out", str(out1)) == 0
-        assert run(*args, "--workers", "3", "--out", str(out2)) == 0
-        _, rows1 = data_rows(out1)
-        _, rows2 = data_rows(out2)
-        assert rows1 == rows2
-
     def test_single_point_matches_solve(self, tmp_path):
         sweep_out, solve_out = tmp_path / "sweep.csv", tmp_path / "solve.csv"
         assert (
@@ -110,6 +101,14 @@ class TestUsageErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nonsense": 1}))
         assert run("solve", "--config", str(cfg), "--out", "-") == 2
+
+    def test_workers_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--workers", "2", "--out", "-")
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        assert run("sweep", "--config", str(cfg), "--out", "-") == 2
 
     def test_config_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"

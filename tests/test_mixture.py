@@ -12,6 +12,7 @@ from qabcert import (
     matrix_log,
     relative_entropy,
 )
+from qabcert.mixture import _evaluate
 from qabcert.quantum import PAULI_X, PAULI_Z
 
 from conftest import random_state
@@ -43,7 +44,7 @@ class TestMixtureFamily:
 
     def test_residuals(self, rng):
         fam = random_family(rng, 2, 2)
-        witnessed = e_project(matrix_log(random_state(rng, 2)), fam)[0]
+        witnessed = e_project(matrix_log(random_state(rng, 2)), fam)[0].matrix()
         assert np.max(np.abs(fam.residuals(witnessed))) < 1e-8
 
 
@@ -85,6 +86,36 @@ class TestFreeEnergy:
                 fd = (free_energy(base, fam, tau + step) - free_energy(base, fam, tau - step)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
+    def test_hessian_qubit_closed_form(self):
+        # F(tau) = log(2 cosh tau) - c tau has second derivative sech^2 tau.
+        fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.3,))
+        base = np.zeros((2, 2), dtype=complex)
+        for tau in (-3.0, -0.5, 0.0, 0.7, 4.0):
+            hess = _evaluate(base, fam, np.array([tau]))[2]
+            assert hess[0, 0] == pytest.approx(1 / np.cosh(tau) ** 2, rel=1e-12)
+
+    def test_hessian_matches_gradient_differences(self, rng):
+        # Random cases, and a base spread over +-400 where p_a expm1(gap) / gap
+        # would underflow to 0 times an overflow to inf.
+        spread = np.diag([-400.0, -399.7, 400.0, 400.4]).astype(complex)
+        cases = [(spread, random_family(rng, 4, 2))]
+        for _ in range(20):
+            dim, k = int(rng.choice([2, 3, 4])), int(rng.choice([1, 2, 3]))
+            cases.append((matrix_log(random_state(rng, dim)), random_family(rng, dim, k)))
+        for base, fam in cases:
+            tau = rng.standard_normal(fam.size)
+            hess = _evaluate(base, fam, tau)[2]
+            assert np.all(np.isfinite(hess))
+            h = 1e-5
+            for j in range(fam.size):
+                step = np.zeros(fam.size)
+                step[j] = h
+                fd = (
+                    free_energy_gradient(base, fam, tau + step)
+                    - free_energy_gradient(base, fam, tau - step)
+                ) / (2 * h)
+                assert np.allclose(hess[:, j], fd, rtol=1e-5, atol=1e-8)
+
     def test_gradient_empty(self):
         assert free_energy_gradient(np.zeros((2, 2)), EMPTY, np.zeros(0)).size == 0
 
@@ -102,27 +133,27 @@ class TestEProject:
     def test_empty_family_normalizes(self, rng):
         rho = random_state(rng, 3)
         out, sol = e_project(matrix_log(rho), EMPTY)
-        assert np.allclose(out, rho, atol=1e-10)
+        assert np.allclose(out.matrix(), rho, atol=1e-10)
         assert sol.tau.size == 0
 
     def test_idempotent_on_members(self, rng):
         rho = random_state(rng, 2)
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(float(np.trace(rho @ PAULI_Z).real),))
         out, sol = e_project(matrix_log(rho), fam)
-        assert np.allclose(out, rho, atol=1e-8)
+        assert np.allclose(out.matrix(), rho, atol=1e-8)
         assert abs(sol.tau[0]) < 1e-8
 
     def test_gibbs_closed_form(self):
         # Uniform base, Tr(rho sigma_z) = -0.25 projects to diag(0.375, 0.625).
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
         out, _ = e_project(matrix_log(np.eye(2) / 2), fam)
-        assert np.allclose(out, np.diag([0.375, 0.625]), atol=1e-10)
+        assert np.allclose(out.matrix(), np.diag([0.375, 0.625]), atol=1e-10)
 
     def test_constraint_residuals(self, rng):
         for _ in range(5):
             fam = random_family(rng, 3, 2)
             out, sol = e_project(matrix_log(random_state(rng, 3)), fam)
-            assert np.max(np.abs(fam.residuals(out))) <= 1e-8
+            assert np.max(np.abs(fam.residuals(out.matrix()))) <= 1e-8
             assert sol.gradient_norm <= 1e-10
 
     def test_pythagorean_identity(self, rng):
@@ -130,9 +161,9 @@ class TestEProject:
         for _ in range(20):
             dim = int(rng.choice([2, 3]))
             fam = random_family(rng, dim, int(rng.choice([1, 2])))
-            sigma = e_project(matrix_log(random_state(rng, dim)), fam)[0]
+            sigma = e_project(matrix_log(random_state(rng, dim)), fam)[0].matrix()
             rho = random_state(rng, dim)
-            proj = e_project(matrix_log(rho), fam)[0]
+            proj = e_project(matrix_log(rho), fam)[0].matrix()
             lhs = relative_entropy(sigma, rho)
             rhs = relative_entropy(sigma, proj) + relative_entropy(proj, rho)
             assert lhs == pytest.approx(rhs, abs=1e-7)
@@ -142,7 +173,7 @@ class TestEProject:
         base = matrix_log(random_state(rng, 2))
         cold, _ = e_project(base, fam)
         warm, sol = e_project(base, fam, tau0=[10.0])
-        assert np.allclose(cold, warm, atol=1e-8)
+        assert np.allclose(cold.matrix(), warm.matrix(), atol=1e-8)
 
     def test_infeasible_spectral_bound(self):
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(2.0,))

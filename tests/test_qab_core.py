@@ -15,13 +15,28 @@ from qabcert import (
     qab_run,
     relative_entropy,
 )
-from qabcert.quantum import PAULI_Z, random_density
+from qabcert.quantum import PAULI_X, PAULI_Z, random_density
 
 from conftest import ConstantObjective, LinearTraceObjective, random_state
 
 
 def paper_pair(p=0.05):
     return ChannelPair(dephasing_choi(0.4), depolarizing_choi(p))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """List that gains one entry per np.linalg.eigh / eigvalsh call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 class TestF3Map:
@@ -154,28 +169,41 @@ class TestQabRun:
         for cur, nxt in zip(traj.states, traj.states[1:]):
             assert np.max(np.abs(nxt - floor_state(f3_map(cur, obj, 1.0)))) <= 1e-12
 
-    def test_unconstrained_step_decomposes_at_most_four_matrices(self, monkeypatch):
+    def test_unconstrained_step_decomposes_at_most_four_matrices(self, eig_calls):
         # log rho_t and D(rho_{t+1} || rho_t) reuse known spectra; omega takes
         # three decompositions (rho, S_N, S_M) and the Gibbs update one.
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
         obj = ChannelObjective(paper_pair())
         opts = {n: QabOptions(initial=random_density(2, 9), max_iters=n) for n in (10, 30)}
         counts = {}
         for n, o in opts.items():
-            calls.clear()
+            eig_calls.clear()
             traj = qab_run(obj, o)
             assert len(traj.states) == n + 1
-            counts[n] = len(calls)
+            counts[n] = len(eig_calls)
         assert counts[30] - counts[10] <= 4 * 20
         assert counts[10] <= 4 * 10 + 5
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_constrained_step_decomposes_at_most_four_plus_k_matrices(self, eig_calls, k):
+        # omega takes three decompositions and the spectral feasibility check
+        # k; the e-projection takes one per tau it visits (the warm start and
+        # one per Newton step), and its spectrum is floored as it is.
+        initial = random_density(2, 11)
+        observables = (PAULI_Z, PAULI_X)[:k]
+        fam = MixtureFamily(
+            observables=observables,
+            targets=tuple(float(np.trace(initial @ h).real) for h in observables),
+        )
+        obj = ChannelObjective(paper_pair())
+        counts, newton = {}, {}
+        for n in (10, 30):
+            opts = QabOptions(initial=initial, family=fam, max_iters=n)
+            eig_calls.clear()
+            traj = qab_run(obj, opts)
+            assert len(traj.states) == n + 1
+            counts[n] = len(eig_calls)
+            newton[n] = sum(sol.iterations for sol in traj.tau_history)
+        assert counts[30] - counts[10] <= (4 + k) * 20 + newton[30] - newton[10]
 
     def test_invalid_options(self, rng):
         with pytest.raises(ValueError):

@@ -22,7 +22,9 @@ import numpy as np
 
 from .linalg import (
     REPAIR_FLOOR,
+    STATIONARITY_CUTOFF,
     Spectrum,
+    _support,
     eigh,
     floor_spectrum,
     frobenius_norm,
@@ -91,46 +93,50 @@ class CertificationReport:
     proxy_note: str
 
 
-def _ratio_stats(ratios, indices, skipped) -> RatioStats:
-    if not ratios:
-        raise ValueError(
+class _NothingKept(ValueError):
+    """Every divergence of a scan was at or below ``DIVERGENCE_SKIP_TOL``."""
+
+
+def _ratio_stats(nums, dens, indices, skipped) -> RatioStats:
+    """Extrema of nums[k] / dens[k] at step or sample ``indices[k]``.
+
+    A non-finite divergence or ratio reads NaN: it fails every pass rule,
+    and arg_min / arg_max point at it.
+    """
+    if len(indices) == 0:
+        raise _NothingKept(
             "all pairs were skipped (divergences at or below "
             f"{DIVERGENCE_SKIP_TOL}); the trajectory is already converged"
         )
-    arr = np.asarray(ratios)
-    i_min = int(np.argmin(arr))
-    i_max = int(np.argmax(arr))
-    return RatioStats(
-        min=float(arr[i_min]),
-        max=float(arr[i_max]),
-        count=len(ratios),
-        arg_min=int(indices[i_min]),
-        arg_max=int(indices[i_max]),
-        skipped=skipped,
-    )
+    ratios = [float(n / d) if np.isfinite(d) else np.nan for n, d in zip(nums, dens)]
+    arr = np.where(np.isfinite(ratios), ratios, np.nan)
+    i_min, i_max = int(np.argmin(arr)), int(np.argmax(arr))
+    arg_min, arg_max = int(indices[i_min]), int(indices[i_max])
+    return RatioStats(float(arr[i_min]), float(arr[i_max]), len(indices), arg_min, arg_max, skipped)
 
 
-def _scan(nums, dens, skip_tol: float) -> RatioStats:
-    """Stats of nums[j] / dens[j], skipping divergences at or below ``skip_tol``."""
+def _scan(nums, dens) -> RatioStats:
+    """Stats of nums[j] / dens[j], skipping divergences at or below ``DIVERGENCE_SKIP_TOL``."""
     # Written as "not <=" so that a NaN divergence is kept and shows in the stats.
-    kept = [j for j, den in enumerate(dens) if not den <= skip_tol]
-    return _ratio_stats([float(nums[j] / dens[j]) for j in kept], kept, len(dens) - len(kept))
+    kept = [j for j, den in enumerate(dens) if not den <= DIVERGENCE_SKIP_TOL]
+    skipped = len(dens) - len(kept)
+    return _ratio_stats([nums[j] for j in kept], [dens[j] for j in kept], kept, skipped)
 
 
-def check_a3(traj: Trajectory, gamma: float, skip_tol: float = DIVERGENCE_SKIP_TOL) -> RatioStats:
+def check_a3(traj: Trajectory, gamma: float) -> RatioStats:
     """Per-step ratios D_Omega / D over consecutive iterates."""
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
-    return _scan(traj.step_domega, traj.step_kl, skip_tol)
+    return _scan(traj.step_domega, traj.step_kl)
 
 
-def check_a2(traj: Trajectory, obj: Objective, skip_tol: float = DIVERGENCE_SKIP_TOL) -> RatioStats:
+def check_a2(traj: Trajectory, obj: Objective) -> RatioStats:
     """Ratios D_Omega(rho_T || rho_j) / D(rho_T || rho_j) for j < T."""
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
     final = traj.states[-1]
     others = np.stack(traj.states[:-1])
-    return _scan(d_omega(final, others, obj), relative_entropy(final, others), skip_tol)
+    return _scan(d_omega(final, others, obj), relative_entropy(final, others))
 
 
 def _draw_perturbation(final: np.ndarray, rng: np.random.Generator, eps_max: float):
@@ -164,13 +170,12 @@ def check_a1(
     n_samples: int,
     eps_max: float,
     seed: int,
-    skip_tol: float = DIVERGENCE_SKIP_TOL,
 ) -> RatioStats:
     """Neighborhood ratios D_Omega(final || sigma) / D(final || sigma).
 
     Sample ``i`` draws from the stream keyed by ``(seed, i)``, so results
     are independent of evaluation order and nested in ``n_samples``.
-    Candidates with divergence at or below ``skip_tol``, or whose PSD
+    Candidates with divergence at or below ``DIVERGENCE_SKIP_TOL``, or whose PSD
     repair clips more than 10% of trace mass, are resampled up to 100
     times and then skipped.
     """
@@ -190,14 +195,14 @@ def check_a1(
     repaired, heavy = _repair_candidates(raw)
     dens = relative_entropy(final, repaired, support_cutoff=0.0)
     candidates = repaired.matrix()
-    accepted = ~heavy & (dens > skip_tol)
+    accepted = ~heavy & (dens > DIVERGENCE_SKIP_TOL)
     for i in np.nonzero(~accepted)[0]:
         for _ in range(MAX_RESAMPLE_ATTEMPTS - 1):
             cand, heavy_clip = _repair_candidates(_draw_perturbation(final, rngs[i], eps_max))
             if heavy_clip:
                 continue
             den = relative_entropy(final, cand, support_cutoff=0.0)
-            if not den <= skip_tol:
+            if not den <= DIVERGENCE_SKIP_TOL:
                 candidates[i], dens[i], accepted[i] = cand.matrix(), den, True
                 break
 
@@ -205,8 +210,7 @@ def check_a1(
     if indices.size == 0:
         raise ValueError("all neighborhood samples degenerated; nothing to certify")
     nums = d_omega(final, candidates[indices], obj)
-    ratios = [float(n / dens[i]) for n, i in zip(nums, indices)]
-    return _ratio_stats(ratios, indices, n_samples - indices.size)
+    return _ratio_stats(nums, dens[indices], indices, n_samples - indices.size)
 
 
 def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int) -> float:
@@ -216,29 +220,23 @@ def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int
     return gamma * relative_entropy(proxy_star, initial) / t0
 
 
-def stationarity_residual(
-    final: np.ndarray,
-    obj: Objective,
-    fam: MixtureFamily | None = None,
-    support_cutoff: float = 1e-8,
-) -> float:
+def stationarity_residual(final: np.ndarray, obj: Objective, fam: MixtureFamily | None = None):
     """Largest |Tr(T omega(final))| over unit feasible tangent directions.
 
-    Directions are Hermitian matrices supported on the eigenspace of
-    ``final`` above ``support_cutoff`` (relative), orthogonal to the
+    Directions are Hermitian matrices supported on the support of ``final``
+    at ``STATIONARITY_CUTOFF`` (``linalg._support``), orthogonal to the
     support identity and to every constraint observable under the
     Frobenius inner product.  The supremum is the Frobenius norm of omega,
     compressed to the support, with those directions projected out.  A
     value near zero certifies first-order stationarity of the convergent.
     """
     spec = eigh(final)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    vs = v[:, w > support_cutoff * w[-1]]
+    vs = spec.eigenvectors[:, _support(spec.eigenvalues, STATIONARITY_CUTOFF)[1]]
     if vs.shape[1] <= 1:
         return 0.0
 
     residual = np.conj(vs.T) @ hermitize(obj.omega(final)) @ vs
-    excluded = [np.eye(len(w))] + list(fam.observables if fam is not None else ())
+    excluded = [np.eye(len(vs))] + list(fam.observables if fam is not None else ())
     basis = []  # orthonormal span of the excluded directions on the support
     for h in excluded:
         hs = np.conj(vs.T) @ h @ vs
@@ -267,22 +265,23 @@ def certify(
 
     A trajectory that never moved (every per-step divergence at or below
     the skip tolerance) started at a fixed point; the step conditions then
-    hold with equality and (a2)/(a3) are recorded as empty passing stats.
+    hold with equality, and an (a2)/(a3) scan with nothing to keep is
+    recorded as empty passing stats.  Every other error propagates.
     """
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
     a1 = check_a1(traj.states[-1], obj, gamma, n_samples, eps_max, seed)
-    fixed_point = RatioStats(
-        min=0.0, max=0.0, count=0, arg_min=-1, arg_max=-1, skipped=len(traj.step_kl)
-    )
-    try:
-        a2 = check_a2(traj, obj)
-    except ValueError:
-        a2 = fixed_point
-    try:
-        a3 = check_a3(traj, gamma)
-    except ValueError:
-        a3 = fixed_point
+
+    def scan_or_fixed_point(check, *args):
+        try:
+            return check(traj, *args)
+        except _NothingKept:
+            if not all(kl <= DIVERGENCE_SKIP_TOL for kl in traj.step_kl):
+                raise
+            return RatioStats(0.0, 0.0, count=0, arg_min=-1, arg_max=-1, skipped=len(traj.step_kl))
+
+    a2 = scan_or_fixed_point(check_a2, obj)
+    a3 = scan_or_fixed_point(check_a3, gamma)
     a1_pass = a1.max <= gamma * A1_MARGIN
     a2_pass = a2.min >= -A2_TOLERANCE
     a3_pass = a3.max <= gamma

@@ -24,7 +24,6 @@ import numpy as np
 
 from .certify import CertificationReport, certify
 from .linalg import (
-    SUPPORT_CUTOFF,
     OUTSIDE_MASS_TOL,
     eigh,
     hermitize,
@@ -34,7 +33,7 @@ from .linalg import (
     matrix_sqrt,
     partial_trace,
 )
-from .mixture import MixtureFamily, e_project
+from .mixture import CONSTRAINT_TOL, MixtureFamily, e_project
 from .qab_core import Objective, QabOptions, Trajectory, qab_run
 from .quantum import BELL_STATES, ChoiMatrix, relative_entropy, support_overlap
 
@@ -53,6 +52,9 @@ __all__ = [
     "solve_energy_constrained",
     "solve_unconstrained",
 ]
+
+BELL_TOL = 1e-10
+_GRID_CHUNK = 100_000
 
 
 class SupportViolationError(ValueError):
@@ -83,25 +85,25 @@ class ChannelPair:
         return self.choi_n.dim_b
 
 
-def _sandwiches(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF):
+def _sandwiches(rho_a: np.ndarray, pair: ChannelPair):
     """(sqrt(rho) x I, rho^(-1/2) x I, S_N, S_M) from one decomposition of rho."""
     spec = eigh(rho_a)
     eye_b = np.eye(pair.dim_b)
-    sq = kron(matrix_sqrt(spec, reg), eye_b)
-    isq = kron(matrix_inv_sqrt(spec, reg), eye_b)
+    sq = kron(matrix_sqrt(spec), eye_b)
+    isq = kron(matrix_inv_sqrt(spec), eye_b)
     s_n = hermitize(sq @ pair.choi_n.mat @ sq)
     s_m = hermitize(sq @ pair.choi_m.mat @ sq)
     return sq, isq, s_n, s_m
 
 
-def omega1(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF) -> np.ndarray:
+def omega1(rho_a: np.ndarray, pair: ChannelPair) -> np.ndarray:
     """-Tr_B(Gamma_N (sqrt(rho) x I) [log S_N - log S_M] (rho^(-1/2) x I)).
 
     Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
     -D(S_N || S_M).  Stack-aware in ``rho_a``.  Raises
     :class:`SupportViolationError` when S_N leaks outside the support of S_M.
     """
-    sq, isq, s_n, s_m = _sandwiches(rho_a, pair, reg)
+    sq, isq, s_n, s_m = _sandwiches(rho_a, pair)
     spec_m = eigh(s_m)
     outside, _ = support_overlap(s_n, spec_m)
     if np.any(outside > OUTSIDE_MASS_TOL):
@@ -115,9 +117,9 @@ def omega1(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF) ->
     return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
 
 
-def omega(rho_a: np.ndarray, pair: ChannelPair, reg: float = SUPPORT_CUTOFF) -> np.ndarray:
+def omega(rho_a: np.ndarray, pair: ChannelPair) -> np.ndarray:
     """Hermitian part of :func:`omega1`; same weighted trace against rho."""
-    return hermitize(omega1(rho_a, pair, reg))
+    return hermitize(omega1(rho_a, pair))
 
 
 def objective_value(rho_a: np.ndarray, pair: ChannelPair):
@@ -135,13 +137,12 @@ class ChannelObjective(Objective):
     by ``dim_a`` to recover the channel divergence.
     """
 
-    def __init__(self, pair: ChannelPair, reg: float = SUPPORT_CUTOFF):
+    def __init__(self, pair: ChannelPair):
         self.pair = pair
-        self.reg = reg
         self.dim = pair.dim_a
 
     def omega(self, rho: np.ndarray) -> np.ndarray:
-        return hermitize(omega1(rho, self.pair, self.reg)) / self.pair.dim_a
+        return omega(rho, self.pair) / self.pair.dim_a
 
     def value(self, rho: np.ndarray):
         return objective_value(rho, self.pair) / self.pair.dim_a
@@ -192,19 +193,19 @@ def solve_energy_constrained(
             pair, opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
         )
     initial = opts.initial
-    if np.max(np.abs(constraints.residuals(initial))) > 1e-8:
-        initial = e_project(matrix_log(initial), constraints, tol=opts.tau_tol)[0].matrix()
+    if np.max(np.abs(constraints.residuals(initial))) > CONSTRAINT_TOL:
+        initial = e_project(matrix_log(initial), constraints)[0].matrix()
     run_opts = replace(opts, initial=initial, family=constraints)
     return solve_unconstrained(
         pair, run_opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
     )
 
 
-def bell_weights(choi: ChoiMatrix, atol: float = 1e-10) -> np.ndarray:
+def bell_weights(choi: ChoiMatrix) -> np.ndarray:
     """Diagonal of a two-qubit Choi matrix in the Bell basis, as weights.
 
     Raises :class:`OracleInapplicableError` when off-diagonal Bell-basis
-    entries exceed ``atol`` (the matrix is not Bell diagonal) or the system
+    entries exceed ``BELL_TOL`` (the matrix is not Bell diagonal) or the system
     is not two qubits.
     """
     if choi.dim_a != 2 or choi.dim_b != 2:
@@ -212,7 +213,7 @@ def bell_weights(choi: ChoiMatrix, atol: float = 1e-10) -> np.ndarray:
     basis = np.stack(BELL_STATES, axis=1)
     in_bell = np.conj(basis.T) @ choi.mat @ basis
     off = in_bell - np.diag(np.diag(in_bell))
-    if np.max(np.abs(off)) > atol:
+    if np.max(np.abs(off)) > BELL_TOL:
         raise OracleInapplicableError(
             "Choi matrix is not Bell diagonal "
             f"(max off-diagonal {float(np.max(np.abs(off))):.3e})"
@@ -220,15 +221,15 @@ def bell_weights(choi: ChoiMatrix, atol: float = 1e-10) -> np.ndarray:
     return np.real(np.diag(in_bell)) / choi.dim_a
 
 
-def bell_diagonal_oracle(pair: ChannelPair, atol: float = 1e-10) -> float:
+def bell_diagonal_oracle(pair: ChannelPair) -> float:
     """Closed-form divergence for Bell-diagonal pairs (teleportation covariant).
 
     Equals the classical relative entropy of the Bell weight vectors, which
     is the channel divergence attained at the maximally entangled input;
     ``+inf`` when the first channel's support exceeds the second's.
     """
-    p = bell_weights(pair.choi_n, atol)
-    q = bell_weights(pair.choi_m, atol)
+    p = bell_weights(pair.choi_n)
+    q = bell_weights(pair.choi_m)
     total = 0.0
     for pi, qi in zip(p, q):
         if pi <= 1e-15:
@@ -251,9 +252,7 @@ def _bloch_states(r, theta, phi) -> np.ndarray:
     return out / 2
 
 
-def brute_force_oracle(
-    pair: ChannelPair, grid_resolution: int, chunk: int = 100_000
-):
+def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     """Minimize the full-scale objective over a Bloch-ball grid (qubits only).
 
     The grid has ``grid_resolution`` points per axis in radius [0, 1-1e-6],
@@ -271,8 +270,8 @@ def brute_force_oracle(
 
     best = np.inf
     best_state = None
-    for lo in range(0, grid_r.size, chunk):
-        hi = min(lo + chunk, grid_r.size)
+    for lo in range(0, grid_r.size, _GRID_CHUNK):
+        hi = min(lo + _GRID_CHUNK, grid_r.size)
         rhos = _bloch_states(grid_r[lo:hi], grid_t[lo:hi], grid_p[lo:hi])
         vals = objective_value(rhos, pair)
         i = int(np.argmin(vals))

@@ -12,10 +12,23 @@ decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`,
 :func:`floor_spectrum` and ``quantum.relative_entropy`` accept one in place
 of a matrix, and :func:`gibbs_spectrum` returns one.
 
-Support and floor constants: ``SUPPORT_CUTOFF`` (1e-12, relative eigenvalue
-cutoff of supports), ``OUTSIDE_MASS_TOL`` (1e-10, leaked mass that makes a
-relative entropy ``+inf``), ``STATE_FLOOR`` (1e-14, eigenvalue floor of
-iterates) and ``REPAIR_FLOOR`` (1e-12, floor of repaired (a1) samples).
+Support, floor and tolerance constants, each named once so no caller can
+override it (the relative support rule itself is ``_support``):
+
+===============================  =====  ==============================================
+``SUPPORT_CUTOFF``               1e-12  support of log, sqrt, x^(-1/2) (so ``omega``),
+                                        ``relative_entropy``, ``support_overlap``
+``STATIONARITY_CUTOFF``          1e-8   support in ``certify.stationarity_residual``
+``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``, ``omega`` raise
+``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` admits
+``STATE_FLOOR``                  1e-14  eigenvalue floor of iterates (``qab_run``)
+``REPAIR_FLOOR``                 1e-12  floor of repaired (a1) samples (scored at cutoff 0)
+``mixture.TAU_TOL``              1e-10  gradient norm at which ``e_project`` stops
+``mixture.CONSTRAINT_TOL``       1e-8   constraint residual of an initial state
+``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators
+``channel_re.BELL_TOL``          1e-10  off-diagonal entry of a Bell-diagonal Choi matrix
+``certify.DIVERGENCE_SKIP_TOL``  1e-14  divergence at or below which (a1)-(a3) skip a sample
+===============================  =====  ==============================================
 """
 
 from __future__ import annotations
@@ -46,10 +59,10 @@ __all__ = [
     "random_hermitian",
 ]
 
-# Relative eigenvalue threshold below which a matrix is treated as living on
-# the orthogonal complement (support convention for log / x^(-1/2) / sqrt).
 SUPPORT_CUTOFF = 1e-12
+STATIONARITY_CUTOFF = 1e-8
 OUTSIDE_MASS_TOL = 1e-10
+PSD_TOL = 1e-10
 STATE_FLOOR = 1e-14
 REPAIR_FLOOR = 1e-12
 
@@ -108,53 +121,56 @@ def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:
     return m if isinstance(m, Spectrum) else eigh(m)
 
 
-def matrix_fn(
-    m: np.ndarray | Spectrum,
-    f: Callable[[np.ndarray], np.ndarray],
-    support_cutoff: float = 0.0,
-) -> np.ndarray:
+def _support(w: np.ndarray, cutoff: float, f: Callable | None = None):
+    """The support rule: ascending eigenvalue ``w_i`` is in when ``w_i > cutoff * max(w_max, 0)``.
+
+    Returns ``(cut, inside, fw)``: that threshold, the mask and ``f`` on the
+    support with zeros off it (``None`` without ``f``).  Stack-aware.
+    """
+    cut = cutoff * np.maximum(w[..., -1:], 0.0)
+    inside = w > cut
+    fw = None if f is None else np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
+    return cut, inside, fw
+
+
+def matrix_fn(m: np.ndarray | Spectrum, f: Callable, support_cutoff: float = 0.0) -> np.ndarray:
     """Apply a scalar function to the spectrum: V f(lambda) V^dag.
 
     ``m`` is a matrix or its already computed :class:`Spectrum`.
 
     With ``support_cutoff > 0`` the function is evaluated on the support
-    only: eigenvalues at or below ``support_cutoff * max(eigenvalue, 0)``
-    are mapped to exact zeros instead of through ``f``, and eigenvalues
-    below the negated cutoff raise :class:`MatrixDomainError`.  Use this
-    mode for log, sqrt and x^(-1/2); plain functions such as exp take
-    ``support_cutoff = 0``.
+    only (see ``_support``): eigenvalues outside it map to exact zeros, and
+    eigenvalues below the negated threshold raise :class:`MatrixDomainError`.
+    Log, sqrt and x^(-1/2) use ``SUPPORT_CUTOFF``; exp takes 0.
     """
     spec = _spectrum(m)
     w = spec.eigenvalues
     if support_cutoff > 0:
-        cut = support_cutoff * np.maximum(w[..., -1], 0.0)
-        cut = cut[..., None]
+        cut, _, fw = _support(w, support_cutoff, f)
         if np.any(w < -cut):
             raise MatrixDomainError(
                 "matrix has negative eigenvalues beyond the support cutoff "
                 f"(min={float(np.min(w)):.3e})"
             )
-        inside = w > cut
-        fw = np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
     else:
         fw = f(w)
     return Spectrum(fw, spec.eigenvectors).matrix()
 
 
-def matrix_log(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    return matrix_fn(m, np.log, support_cutoff)
+def matrix_log(m: np.ndarray | Spectrum) -> np.ndarray:
+    return matrix_fn(m, np.log, SUPPORT_CUTOFF)
 
 
 def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
     return matrix_fn(m, np.exp)
 
 
-def matrix_sqrt(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    return matrix_fn(m, np.sqrt, support_cutoff)
+def matrix_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:
+    return matrix_fn(m, np.sqrt, SUPPORT_CUTOFF)
 
 
-def matrix_inv_sqrt(m: np.ndarray | Spectrum, support_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    return matrix_fn(m, lambda x: 1.0 / np.sqrt(x), support_cutoff)
+def matrix_inv_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:
+    return matrix_fn(m, lambda x: 1.0 / np.sqrt(x), SUPPORT_CUTOFF)
 
 
 def gibbs_spectrum(m: np.ndarray) -> Spectrum:

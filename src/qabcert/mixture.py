@@ -26,6 +26,9 @@ __all__ = [
     "free_energy_gradient",
 ]
 
+TAU_TOL = 1e-10
+CONSTRAINT_TOL = 1e-8
+
 
 class InfeasibleFamilyError(ValueError):
     """No density matrix satisfies the requested constraints."""
@@ -156,18 +159,14 @@ def _spectral_feasibility(fam: MixtureFamily) -> None:
             )
 
 
-def e_project(
-    rho_log_domain: np.ndarray,
-    fam: MixtureFamily,
-    tol: float = 1e-10,
-    max_iters: int = 200,
-    tau0=None,
-):
+def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 200, tau0=None):
     """e-projection onto ``fam`` of the state with log-domain matrix ``base``.
 
     Returns ``(Spectrum, TauSolution)``, the spectrum of
     ``rho = C exp(base + sum tau_j H_j)``, which satisfies every constraint
-    within the gradient tolerance.  ``tau0`` warm starts the solver.  Damped
+    within ``TAU_TOL``.  ``tau0`` warm starts the solver from an earlier
+    solve on the same family, so only a cold start checks that each target
+    lies in its observable's spectral range.  Damped
     Newton with the exact Hessian, Armijo backtracking (its accepted trial is
     the next iterate's evaluation), and a gradient-descent fallback when the
     Hessian is near-singular.
@@ -178,14 +177,14 @@ def e_project(
     k = fam.size
     if k == 0:
         return gibbs_spectrum(base), TauSolution(np.zeros(0), 0.0, 0)
-    _spectral_feasibility(fam)
-
+    if tau0 is None:
+        _spectral_feasibility(fam)
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)
     f0, g, hess, gibbs = _evaluate(base, fam, tau)
     grad_norm = np.inf
     for it in range(max_iters + 1):
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= tol:
+        if grad_norm <= TAU_TOL:
             return gibbs, TauSolution(tau, grad_norm, it)
         if it == max_iters:
             break

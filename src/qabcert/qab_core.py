@@ -23,7 +23,7 @@ from .linalg import (
     hermitize,
     matrix_fn,
 )
-from .mixture import EProjectionError, MixtureFamily, e_project
+from .mixture import CONSTRAINT_TOL, EProjectionError, MixtureFamily, e_project
 from .quantum import relative_entropy
 
 __all__ = [
@@ -82,8 +82,6 @@ class QabOptions:
     max_iters: int = 100
     family: MixtureFamily | None = None
     divergence_stop: float | None = None
-    tau_tol: float = 1e-10
-    tau_max_iters: int = 200
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -120,9 +118,9 @@ class Trajectory:
             raise ValueError("trajectory sequences have inconsistent lengths")
 
 
-def floor_state(rho: np.ndarray, floor: float = STATE_FLOOR) -> np.ndarray:
-    """Raise eigenvalues below ``floor`` and renormalize, keeping log rho finite."""
-    return floor_spectrum(rho, floor).matrix()
+def floor_state(rho: np.ndarray) -> np.ndarray:
+    """Raise eigenvalues below ``STATE_FLOOR`` and renormalize, keeping log rho finite."""
+    return floor_spectrum(rho, STATE_FLOOR).matrix()
 
 
 def f3_map(rho: np.ndarray, obj: Objective, gamma: float) -> np.ndarray:
@@ -171,7 +169,7 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     rho = spec.matrix()
     if constrained:
         resid = family.residuals(rho)
-        if np.max(np.abs(resid)) > 1e-8:
+        if np.max(np.abs(resid)) > CONSTRAINT_TOL:
             raise ValueError(
                 "initial state violates the constraint family "
                 f"(max residual {np.max(np.abs(resid)):.3e})"
@@ -187,13 +185,7 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
         log_domain = matrix_fn(spec, np.log) - omega_cur / opts.gamma
         try:
             if constrained:
-                update, tau_sol = e_project(
-                    log_domain,
-                    family,
-                    tol=opts.tau_tol,
-                    max_iters=opts.tau_max_iters,
-                    tau0=tau_prev,
-                )
+                update, tau_sol = e_project(log_domain, family, tau0=tau_prev)
                 tau_prev = tau_sol.tau
                 traj.tau_history.append(tau_sol)
             else:

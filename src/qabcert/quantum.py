@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    SUPPORT_CUTOFF,
     OUTSIDE_MASS_TOL,
+    PSD_TOL,
+    SUPPORT_CUTOFF,
     Spectrum,
+    _support,
     eigh,
     hermitize,
     kron,
@@ -44,6 +46,8 @@ __all__ = [
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+KRAUS_TOL = 1e-8
 
 _B00, _B01, _B10, _B11 = np.eye(4, dtype=complex)
 
@@ -111,14 +115,14 @@ def dephasing_choi(p_deph: float) -> ChoiMatrix:
     return ChoiMatrix(mat=mat, dim_a=2, dim_b=2)
 
 
-def choi_from_kraus(kraus, check: bool = True, atol: float = 1e-8) -> ChoiMatrix:
+def choi_from_kraus(kraus, check: bool = True) -> ChoiMatrix:
     """Choi matrix from Kraus operators (each of shape dim_b x dim_a)."""
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
     dim_b, dim_a = ops[0].shape
     comp = sum(np.conj(k.T) @ k for k in ops)
-    complete = np.max(np.abs(comp - np.eye(dim_a))) <= atol
+    complete = np.max(np.abs(comp - np.eye(dim_a))) <= KRAUS_TOL
     if check and not complete:
         raise ValueError("Kraus operators do not satisfy sum K^dag K = I_A")
     me = maximally_entangled(dim_a)
@@ -167,25 +171,23 @@ def random_density(dim: int, seed) -> np.ndarray:
 
 
 def support_overlap(
-    rho: np.ndarray | Spectrum,
-    sigma: Spectrum,
-    support_cutoff: float = SUPPORT_CUTOFF,
+    rho: np.ndarray | Spectrum, sigma: Spectrum, support_cutoff: float = SUPPORT_CUTOFF
 ):
     """``(outside_mass, Tr rho log sigma)`` from the weights <u_k| rho |u_k>.
 
-    The u_k are the eigenvectors of ``sigma``; those whose eigenvalue is at
-    or below ``support_cutoff`` times the largest lie outside the support.
+    The u_k are the eigenvectors of ``sigma``; those outside its support
+    (``linalg._support`` at ``support_cutoff``) carry the outside mass.
     """
-    ws, u = sigma.eigenvalues, sigma.eigenvectors
+    u = sigma.eigenvectors
     udag = np.conj(np.swapaxes(u, -1, -2))
     if isinstance(rho, Spectrum):
         overlap = np.abs(udag @ rho.eigenvectors) ** 2
         diag = np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
     else:
         diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
-    inside = ws > support_cutoff * np.maximum(ws[..., -1:], 0.0)
+    _, inside, log_s = _support(sigma.eigenvalues, support_cutoff, np.log)
     outside_mass = np.sum(np.where(inside, 0.0, diag), axis=-1)
-    tr_log = np.sum(np.where(inside, diag * np.log(np.where(inside, ws, 1.0)), 0.0), axis=-1)
+    tr_log = np.sum(diag * log_s, axis=-1)
     return outside_mass, tr_log
 
 
@@ -193,14 +195,12 @@ def relative_entropy(
     rho: np.ndarray | Spectrum,
     sigma: np.ndarray | Spectrum,
     support_cutoff: float = SUPPORT_CUTOFF,
-    psd_tol: float = 1e-10,
-    outside_mass_tol: float = OUTSIDE_MASS_TOL,
 ):
     """Umegaki relative entropy Tr rho (log rho - log sigma) in nats.
 
-    Inputs must be PSD to ``psd_tol`` but need not have unit trace.  When
+    Inputs must be PSD to ``PSD_TOL`` but need not have unit trace.  When
     the eigenvalue mass of ``rho`` outside the support of ``sigma`` exceeds
-    ``outside_mass_tol`` the result is ``+inf``.  Either argument may be a
+    ``OUTSIDE_MASS_TOL`` the result is ``+inf``.  Either argument may be a
     :class:`~qabcert.linalg.Spectrum` already computed by the caller.
     Accepts stacks on either argument (broadcasting) and then returns an
     array.
@@ -211,16 +211,11 @@ def relative_entropy(
         rho = hermitize(rho)
         wr = np.linalg.eigvalsh(rho)
     spec_s = sigma if isinstance(sigma, Spectrum) else eigh(sigma)
-    ws = spec_s.eigenvalues
-    if np.min(wr) < -psd_tol:
-        raise ValueError(f"rho has negative eigenvalue {float(np.min(wr)):.3e}")
-    if np.min(ws) < -psd_tol:
-        raise ValueError(f"sigma has negative eigenvalue {float(np.min(ws)):.3e}")
+    for name, w in (("rho", wr), ("sigma", spec_s.eigenvalues)):
+        if np.min(w) < -PSD_TOL:
+            raise ValueError(f"{name} has negative eigenvalue {float(np.min(w)):.3e}")
 
-    cut_r = support_cutoff * np.maximum(wr[..., -1:], 0.0)
-    tr_rlogr = np.sum(
-        np.where(wr > cut_r, wr * np.log(np.where(wr > cut_r, wr, 1.0)), 0.0), axis=-1
-    )
+    tr_rlogr = np.sum(_support(wr, support_cutoff, lambda x: x * np.log(x))[2], axis=-1)
     outside_mass, tr_rlogs = support_overlap(rho, spec_s, support_cutoff)
-    out = np.where(outside_mass > outside_mass_tol, np.inf, tr_rlogr - tr_rlogs)
+    out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
     return float(out) if np.ndim(out) == 0 else out

@@ -20,6 +20,7 @@ from qabcert import (
     xme_bound,
 )
 from qabcert.quantum import PAULI_Z, random_density
+from qabcert.certify import _scan
 from qabcert.serialize import report_to_dict
 
 from conftest import ConstantObjective, random_state
@@ -233,3 +234,42 @@ class TestCertify:
         assert report.samples == 50
         assert report.seed == 7
         assert report.bound_t0 == len(traj.states) - 1
+
+
+class TestFailClosed:
+    @pytest.fixture
+    def moved_run(self):
+        obj = ChannelObjective(ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05)))
+        return obj, qab_run(obj, QabOptions(initial=random_density(2, 5), max_iters=30))
+
+    def test_error_in_a_moved_trajectory_propagates(self, moved_run):
+        # Only a scan with nothing to keep on a trajectory that never moved
+        # is a fixed point; a broken iterate of a moved one must not read so.
+        obj, traj = moved_run
+        traj.states[3] = np.diag([1.2, -0.2])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            certify(traj, obj, 1.0, n_samples=200)
+
+    def test_non_finite_divergence_fails_its_check(self, moved_run):
+        # A floored iterate gives D = inf; dom / inf must not pass as a ratio of 0.
+        obj, traj = moved_run
+        traj.step_kl[2] = np.inf
+        traj.step_domega[2] = 5.0
+        a3 = check_a3(traj, 1.0)
+        assert np.isnan(a3.min) and np.isnan(a3.max)
+        assert (a3.arg_min, a3.arg_max) == (2, 2)
+        report = certify(traj, obj, 1.0, n_samples=200)
+        assert not report.a3_pass and not report.certified
+        assert report.a2_pass
+
+    @pytest.mark.parametrize("num", [np.inf, -np.inf, np.nan])
+    def test_non_finite_ratio_fails_its_check(self, moved_run, num):
+        obj, traj = moved_run
+        traj.step_domega[4] = num
+        a3 = check_a3(traj, 1.0)
+        assert np.isnan(a3.max) and a3.arg_max == 4
+        assert not certify(traj, obj, 1.0, n_samples=50).a3_pass
+        # (a2) passes on its minimum, which a +inf ratio would leave untouched.
+        scan = _scan([0.5, num, 0.2], [1.0, 1.0, 1.0])
+        assert np.isnan(scan.min) and scan.arg_min == 1
+

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -20,3 +21,38 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _tolerance_like(param: str) -> bool:
+    return "tol" in param or "cutoff" in param or param in {"reg", "atol", "chunk", "floor"}
+
+
+# Parameters whose callers pass two different values: SUPPORT_CUTOFF, and 0.0
+# when (a1) scores its floored samples; STATE_FLOOR and REPAIR_FLOOR.  Every
+# other support, floor or tolerance value is a named module constant.
+ALLOWED_KNOBS = {
+    ("matrix_fn", "support_cutoff"),
+    ("relative_entropy", "support_cutoff"),
+    ("support_overlap", "support_cutoff"),
+    ("floor_spectrum", "floor"),
+}
+
+
+def test_no_tolerance_knobs_beyond_the_two_valued_ones():
+    from qabcert.channel_re import ChannelObjective
+    from qabcert.qab_core import QabOptions
+
+    callables = {"QabOptions": QabOptions, "ChannelObjective": ChannelObjective}
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj):
+                callables[attr] = obj
+    knobs = {
+        (name, param)
+        for name, obj in callables.items()
+        for param in inspect.signature(obj).parameters
+        if _tolerance_like(param)
+    }
+    assert knobs == ALLOWED_KNOBS

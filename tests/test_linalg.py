@@ -14,8 +14,16 @@ from qabcert import (
     partial_trace,
     random_hermitian,
 )
-from qabcert.linalg import floor_spectrum, frobenius_norm, gibbs_spectrum, gibbs_state
-from qabcert.quantum import PAULI_X, maximally_entangled
+from qabcert.linalg import (
+    SUPPORT_CUTOFF,
+    Spectrum,
+    _support,
+    floor_spectrum,
+    frobenius_norm,
+    gibbs_spectrum,
+    gibbs_state,
+)
+from qabcert.quantum import PAULI_X, maximally_entangled, support_overlap
 
 
 def random_hermitian_scaled(rng, dim, scale=1.0):
@@ -220,3 +228,37 @@ class TestRandomHermitian:
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             random_hermitian(0, 1)
+
+
+class TestSupportRule:
+    """The one relative support rule: w_i > cutoff * max(w_max, 0)."""
+
+    def test_eigenvalue_at_the_cutoff_lies_outside(self):
+        w = np.array([SUPPORT_CUTOFF, 1.0])
+        assert _support(w, SUPPORT_CUTOFF)[1].tolist() == [False, True]
+        at_cutoff = Spectrum(w, np.eye(2))
+        assert np.array_equal(matrix_sqrt(at_cutoff), np.diag([0.0, 1.0]))
+        outside, _ = support_overlap(np.eye(2) / 2, at_cutoff)
+        assert outside == 0.5
+        above = Spectrum(np.array([2 * SUPPORT_CUTOFF, 1.0]), np.eye(2))
+        assert support_overlap(np.eye(2) / 2, above)[0] == 0.0
+
+    def test_non_positive_largest_eigenvalue_gives_empty_support(self):
+        for w in ([-1e-30, 0.0], [0.0, 0.0], [-2.0, -1.0]):
+            cut, inside, fw = _support(np.array(w), SUPPORT_CUTOFF, np.log)
+            assert not inside.any()
+            assert np.array_equal(fw, [0.0, 0.0])
+        assert np.array_equal(matrix_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
+
+    def test_negative_eigenvalue_beyond_the_cutoff_raises(self):
+        vecs = np.eye(2)
+        with pytest.raises(MatrixDomainError):
+            matrix_fn(Spectrum(np.array([-2 * SUPPORT_CUTOFF, 1.0]), vecs), np.sqrt, SUPPORT_CUTOFF)
+        with pytest.raises(MatrixDomainError):
+            matrix_fn(Spectrum(np.array([-2.0, -1.0]), vecs), np.log, SUPPORT_CUTOFF)
+        at_cutoff = Spectrum(np.array([-SUPPORT_CUTOFF, 1.0]), vecs)
+        assert np.array_equal(matrix_fn(at_cutoff, np.sqrt, SUPPORT_CUTOFF), np.diag([0.0, 1.0]))
+
+    def test_stacked_spectra_use_their_own_largest_eigenvalue(self):
+        w = np.array([[1e-13, 1.0], [1e-13, 1e-2]])
+        assert _support(w, SUPPORT_CUTOFF)[1].tolist() == [[False, True], [True, True]]

@@ -39,6 +39,17 @@ def eig_calls(monkeypatch):
     return calls
 
 
+def constrained_setup(k):
+    """A full-rank initial state and the family of its first k Pauli expectations."""
+    initial = random_density(2, 11)
+    observables = (PAULI_Z, PAULI_X)[:k]
+    fam = MixtureFamily(
+        observables=observables,
+        targets=tuple(float(np.trace(initial @ h).real) for h in observables),
+    )
+    return initial, fam
+
+
 class TestF3Map:
     def test_null_objective_fixed_point(self, rng):
         rho = random_state(rng, 3)
@@ -185,15 +196,10 @@ class TestQabRun:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_constrained_step_decomposes_at_most_four_plus_k_matrices(self, eig_calls, k):
-        # omega takes three decompositions and the spectral feasibility check
-        # k; the e-projection takes one per tau it visits (the warm start and
-        # one per Newton step), and its spectrum is floored as it is.
-        initial = random_density(2, 11)
-        observables = (PAULI_Z, PAULI_X)[:k]
-        fam = MixtureFamily(
-            observables=observables,
-            targets=tuple(float(np.trace(initial @ h).real) for h in observables),
-        )
+        # omega takes three decompositions; the e-projection takes one per tau
+        # it visits (the warm start and one per Newton step), and its
+        # spectrum is floored as it is.  The bound leaves room for k more.
+        initial, fam = constrained_setup(k)
         obj = ChannelObjective(paper_pair())
         counts, newton = {}, {}
         for n in (10, 30):
@@ -204,6 +210,25 @@ class TestQabRun:
             counts[n] = len(eig_calls)
             newton[n] = sum(sol.iterations for sol in traj.tau_history)
         assert counts[30] - counts[10] <= (4 + k) * 20 + newton[30] - newton[10]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_feasibility_checked_once_per_constrained_run(self, monkeypatch, k):
+        # Only the cold-started first e-projection decomposes the observables
+        # to check each target's spectral range; warm starts reuse the family.
+        initial, fam = constrained_setup(k)
+        checked = []
+        original = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            if any(np.array_equal(m, h) for h in fam.observables):
+                checked.append(1)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        opts = QabOptions(initial=initial, family=fam, max_iters=20)
+        traj = qab_run(ChannelObjective(paper_pair()), opts)
+        assert len(traj.tau_history) == 20
+        assert 1 <= len(checked) <= k
 
     def test_invalid_options(self, rng):
         with pytest.raises(ValueError):
@@ -265,7 +290,7 @@ class TestAppendixIdentities:
 
 class TestFloorState:
     def test_floors_and_renormalizes(self):
-        out = floor_state(np.diag([1.0, 0.0]), 1e-14)
+        out = floor_state(np.diag([1.0, 0.0]))
         w = np.linalg.eigvalsh(out)
         assert w.min() >= 1e-15
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)

@@ -108,8 +108,10 @@ def _ratio_stats(nums, dens, indices, skipped) -> RatioStats:
             "all pairs were skipped (divergences at or below "
             f"{DIVERGENCE_SKIP_TOL}); the trajectory is already converged"
         )
-    ratios = [float(n / d) if np.isfinite(d) else np.nan for n, d in zip(nums, dens)]
-    arr = np.where(np.isfinite(ratios), ratios, np.nan)
+    nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = nums / dens
+    arr = np.where(np.isfinite(dens) & np.isfinite(ratios), ratios, np.nan)
     i_min, i_max = int(np.argmin(arr)), int(np.argmax(arr))
     arg_min, arg_max = int(indices[i_min]), int(indices[i_max])
     return RatioStats(float(arr[i_min]), float(arr[i_max]), len(indices), arg_min, arg_max, skipped)
@@ -117,10 +119,10 @@ def _ratio_stats(nums, dens, indices, skipped) -> RatioStats:
 
 def _scan(nums, dens) -> RatioStats:
     """Stats of nums[j] / dens[j], skipping divergences at or below ``DIVERGENCE_SKIP_TOL``."""
+    nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
     # Written as "not <=" so that a NaN divergence is kept and shows in the stats.
-    kept = [j for j, den in enumerate(dens) if not den <= DIVERGENCE_SKIP_TOL]
-    skipped = len(dens) - len(kept)
-    return _ratio_stats([nums[j] for j in kept], [dens[j] for j in kept], kept, skipped)
+    kept = np.nonzero(~(dens <= DIVERGENCE_SKIP_TOL))[0]
+    return _ratio_stats(nums[kept], dens[kept], kept, dens.size - kept.size)
 
 
 def check_a3(traj: Trajectory, gamma: float) -> RatioStats:
@@ -139,13 +141,17 @@ def check_a2(traj: Trajectory, obj: Objective) -> RatioStats:
     return _scan(d_omega(final, others, obj), relative_entropy(final, others))
 
 
-def _draw_perturbation(final: np.ndarray, rng: np.random.Generator, eps_max: float):
-    """One raw neighborhood draw final + eps * H (before PSD repair)."""
-    h = random_hermitian(final.shape[-1], rng)
-    eps = rng.uniform(0.0, eps_max)
-    if eps == 0.0:  # uniform on (0, eps_max]
-        eps = eps_max
-    return hermitize(final + eps * h)
+def _draw_perturbations(final: np.ndarray, rng_h, rng_eps, eps_max: float, n: int):
+    """``n`` raw neighborhood draws final + eps_i * H_i (before PSD repair).
+
+    H_i is row i of ``random_hermitian``'s block from ``rng_h`` and eps_i,
+    uniform on (0, eps_max], the i-th draw from ``rng_eps``, so draw i
+    depends only on the streams and i.
+    """
+    h = random_hermitian(final.shape[-1], rng_h, n)
+    eps = rng_eps.uniform(0.0, eps_max, n)
+    eps[eps == 0.0] = eps_max
+    return hermitize(final + eps[:, None, None] * h)
 
 
 def _repair_candidates(raw: np.ndarray):
@@ -173,11 +179,14 @@ def check_a1(
 ) -> RatioStats:
     """Neighborhood ratios D_Omega(final || sigma) / D(final || sigma).
 
-    Sample ``i`` draws from the stream keyed by ``(seed, i)``, so results
-    are independent of evaluation order and nested in ``n_samples``.
-    Candidates with divergence at or below ``DIVERGENCE_SKIP_TOL``, or whose PSD
-    repair clips more than 10% of trace mass, are resampled up to 100
-    times and then skipped.
+    All ``n_samples`` first draws come as two blocks: the directions from
+    the stream keyed by ``(seed, 0)`` and the sizes from ``(seed, 1)``, one
+    row per sample.  A rejected sample (divergence at or below
+    ``DIVERGENCE_SKIP_TOL``, or a PSD repair that clips more than 10% of
+    trace mass) re-draws from its own stream keyed by ``(seed, 2, i)`` until
+    it has made ``MAX_RESAMPLE_ATTEMPTS`` draws in all, and is then skipped.
+    Sample i thus depends only on the seed and i: results are independent
+    of evaluation order and nested in ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -186,10 +195,8 @@ def check_a1(
     final = hermitize(final)
     base_seed = int(seed) & 0x7FFFFFFFFFFFFFFF
 
-    # First attempt for every sample, repaired and divergence-tested in
-    # batch; the (rare) rejects then re-enter their own stream sequentially.
-    rngs = [np.random.default_rng([base_seed, i]) for i in range(n_samples)]
-    raw = np.stack([_draw_perturbation(final, rng, eps_max) for rng in rngs])
+    directions, sizes = (np.random.default_rng([base_seed, k]) for k in (0, 1))
+    raw = _draw_perturbations(final, directions, sizes, eps_max, n_samples)
     # Repaired candidates are full rank, but their renormalized REPAIR_FLOOR sits
     # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
     repaired, heavy = _repair_candidates(raw)
@@ -197,13 +204,14 @@ def check_a1(
     candidates = repaired.matrix()
     accepted = ~heavy & (dens > DIVERGENCE_SKIP_TOL)
     for i in np.nonzero(~accepted)[0]:
+        rng = np.random.default_rng([base_seed, 2, i])
         for _ in range(MAX_RESAMPLE_ATTEMPTS - 1):
-            cand, heavy_clip = _repair_candidates(_draw_perturbation(final, rngs[i], eps_max))
-            if heavy_clip:
+            cand, heavy_clip = _repair_candidates(_draw_perturbations(final, rng, rng, eps_max, 1))
+            if heavy_clip[0]:
                 continue
-            den = relative_entropy(final, cand, support_cutoff=0.0)
+            den = relative_entropy(final, cand, support_cutoff=0.0)[0]
             if not den <= DIVERGENCE_SKIP_TOL:
-                candidates[i], dens[i], accepted[i] = cand.matrix(), den, True
+                candidates[i], dens[i], accepted[i] = cand.matrix()[0], den, True
                 break
 
     indices = np.nonzero(accepted)[0]

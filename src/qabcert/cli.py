@@ -118,8 +118,8 @@ class RunConfig:
     save_trajectory: str = ""
 
     def validate(self) -> None:
-        if self.gamma <= 0:
-            raise UsageError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise UsageError("gamma must be positive and finite")
         if self.iterations < 1:
             raise UsageError("iterations must be >= 1")
         if self.p_steps < 1:
@@ -130,10 +130,10 @@ class RunConfig:
             raise UsageError("p-min must not exceed p-max")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
-        if self.eps_max <= 0:
-            raise UsageError("eps-max must be positive")
-        if self.stop_kl < 0:
-            raise UsageError("stop-kl must be >= 0 (0 disables the early stop)")
+        if not 0 < self.eps_max < math.inf:
+            raise UsageError("eps-max must be positive and finite")
+        if not 0 <= self.stop_kl < math.inf:
+            raise UsageError("stop-kl must be finite and >= 0 (0 disables the early stop)")
         if self.log_base not in ("e", "2"):
             raise UsageError("log-base must be 'e' or '2'")
         if self.seed < 0:
@@ -350,6 +350,11 @@ def cmd_certify(cfg: RunConfig) -> int:
         traj = load_trajectory(path)
         if not traj.states:
             raise UsageError("trajectory file does not contain state dumps")
+        if traj.gamma != cfg.gamma:
+            made_with = "no recorded gamma" if traj.gamma is None else f"gamma={traj.gamma}"
+            raise UsageError(
+                f"trajectory file was made with {made_with}, but --gamma is {cfg.gamma}"
+            )
     else:
         traj = qab_run(obj, _qab_options(cfg, pair, 0))
     report = certify(
@@ -365,7 +370,7 @@ def cmd_certify(cfg: RunConfig) -> int:
         "config": _config_values(cfg),
         "report": report_to_dict(report),
     }
-    text = json.dumps(doc, indent=1)
+    text = json.dumps(doc, indent=1, allow_nan=False)
     if cfg.out and cfg.out != "-":
         Path(cfg.out).write_text(text)
     else:

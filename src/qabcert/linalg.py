@@ -33,7 +33,6 @@ override it (the relative support rule itself is ``_support``):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -221,30 +220,21 @@ def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-@functools.cache
-def _triu(dim: int):
-    return np.triu_indices(dim, k=1)
-
-
-def random_hermitian(dim: int, seed) -> np.ndarray:
+def random_hermitian(dim: int, seed, size: int | None = None) -> np.ndarray:
     """Gaussian-ensemble Hermitian matrix with unit Frobenius norm.
 
-    Diagonal entries are standard normal; off-diagonal entries have
-    independent N(0, 1/2) real and imaginary parts.  ``seed`` may be an
-    integer, a sequence of integers, or a ``numpy.random.Generator``
-    (a generator is consumed in place, which callers use to derive
-    per-sample streams).
+    H = (A + A^dag) / 2 with A = G_0 + i G_1 and G_0, G_1 standard normal,
+    scaled to unit Frobenius norm; before scaling, diagonal entries are
+    standard normal and off-diagonal entries have independent N(0, 1/2)
+    real and imaginary parts.  With ``size``, a ``(size, dim, dim)`` stack
+    drawn as one row-major block, so matrix i depends only on the stream and
+    i.  ``seed`` may be an integer, a sequence of integers, or a
+    ``numpy.random.Generator`` (a generator is consumed in place).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    h = np.zeros((dim, dim), dtype=complex)
-    diag = rng.standard_normal(dim)
-    h[np.arange(dim), np.arange(dim)] = diag
-    iu = _triu(dim)
-    re = rng.standard_normal(iu[0].size)
-    im = rng.standard_normal(iu[0].size)
-    off = (re + 1j * im) / np.sqrt(2)
-    h[iu] = off
-    h[(iu[1], iu[0])] = np.conj(off)
-    return h / frobenius_norm(h)
+    g = rng.standard_normal((1 if size is None else size, 2, dim, dim))
+    h = hermitize(g[:, 0] + 1j * g[:, 1])
+    h /= frobenius_norm(h)[:, None, None]
+    return h[0] if size is None else h

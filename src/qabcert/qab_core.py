@@ -103,7 +103,8 @@ class Trajectory:
     ``states`` has one more entry than the step sequences; ``step_kl[j]``
     is D(states[j+1] || states[j]) and ``step_domega[j]`` the matching
     objective-induced divergence.  ``tau_history`` is empty for
-    unconstrained runs.
+    unconstrained runs.  ``gamma`` is the step parameter of the run that
+    made the trajectory (None when unknown).
     """
 
     states: list = field(default_factory=list)
@@ -111,6 +112,7 @@ class Trajectory:
     step_kl: list = field(default_factory=list)
     step_domega: list = field(default_factory=list)
     tau_history: list = field(default_factory=list)
+    gamma: float | None = None
 
     def check_consistent(self) -> None:
         n = len(self.states)
@@ -175,7 +177,7 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
                 f"(max residual {np.max(np.abs(resid)):.3e})"
             )
 
-    traj = Trajectory()
+    traj = Trajectory(gamma=opts.gamma)
     omega_cur = hermitize(obj.omega(rho))
     traj.states.append(rho)
     traj.values.append(float(np.einsum("ij,ji->", rho, omega_cur).real))

@@ -1,15 +1,18 @@
 """File formats: channels, constraint families, trajectories and reports.
 
 Complex matrices are encoded as nested arrays of ``[re, im]`` pairs.  All
-documents are JSON; floats survive a dump/load round trip bit-exactly
-(Python renders them with shortest-repr).  Report documents keep a stable
-key order so identical inputs produce identical bytes.
+documents are strict JSON; floats survive a dump/load round trip
+bit-exactly (Python renders them with shortest-repr), and a non-finite float
+is written as the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which
+``float`` reads back.  Report documents keep a stable key order so identical
+inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,27 @@ __all__ = [
 ]
 
 CHOI_NORMALIZATION_TAG = "trace-dim-a"
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _encode_float(x) -> float | str:
+    """``x`` as a float, or as its ``_NON_FINITE`` string if it is not finite."""
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _encode_non_finite(obj):
+    """``obj`` with each float of its nested dicts passed through ``_encode_float``."""
+    if isinstance(obj, dict):
+        return {k: _encode_non_finite(v) for k, v in obj.items()}
+    return _encode_float(obj) if isinstance(obj, float) else obj
+
+
+def _decode_non_finite(value):
+    """Inverse of ``_encode_float`` for one scalar document value."""
+    return _NON_FINITE.get(value, value) if isinstance(value, str) else value
 
 
 def complex_matrix_to_pairs(m: np.ndarray) -> list:
@@ -41,7 +65,9 @@ def complex_matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def pairs_to_complex_matrix(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    return np.array(
+        [[complex(float(re), float(im)) for re, im in row] for row in rows], dtype=complex
+    )
 
 
 def save_channel(path, choi: ChoiMatrix) -> None:
@@ -52,7 +78,7 @@ def save_channel(path, choi: ChoiMatrix) -> None:
         "normalization": CHOI_NORMALIZATION_TAG,
         "choi": complex_matrix_to_pairs(choi.mat),
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False))
 
 
 def load_channel(path) -> ChoiMatrix:
@@ -76,7 +102,7 @@ def save_constraints(path, fam: MixtureFamily) -> None:
             for h, c in zip(fam.observables, fam.targets)
         ]
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False))
 
 
 def load_constraints(path) -> MixtureFamily:
@@ -90,13 +116,14 @@ def load_constraints(path) -> MixtureFamily:
 
 def trajectory_to_dict(traj: Trajectory, include_states: bool = True) -> dict:
     doc = {
-        "values": [float(v) for v in traj.values],
-        "step_kl": [float(v) for v in traj.step_kl],
-        "step_domega": [float(v) for v in traj.step_domega],
+        "gamma": None if traj.gamma is None else _encode_float(traj.gamma),
+        "values": [_encode_float(v) for v in traj.values],
+        "step_kl": [_encode_float(v) for v in traj.step_kl],
+        "step_domega": [_encode_float(v) for v in traj.step_domega],
         "tau_history": [
             {
-                "tau": [float(t) for t in sol.tau],
-                "gradient_norm": float(sol.gradient_norm),
+                "tau": [_encode_float(t) for t in sol.tau],
+                "gradient_norm": _encode_float(sol.gradient_norm),
                 "iterations": int(sol.iterations),
             }
             for sol in traj.tau_history
@@ -110,6 +137,7 @@ def trajectory_to_dict(traj: Trajectory, include_states: bool = True) -> dict:
 def trajectory_from_dict(doc: dict) -> Trajectory:
     traj = Trajectory(
         states=[pairs_to_complex_matrix(s) for s in doc.get("states", [])],
+        gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
         values=[float(v) for v in doc["values"]],
         step_kl=[float(v) for v in doc["step_kl"]],
         step_domega=[float(v) for v in doc["step_domega"]],
@@ -128,7 +156,7 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
 
 
 def save_trajectory(path, traj: Trajectory, include_states: bool = True) -> None:
-    Path(path).write_text(json.dumps(trajectory_to_dict(traj, include_states)))
+    Path(path).write_text(json.dumps(trajectory_to_dict(traj, include_states), allow_nan=False))
 
 
 def load_trajectory(path) -> Trajectory:
@@ -136,8 +164,12 @@ def load_trajectory(path) -> Trajectory:
 
 
 def report_to_dict(report: CertificationReport) -> dict:
-    """Stable-key-order dict of a report, including every threshold and seed."""
-    return {
+    """Stable-key-order dict of a report, including every threshold and seed.
+
+    Non-finite floats (a failed-closed ratio reads NaN) are strings, so the
+    dict is strict JSON.
+    """
+    doc = {
         "gamma": report.gamma,
         "samples": report.samples,
         "seed": report.seed,
@@ -157,18 +189,19 @@ def report_to_dict(report: CertificationReport) -> dict:
         "certified": report.certified,
         "proxy_note": report.proxy_note,
     }
+    return _encode_non_finite(doc)
 
 
 def report_from_dict(doc: dict) -> CertificationReport:
     fields = {f.name for f in dataclasses.fields(CertificationReport)}
-    kwargs = {k: v for k, v in doc.items() if k in fields}
+    kwargs = {k: _decode_non_finite(v) for k, v in doc.items() if k in fields}
     for key in ("a1", "a2", "a3"):
-        kwargs[key] = RatioStats(**doc[key])
+        kwargs[key] = RatioStats(**{k: _decode_non_finite(v) for k, v in doc[key].items()})
     return CertificationReport(**kwargs)
 
 
 def save_report(path, report: CertificationReport) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=1))
+    Path(path).write_text(json.dumps(report_to_dict(report), indent=1, allow_nan=False))
 
 
 def load_report(path) -> CertificationReport:

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from qabcert import (
     xme_bound,
 )
 from qabcert.quantum import PAULI_Z, random_density
-from qabcert.certify import _scan
+from qabcert.certify import _draw_perturbations, _scan
 from qabcert.serialize import report_to_dict
 
 from conftest import ConstantObjective, random_state
@@ -101,6 +102,47 @@ class TestCheckA1:
         large = check_a1(traj.states[-1], obj, 1.0, 400, 0.1, seed=3)
         assert large.min <= small.min
         assert large.max >= small.max
+
+    @pytest.fixture
+    def generators_built(self, monkeypatch):
+        # qabcert.certify is shadowed by the certify function on the package.
+        np_random = importlib.import_module("qabcert.certify").np.random
+        default_rng, built = np_random.default_rng, []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np_random, "default_rng", counting)
+        return built
+
+    @pytest.mark.parametrize("n_samples", [10, 1000])
+    def test_generators_do_not_scale_with_samples(self, channel_run, generators_built, n_samples):
+        obj, traj = channel_run
+        stats = check_a1(traj.states[-1], obj, 1.0, n_samples, 0.1, seed=3)
+        assert stats.count == n_samples  # nothing rejected
+        assert len(generators_built) == 2
+
+    def test_rows_nest_in_n_samples(self, channel_run):
+        final = channel_run[1].states[-1]
+
+        def draw(n):
+            streams = (np.random.default_rng([3, 0]), np.random.default_rng([3, 1]))
+            return _draw_perturbations(final, *streams, 0.1, n)
+
+        assert np.array_equal(draw(400)[:100], draw(100))
+
+    def test_rejects_redraw_deterministically(self, channel_run, generators_built):
+        # At a pure final state with eps_max 1, many first draws clip more
+        # than 10% of trace mass; each re-draws from its own stream.
+        obj = channel_run[0]
+        near_pure = np.diag([1 - 1e-9, 1e-9]).astype(complex)
+        first = check_a1(near_pure, obj, 1.0, 200, 1.0, seed=4)
+        redrawn = len(generators_built) - 2
+        assert redrawn > 0 and first.skipped < redrawn
+        assert first.count + first.skipped == 200
+        assert check_a1(near_pure, obj, 1.0, 200, 1.0, seed=4) == first
+        assert len(generators_built) == 2 * (redrawn + 2)
 
     def test_validation(self, channel_run):
         obj, traj = channel_run

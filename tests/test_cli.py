@@ -89,6 +89,14 @@ class TestUsageErrors:
     def test_bad_gamma(self):
         assert run("solve", "--gamma", "0", "--out", "-") == 2
 
+    @pytest.mark.parametrize(
+        "option", ["--gamma", "--eps-max", "--stop-kl"], ids=["gamma", "eps_max", "stop_kl"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_number_is_usage_error(self, option, value):
+        # A NaN passed the old sign checks; JSON output needs finite values.
+        assert run("certify", option, value, "--out", "-") == 2
+
     def test_unknown_channel(self):
         assert run("solve", "--channel-n", "nosuch:1", "--out", "-") == 2
 
@@ -140,6 +148,44 @@ class TestCertifyCommand:
                    "--trajectory", str(traj_path), "--out", str(out))
         assert code == 0
         assert json.loads(out.read_text())["report"]["certified"] is True
+
+    @pytest.fixture
+    def saved_trajectory(self, tmp_path):
+        path = tmp_path / "traj.json"
+        run("solve", "--channel-m", "depolarizing:0.05", *FAST,
+            "--save-trajectory", str(path), "--out", str(tmp_path / "row.csv"))
+        return path
+
+    def test_gamma_mismatch_is_usage_error(self, saved_trajectory, capsys):
+        code = run("certify", "--channel-m", "depolarizing:0.05", *FAST, "--gamma", "2",
+                   "--trajectory", str(saved_trajectory), "--out", "-")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "gamma=1.0" in err and "--gamma is 2.0" in err
+
+    def test_trajectory_without_gamma_is_usage_error(self, saved_trajectory, capsys):
+        doc = json.loads(saved_trajectory.read_text())
+        del doc["gamma"]
+        saved_trajectory.write_text(json.dumps(doc))
+        code = run("certify", "--channel-m", "depolarizing:0.05", *FAST,
+                   "--trajectory", str(saved_trajectory), "--out", "-")
+        assert code == 2
+        assert "no recorded gamma" in capsys.readouterr().err
+
+    def test_failed_closed_report_is_strict_json(self, saved_trajectory, tmp_path):
+        doc = json.loads(saved_trajectory.read_text())
+        doc["step_kl"][2] = "Infinity"
+        saved_trajectory.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code = run("certify", "--channel-m", "depolarizing:0.05", *FAST,
+                   "--trajectory", str(saved_trajectory), "--out", str(out))
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(constant)
+
+        report = json.loads(out.read_text(), parse_constant=reject)["report"]
+        assert report["a3"]["max"] == "NaN" and report["a3_pass"] is False
 
     def test_missing_trajectory_is_usage_error(self, tmp_path):
         assert (

@@ -225,6 +225,22 @@ class TestRandomHermitian:
         sigma = samples.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(mean.real) <= 3 * sigma.real + 1e-12)
 
+    def test_stack_rows_nest_and_match_single_draws(self):
+        stack = random_hermitian(3, 7, 50)
+        assert stack.shape == (50, 3, 3)
+        assert np.array_equal(random_hermitian(3, 7, 20), stack[:20])
+        assert np.array_equal(random_hermitian(3, 7), stack[0])
+        assert np.allclose(frobenius_norm(stack), 1.0, rtol=0, atol=1e-12)
+        assert np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2)))) < 1e-15
+
+    def test_stack_second_moments_match_the_ensemble(self):
+        # For d = 2 the coordinates (H00, H11, sqrt2 Re H01, sqrt2 Im H01) are
+        # iid N(0, 1) before scaling, so each of E[H00^2] and E[|H01|^2] is 1/4
+        # after it; Monte Carlo error at n = 10k is about 0.0025.
+        h = random_hermitian(2, 11, 10_000)
+        assert np.mean(h[:, 0, 0].real ** 2) == pytest.approx(0.25, abs=0.01)
+        assert np.mean(np.abs(h[:, 0, 1]) ** 2) == pytest.approx(0.25, abs=0.01)
+
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             random_hermitian(0, 1)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -92,6 +93,7 @@ def test_trajectory_round_trip(tmp_path):
     assert back.values == traj.values  # bit exact
     assert back.step_kl == traj.step_kl
     assert back.step_domega == traj.step_domega
+    assert back.gamma == traj.gamma == 1.0
     for a, b in zip(back.states, traj.states):
         assert np.array_equal(a, b)
     # A second dump of the loaded trajectory is byte-identical.
@@ -121,3 +123,37 @@ def test_trajectory_without_states(tmp_path):
     back = load_trajectory(path)
     assert back.values == traj.values
     assert back.states == []
+
+
+def strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_values_are_strict_json_and_round_trip(tmp_path):
+    # A floored iterate's step_kl is +inf and fails (a3) closed with NaN stats;
+    # both must be written as strings that strict JSON accepts and read back.
+    pair = ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05))
+    obj = ChannelObjective(pair)
+    traj = qab_run(obj, QabOptions(initial=random_density(2, 5), max_iters=30))
+    traj.step_kl[2] = np.inf
+    traj.step_domega[2] = 5.0
+    traj.values[0] = -np.inf
+    report = certify(traj, obj, 1.0, n_samples=200)
+    assert math.isnan(report.a3.min) and math.isnan(report.a3.max)
+
+    traj_path, report_path = tmp_path / "traj.json", tmp_path / "report.json"
+    save_trajectory(traj_path, traj)
+    save_report(report_path, report)
+    doc = strict_loads(traj_path.read_text())
+    assert doc["step_kl"][2] == "Infinity" and doc["values"][0] == "-Infinity"
+    assert strict_loads(report_path.read_text())["a3"]["min"] == "NaN"
+    strict_loads(json.dumps(report_to_dict(report)))
+
+    back = load_trajectory(traj_path)
+    assert back.step_kl == traj.step_kl and back.values == traj.values
+    loaded = load_report(report_path)
+    assert math.isnan(loaded.a3.min) and math.isnan(loaded.a3.max)
+    assert report_to_dict(loaded) == report_to_dict(report)

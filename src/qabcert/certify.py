@@ -125,7 +125,7 @@ def _scan(nums, dens) -> RatioStats:
     return _ratio_stats(nums[kept], dens[kept], kept, dens.size - kept.size)
 
 
-def check_a3(traj: Trajectory, gamma: float) -> RatioStats:
+def check_a3(traj: Trajectory) -> RatioStats:
     """Per-step ratios D_Omega / D over consecutive iterates."""
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
@@ -137,7 +137,7 @@ def check_a2(traj: Trajectory, obj: Objective) -> RatioStats:
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
     final = traj.states[-1]
-    others = np.stack(traj.states[:-1])
+    others = eigh(np.stack(traj.states[:-1]))  # decomposed once for both divergences
     return _scan(d_omega(final, others, obj), relative_entropy(final, others))
 
 
@@ -172,7 +172,6 @@ def _repair_candidates(raw: np.ndarray):
 def check_a1(
     final: np.ndarray,
     obj: Objective,
-    gamma: float,
     n_samples: int,
     eps_max: float,
     seed: int,
@@ -186,12 +185,12 @@ def check_a1(
     trace mass) re-draws from its own stream keyed by ``(seed, 2, i)`` until
     it has made ``MAX_RESAMPLE_ATTEMPTS`` draws in all, and is then skipped.
     Sample i thus depends only on the seed and i: results are independent
-    of evaluation order and nested in ``n_samples``.
+    of evaluation order and nested in ``n_samples``; omega reads the repaired spectra.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if eps_max <= 0:
-        raise ValueError("eps_max must be positive")
+    if not 0 < eps_max < np.inf:
+        raise ValueError("eps_max must be positive and finite")
     final = hermitize(final)
     base_seed = int(seed) & 0x7FFFFFFFFFFFFFFF
 
@@ -201,7 +200,7 @@ def check_a1(
     # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
     repaired, heavy = _repair_candidates(raw)
     dens = relative_entropy(final, repaired, support_cutoff=0.0)
-    candidates = repaired.matrix()
+    w, v = repaired.eigenvalues, repaired.eigenvectors  # a re-draw replaces row i
     accepted = ~heavy & (dens > DIVERGENCE_SKIP_TOL)
     for i in np.nonzero(~accepted)[0]:
         rng = np.random.default_rng([base_seed, 2, i])
@@ -211,13 +210,14 @@ def check_a1(
                 continue
             den = relative_entropy(final, cand, support_cutoff=0.0)[0]
             if not den <= DIVERGENCE_SKIP_TOL:
-                candidates[i], dens[i], accepted[i] = cand.matrix()[0], den, True
+                w[i], v[i] = cand.eigenvalues[0], cand.eigenvectors[0]
+                dens[i], accepted[i] = den, True
                 break
 
     indices = np.nonzero(accepted)[0]
     if indices.size == 0:
         raise ValueError("all neighborhood samples degenerated; nothing to certify")
-    nums = d_omega(final, candidates[indices], obj)
+    nums = d_omega(final, Spectrum(w[indices], v[indices]), obj)
     return _ratio_stats(nums, dens[indices], indices, n_samples - indices.size)
 
 
@@ -243,7 +243,7 @@ def stationarity_residual(final: np.ndarray, obj: Objective, fam: MixtureFamily 
     if vs.shape[1] <= 1:
         return 0.0
 
-    residual = np.conj(vs.T) @ hermitize(obj.omega(final)) @ vs
+    residual = np.conj(vs.T) @ hermitize(obj.omega(spec)) @ vs
     excluded = [np.eye(len(vs))] + list(fam.observables if fam is not None else ())
     basis = []  # orthonormal span of the excluded directions on the support
     for h in excluded:
@@ -260,13 +260,13 @@ def stationarity_residual(final: np.ndarray, obj: Objective, fam: MixtureFamily 
 def certify(
     traj: Trajectory,
     obj: Objective,
-    gamma: float,
     n_samples: int = 10_000,
     eps_max: float = 0.1,
     seed: int = 0,
 ) -> CertificationReport:
     """Run all checks on a trajectory and assemble the report.
 
+    gamma is the run's own, ``traj.gamma``, and must be positive and finite.
     Pass rules: (a1) max ratio <= 0.999 * gamma, (a2) min ratio >= -1e-9,
     (a3) max ratio <= gamma.  The precision bound is always evaluated but
     only marked certified when (a2) and (a3) pass.
@@ -278,7 +278,10 @@ def certify(
     """
     if len(traj.states) < 2:
         raise ValueError("trajectory must hold at least two states")
-    a1 = check_a1(traj.states[-1], obj, gamma, n_samples, eps_max, seed)
+    gamma = traj.gamma
+    if gamma is None or not 0 < gamma < np.inf:
+        raise ValueError(f"trajectory gamma must be positive and finite, got {gamma}")
+    a1 = check_a1(traj.states[-1], obj, n_samples=n_samples, eps_max=eps_max, seed=seed)
 
     def scan_or_fixed_point(check, *args):
         try:
@@ -289,7 +292,7 @@ def certify(
             return RatioStats(0.0, 0.0, count=0, arg_min=-1, arg_max=-1, skipped=len(traj.step_kl))
 
     a2 = scan_or_fixed_point(check_a2, obj)
-    a3 = scan_or_fixed_point(check_a3, gamma)
+    a3 = scan_or_fixed_point(check_a3)
     a1_pass = a1.max <= gamma * A1_MARGIN
     a2_pass = a2.min >= -A2_TOLERANCE
     a3_pass = a3.max <= gamma

@@ -25,6 +25,8 @@ import numpy as np
 from .certify import CertificationReport, certify
 from .linalg import (
     OUTSIDE_MASS_TOL,
+    Spectrum,
+    _spectrum,
     eigh,
     hermitize,
     kron,
@@ -85,25 +87,23 @@ class ChannelPair:
         return self.choi_n.dim_b
 
 
-def _sandwiches(rho_a: np.ndarray, pair: ChannelPair):
-    """(sqrt(rho) x I, rho^(-1/2) x I, S_N, S_M) from one decomposition of rho."""
-    spec = eigh(rho_a)
-    eye_b = np.eye(pair.dim_b)
-    sq = kron(matrix_sqrt(spec), eye_b)
-    isq = kron(matrix_inv_sqrt(spec), eye_b)
+def _sandwiches(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
+    """(spectrum of rho, sqrt(rho) x I, S_N, S_M); decomposes rho unless given its spectrum."""
+    spec = _spectrum(rho_a)
+    sq = kron(matrix_sqrt(spec), np.eye(pair.dim_b))
     s_n = hermitize(sq @ pair.choi_n.mat @ sq)
     s_m = hermitize(sq @ pair.choi_m.mat @ sq)
-    return sq, isq, s_n, s_m
+    return spec, sq, s_n, s_m
 
 
-def omega1(rho_a: np.ndarray, pair: ChannelPair) -> np.ndarray:
+def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     """-Tr_B(Gamma_N (sqrt(rho) x I) [log S_N - log S_M] (rho^(-1/2) x I)).
 
     Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
     -D(S_N || S_M).  Stack-aware in ``rho_a``.  Raises
     :class:`SupportViolationError` when S_N leaks outside the support of S_M.
     """
-    sq, isq, s_n, s_m = _sandwiches(rho_a, pair)
+    spec, sq, s_n, s_m = _sandwiches(rho_a, pair)
     spec_m = eigh(s_m)
     outside, _ = support_overlap(s_n, spec_m)
     if np.any(outside > OUTSIDE_MASS_TOL):
@@ -113,16 +113,16 @@ def omega1(rho_a: np.ndarray, pair: ChannelPair) -> np.ndarray:
             f"(leaked mass {float(np.max(outside)):.3e})"
         )
     log_diff = matrix_log(s_n) - matrix_log(spec_m)
-    inner = pair.choi_n.mat @ sq @ log_diff @ isq
+    inner = pair.choi_n.mat @ sq @ log_diff @ kron(matrix_inv_sqrt(spec), np.eye(pair.dim_b))
     return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
 
 
-def omega(rho_a: np.ndarray, pair: ChannelPair) -> np.ndarray:
+def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     """Hermitian part of :func:`omega1`; same weighted trace against rho."""
     return hermitize(omega1(rho_a, pair))
 
 
-def objective_value(rho_a: np.ndarray, pair: ChannelPair):
+def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
     """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss."""
     _, _, s_n, s_m = _sandwiches(rho_a, pair)
     out = -relative_entropy(s_n, s_m)
@@ -141,7 +141,7 @@ class ChannelObjective(Objective):
         self.pair = pair
         self.dim = pair.dim_a
 
-    def omega(self, rho: np.ndarray) -> np.ndarray:
+    def omega(self, rho: np.ndarray | Spectrum) -> np.ndarray:
         return omega(rho, self.pair) / self.pair.dim_a
 
     def value(self, rho: np.ndarray):
@@ -171,7 +171,7 @@ def solve_unconstrained(
     """Run the iteration under ``opts`` (unconstrained unless it sets a family) and certify."""
     obj = ChannelObjective(pair)
     traj = qab_run(obj, opts)
-    report = certify(traj, obj, opts.gamma, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
+    report = certify(traj, obj, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
     return SolveResult(value=obj.divergence(traj), trajectory=traj, report=report)
 
 

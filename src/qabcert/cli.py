@@ -358,12 +358,7 @@ def cmd_certify(cfg: RunConfig) -> int:
     else:
         traj = qab_run(obj, _qab_options(cfg, pair, 0))
     report = certify(
-        traj,
-        obj,
-        cfg.gamma,
-        n_samples=cfg.samples,
-        eps_max=cfg.eps_max,
-        seed=_derive_seed(cfg.seed, 0, 1),
+        traj, obj, n_samples=cfg.samples, eps_max=cfg.eps_max, seed=_derive_seed(cfg.seed, 0, 1)
     )
     doc = {
         "version": __version__,

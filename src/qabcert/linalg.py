@@ -7,10 +7,11 @@ are always re-symmetrized, so ``||M - M^dag||_F <= 1e-12`` holds for every
 returned matrix.
 
 A :class:`Spectrum` is what layers pass to each other, so each state is
-decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`,
-:func:`matrix_exp`, :func:`matrix_sqrt`, :func:`matrix_inv_sqrt`),
-:func:`floor_spectrum` and ``quantum.relative_entropy`` accept one in place
-of a matrix, and :func:`gibbs_spectrum` returns one.
+decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`, :func:`matrix_exp`,
+:func:`matrix_sqrt`, :func:`matrix_inv_sqrt`), :func:`floor_spectrum`,
+``quantum.relative_entropy`` and ``qab_core.Objective.omega`` (so ``d_omega``'s
+sigma, ``channel_re.omega``, ``omega1`` and ``objective_value``) accept one
+in place of a matrix, and :func:`gibbs_spectrum` returns one.
 
 Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .linalg import (
     STATE_FLOOR,
+    Spectrum,
     eigh,
     floor_spectrum,
     gibbs_spectrum,
@@ -51,15 +52,15 @@ class IterationError(RuntimeError):
 class Objective(abc.ABC):
     """Objective G(rho) = Tr[rho omega(rho)] defined through its omega map.
 
-    ``omega`` must accept stacked states of shape (..., dim, dim) and return
-    Hermitian matrices of the same shape; certification sampling relies on
-    the batched form.
+    ``omega`` must accept states of shape (..., dim, dim), as matrices or as
+    a :class:`~qabcert.linalg.Spectrum`, and return Hermitian matrices of
+    that shape; certification sampling relies on the batched form.
     """
 
     dim: int
 
     @abc.abstractmethod
-    def omega(self, rho: np.ndarray) -> np.ndarray:
+    def omega(self, rho: np.ndarray | Spectrum) -> np.ndarray:
         """The objective's omega evaluated at ``rho`` (stack-aware)."""
 
     def value(self, rho: np.ndarray):
@@ -84,8 +85,8 @@ class QabOptions:
     divergence_stop: float | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         self.initial = hermitize(self.initial)
@@ -136,13 +137,13 @@ def f3_map(rho: np.ndarray, obj: Objective, gamma: float) -> np.ndarray:
         )
     # Plain spectral log (no support cutoff): floored eigenvalues sit below
     # the relative support cutoff and must not be zeroed out.
-    return gibbs_state(matrix_fn(spec, np.log) - obj.omega(rho) / gamma)
+    return gibbs_state(matrix_fn(spec, np.log) - obj.omega(spec) / gamma)
 
 
-def d_omega(rho: np.ndarray, sigma: np.ndarray, obj: Objective):
+def d_omega(rho: np.ndarray, sigma: np.ndarray | Spectrum, obj: Objective):
     """D_Omega(rho || sigma) = Tr rho (omega(rho) - omega(sigma)).
 
-    ``sigma`` may be a stack of states; the result then broadcasts.
+    ``sigma`` may be a stack of states or its :class:`Spectrum`; the result broadcasts.
     """
     diff = obj.omega(rho) - obj.omega(sigma)
     out = np.einsum("...ij,...ji->...", rho, diff).real
@@ -162,8 +163,8 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     the constraints (warm starting tau from the previous step); otherwise
     the bare trace-normalized update is used.  Iterate eigenvalues are
     floored at ``STATE_FLOOR`` so the next logarithm stays finite.  Each
-    iterate is carried with its spectrum, so log rho and the per-step
-    divergence need no further decomposition.
+    iterate is carried with its spectrum, so omega, log rho and the
+    per-step divergence need no further decomposition of it.
     """
     family = opts.family
     constrained = family is not None and family.size > 0
@@ -178,7 +179,7 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
             )
 
     traj = Trajectory(gamma=opts.gamma)
-    omega_cur = hermitize(obj.omega(rho))
+    omega_cur = obj.omega(spec)
     traj.states.append(rho)
     traj.values.append(float(np.einsum("ij,ji->", rho, omega_cur).real))
     tau_prev = None
@@ -197,7 +198,7 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
         spec_nxt = floor_spectrum(update, STATE_FLOOR)
         nxt = spec_nxt.matrix()
 
-        omega_nxt = hermitize(obj.omega(nxt))
+        omega_nxt = obj.omega(spec_nxt)
         kl = relative_entropy(spec_nxt, spec)
         dom = float(np.einsum("ij,ji->", nxt, omega_nxt - omega_cur).real)
         traj.states.append(nxt)

@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from qabcert import Objective
+from qabcert import Objective, Spectrum
+
+
+def as_matrix(rho):
+    """A state passed to ``omega`` as a matrix or as its Spectrum, as a matrix."""
+    return rho.matrix() if isinstance(rho, Spectrum) else np.asarray(rho)
 
 
 class ConstantObjective(Objective):
@@ -12,8 +19,7 @@ class ConstantObjective(Objective):
         self.dim = self.k.shape[-1]
 
     def omega(self, rho):
-        rho = np.asarray(rho)
-        return np.broadcast_to(self.k, rho.shape).copy()
+        return np.broadcast_to(self.k, as_matrix(rho).shape).copy()
 
 
 class LinearTraceObjective(Objective):
@@ -24,8 +30,26 @@ class LinearTraceObjective(Objective):
         self.dim = self.k.shape[-1]
 
     def omega(self, rho):
-        tr = np.trace(rho, axis1=-2, axis2=-1).real
+        tr = np.trace(as_matrix(rho), axis1=-2, axis2=-1).real
         return np.asarray(tr)[..., None, None] * self.k
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """List that gains one entry per np.linalg.eigh / eigvalsh call: its batch size.
+
+    ``len`` counts calls and ``sum`` counts the matrices decomposed.
+    """
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(math.prod(np.shape(a)[:-2]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import importlib
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from qabcert.quantum import PAULI_Z, random_density
 from qabcert.certify import _draw_perturbations, _scan
 from qabcert.serialize import report_to_dict
 
-from conftest import ConstantObjective, random_state
+from conftest import ConstantObjective, as_matrix, random_state
 
 
 def constant_run(rng, k=None, iters=10):
@@ -46,18 +48,18 @@ class TestCheckA3:
         obj = ConstantObjective(np.zeros((2, 2)))
         traj = qab_run(obj, QabOptions(initial=random_state(rng, 2), max_iters=4))
         with pytest.raises(ValueError, match="converged"):
-            check_a3(traj, 1.0)
+            check_a3(traj)
 
     def test_constant_omega_ratios_zero(self, rng):
         _, traj = constant_run(rng)
-        stats = check_a3(traj, 1.0)
+        stats = check_a3(traj)
         assert stats.min == pytest.approx(0.0, abs=1e-12)
         assert stats.max == pytest.approx(0.0, abs=1e-12)
         assert stats.count + stats.skipped == len(traj.step_kl)
 
     def test_short_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            check_a3(Trajectory(states=[np.eye(2) / 2], values=[0.0]), 1.0)
+            check_a3(Trajectory(states=[np.eye(2) / 2], values=[0.0]))
 
 
 class TestCheckA2:
@@ -76,30 +78,38 @@ class TestCheckA2:
             step_domega=traj.step_domega[:1],
         )
         a2 = check_a2(short, obj)
-        a3 = check_a3(short, 1.0)
+        a3 = check_a3(short)
         assert a2.count == a3.count == 1
         assert a2.min == pytest.approx(a3.min, abs=1e-12)
+
+    def test_decomposes_each_iterate_once(self, channel_run, eig_calls):
+        # Each earlier iterate is decomposed once, for both divergences, and
+        # omega reuses that spectrum, decomposing only S_N and S_M.
+        obj, traj = channel_run
+        steps = len(traj.states) - 1
+        check_a2(traj, obj)
+        assert sum(eig_calls) <= 3 * steps + 4
 
 
 class TestCheckA1:
     def test_constant_omega_single_sample(self, rng):
         obj, traj = constant_run(rng)
-        stats = check_a1(traj.states[-1], obj, 1.0, 1, 0.1, seed=5)
+        stats = check_a1(traj.states[-1], obj, 1, 0.1, seed=5)
         assert stats.count == 1
         assert stats.min == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic(self, channel_run):
         obj, traj = channel_run
-        s1 = check_a1(traj.states[-1], obj, 1.0, 200, 0.1, seed=9)
-        s2 = check_a1(traj.states[-1], obj, 1.0, 200, 0.1, seed=9)
+        s1 = check_a1(traj.states[-1], obj, 200, 0.1, seed=9)
+        s2 = check_a1(traj.states[-1], obj, 200, 0.1, seed=9)
         assert s1 == s2
-        s3 = check_a1(traj.states[-1], obj, 1.0, 200, 0.1, seed=10)
+        s3 = check_a1(traj.states[-1], obj, 200, 0.1, seed=10)
         assert s3 != s1
 
     def test_nested_sample_monotonicity(self, channel_run):
         obj, traj = channel_run
-        small = check_a1(traj.states[-1], obj, 1.0, 100, 0.1, seed=3)
-        large = check_a1(traj.states[-1], obj, 1.0, 400, 0.1, seed=3)
+        small = check_a1(traj.states[-1], obj, 100, 0.1, seed=3)
+        large = check_a1(traj.states[-1], obj, 400, 0.1, seed=3)
         assert large.min <= small.min
         assert large.max >= small.max
 
@@ -119,7 +129,7 @@ class TestCheckA1:
     @pytest.mark.parametrize("n_samples", [10, 1000])
     def test_generators_do_not_scale_with_samples(self, channel_run, generators_built, n_samples):
         obj, traj = channel_run
-        stats = check_a1(traj.states[-1], obj, 1.0, n_samples, 0.1, seed=3)
+        stats = check_a1(traj.states[-1], obj, n_samples, 0.1, seed=3)
         assert stats.count == n_samples  # nothing rejected
         assert len(generators_built) == 2
 
@@ -137,19 +147,33 @@ class TestCheckA1:
         # than 10% of trace mass; each re-draws from its own stream.
         obj = channel_run[0]
         near_pure = np.diag([1 - 1e-9, 1e-9]).astype(complex)
-        first = check_a1(near_pure, obj, 1.0, 200, 1.0, seed=4)
+        first = check_a1(near_pure, obj, 200, 1.0, seed=4)
         redrawn = len(generators_built) - 2
         assert redrawn > 0 and first.skipped < redrawn
         assert first.count + first.skipped == 200
-        assert check_a1(near_pure, obj, 1.0, 200, 1.0, seed=4) == first
+        assert check_a1(near_pure, obj, 200, 1.0, seed=4) == first
         assert len(generators_built) == 2 * (redrawn + 2)
 
     def test_validation(self, channel_run):
         obj, traj = channel_run
         with pytest.raises(ValueError):
-            check_a1(traj.states[-1], obj, 1.0, 0, 0.1, seed=1)
+            check_a1(traj.states[-1], obj, 0, 0.1, seed=1)
         with pytest.raises(ValueError):
-            check_a1(traj.states[-1], obj, 1.0, 10, -1.0, seed=1)
+            check_a1(traj.states[-1], obj, 10, -1.0, seed=1)
+
+    @pytest.mark.parametrize("eps_max", [math.nan, math.inf])
+    def test_non_finite_eps_max_rejected(self, channel_run, eps_max):
+        obj, traj = channel_run
+        with pytest.raises(ValueError, match="eps_max"):
+            check_a1(traj.states[-1], obj, 10, eps_max, seed=1)
+
+    def test_decomposes_each_sample_once_after_repair(self, channel_run, eig_calls):
+        # Omega reads the repaired spectra: per sample, one decomposition for
+        # the repair and one for each of S_N and S_M.
+        obj, traj = channel_run
+        stats = check_a1(traj.states[-1], obj, 200, 0.1, seed=3)
+        assert stats.count == 200  # nothing re-drawn
+        assert sum(eig_calls) <= 3 * 200 + 4
 
 
 class TestXmeBound:
@@ -199,7 +223,7 @@ class TestStationarityResidual:
             def omega(self, rho):
                 from qabcert import matrix_log
 
-                return -matrix_log(rho) - np.broadcast_to(np.eye(2), np.shape(rho)).copy()
+                return -matrix_log(rho) - np.broadcast_to(np.eye(2), as_matrix(rho).shape).copy()
 
         obj = MatchingObjective(np.eye(2))
         assert stationarity_residual(np.eye(2) / 2, obj) <= 1e-12
@@ -235,7 +259,7 @@ class TestStationarityResidual:
 class TestCertify:
     def test_constant_objective_passes(self, rng):
         obj, traj = constant_run(rng)
-        report = certify(traj, obj, 1.0, n_samples=50, seed=2)
+        report = certify(traj, obj, n_samples=50, seed=2)
         assert report.a1_pass and report.a2_pass and report.a3_pass
         assert report.certified
         assert report.bound_certified
@@ -243,19 +267,19 @@ class TestCertify:
     def test_fixed_point_from_start_certifies(self, rng):
         obj = ConstantObjective(np.zeros((2, 2)))
         traj = qab_run(obj, QabOptions(initial=random_state(rng, 2), max_iters=3))
-        report = certify(traj, obj, 1.0, n_samples=50, seed=2)
+        report = certify(traj, obj, n_samples=50, seed=2)
         assert report.certified
         assert report.a3.count == 0 and report.a3.skipped == 3
 
     def test_deterministic_report_bytes(self, channel_run):
         obj, traj = channel_run
-        r1 = json.dumps(report_to_dict(certify(traj, obj, 1.0, n_samples=300, seed=8)))
-        r2 = json.dumps(report_to_dict(certify(traj, obj, 1.0, n_samples=300, seed=8)))
+        r1 = json.dumps(report_to_dict(certify(traj, obj, n_samples=300, seed=8)))
+        r2 = json.dumps(report_to_dict(certify(traj, obj, n_samples=300, seed=8)))
         assert r1 == r2
 
     def test_channel_run_certifies(self, channel_run):
         obj, traj = channel_run
-        report = certify(traj, obj, 1.0, n_samples=500, seed=4)
+        report = certify(traj, obj, n_samples=500, seed=4)
         assert report.certified
         assert report.a1.max < 1.0
         assert report.a2.min >= -1e-9
@@ -264,18 +288,45 @@ class TestCertify:
     def test_descent_soundness_link(self, channel_run):
         # a3 passing implies a non-increasing value sequence.
         obj, traj = channel_run
-        report = certify(traj, obj, 1.0, n_samples=50, seed=6)
+        report = certify(traj, obj, n_samples=50, seed=6)
         if report.a3_pass:
             assert np.all(np.diff(traj.values) <= 1e-9)
 
     def test_thresholds_recorded(self, channel_run):
         obj, traj = channel_run
-        report = certify(traj, obj, 1.0, n_samples=50, seed=7)
+        report = certify(traj, obj, n_samples=50, seed=7)
         assert report.a1_margin == 0.999
         assert report.a2_tolerance == 1e-9
         assert report.samples == 50
         assert report.seed == 7
         assert report.bound_t0 == len(traj.states) - 1
+
+
+class TestCertifyGamma:
+    @pytest.fixture(scope="class")
+    def small_gamma_run(self):
+        obj = ChannelObjective(ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05)))
+        opts = QabOptions(
+            initial=np.diag([0.3, 0.7]), gamma=0.2, max_iters=100, divergence_stop=1e-10
+        )
+        return obj, qab_run(obj, opts)
+
+    def test_certifies_at_the_runs_own_gamma(self, small_gamma_run):
+        # Certified at a caller-chosen gamma = inf, this run passed, although
+        # at its own gamma 0.2 the (a1) max is about 2194 and the (a3) max 1.08.
+        obj, traj = small_gamma_run
+        with pytest.raises(TypeError):
+            certify(traj, obj, math.inf, n_samples=500)
+        report = certify(traj, obj, n_samples=500)
+        assert report.gamma == traj.gamma == 0.2
+        assert report.a1.max > 1000 and report.a3.max > 1.0
+        assert not report.a1_pass and not report.a3_pass and not report.certified
+
+    @pytest.mark.parametrize("gamma", [None, 0.0, -1.0, math.inf, math.nan])
+    def test_trajectory_gamma_must_be_positive_and_finite(self, small_gamma_run, gamma):
+        obj, traj = small_gamma_run
+        with pytest.raises(ValueError, match="gamma"):
+            certify(replace(traj, gamma=gamma), obj, n_samples=50)
 
 
 class TestFailClosed:
@@ -290,17 +341,17 @@ class TestFailClosed:
         obj, traj = moved_run
         traj.states[3] = np.diag([1.2, -0.2])
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            certify(traj, obj, 1.0, n_samples=200)
+            certify(traj, obj, n_samples=200)
 
     def test_non_finite_divergence_fails_its_check(self, moved_run):
         # A floored iterate gives D = inf; dom / inf must not pass as a ratio of 0.
         obj, traj = moved_run
         traj.step_kl[2] = np.inf
         traj.step_domega[2] = 5.0
-        a3 = check_a3(traj, 1.0)
+        a3 = check_a3(traj)
         assert np.isnan(a3.min) and np.isnan(a3.max)
         assert (a3.arg_min, a3.arg_max) == (2, 2)
-        report = certify(traj, obj, 1.0, n_samples=200)
+        report = certify(traj, obj, n_samples=200)
         assert not report.a3_pass and not report.certified
         assert report.a2_pass
 
@@ -308,9 +359,9 @@ class TestFailClosed:
     def test_non_finite_ratio_fails_its_check(self, moved_run, num):
         obj, traj = moved_run
         traj.step_domega[4] = num
-        a3 = check_a3(traj, 1.0)
+        a3 = check_a3(traj)
         assert np.isnan(a3.max) and a3.arg_max == 4
-        assert not certify(traj, obj, 1.0, n_samples=50).a3_pass
+        assert not certify(traj, obj, n_samples=50).a3_pass
         # (a2) passes on its minimum, which a +inf ratio would leave untouched.
         scan = _scan([0.5, num, 0.2], [1.0, 1.0, 1.0])
         assert np.isnan(scan.min) and scan.arg_min == 1

@@ -24,21 +24,6 @@ def paper_pair(p=0.05):
     return ChannelPair(dephasing_choi(0.4), depolarizing_choi(p))
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """List that gains one entry per np.linalg.eigh / eigvalsh call."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def constrained_setup(k):
     """A full-rank initial state and the family of its first k Pauli expectations."""
     initial = random_density(2, 11)
@@ -181,8 +166,8 @@ class TestQabRun:
             assert np.max(np.abs(nxt - floor_state(f3_map(cur, obj, 1.0)))) <= 1e-12
 
     def test_unconstrained_step_decomposes_at_most_four_matrices(self, eig_calls):
-        # log rho_t and D(rho_{t+1} || rho_t) reuse known spectra; omega takes
-        # three decompositions (rho, S_N, S_M) and the Gibbs update one.
+        # omega, log rho_t and D(rho_{t+1} || rho_t) reuse known spectra; omega
+        # takes two decompositions (S_N, S_M) and the Gibbs update one.
         obj = ChannelObjective(paper_pair())
         opts = {n: QabOptions(initial=random_density(2, 9), max_iters=n) for n in (10, 30)}
         counts = {}
@@ -191,12 +176,12 @@ class TestQabRun:
             traj = qab_run(obj, o)
             assert len(traj.states) == n + 1
             counts[n] = len(eig_calls)
-        assert counts[30] - counts[10] <= 4 * 20
-        assert counts[10] <= 4 * 10 + 5
+        assert counts[30] - counts[10] <= 3 * 20
+        assert counts[10] <= 3 * 10 + 5
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_constrained_step_decomposes_at_most_four_plus_k_matrices(self, eig_calls, k):
-        # omega takes three decompositions; the e-projection takes one per tau
+        # omega takes two decompositions; the e-projection takes one per tau
         # it visits (the warm start and one per Newton step), and its
         # spectrum is floored as it is.  The bound leaves room for k more.
         initial, fam = constrained_setup(k)
@@ -209,7 +194,7 @@ class TestQabRun:
             assert len(traj.states) == n + 1
             counts[n] = len(eig_calls)
             newton[n] = sum(sol.iterations for sol in traj.tau_history)
-        assert counts[30] - counts[10] <= (4 + k) * 20 + newton[30] - newton[10]
+        assert counts[30] - counts[10] <= (3 + k) * 20 + newton[30] - newton[10]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_feasibility_checked_once_per_constrained_run(self, monkeypatch, k):
@@ -235,6 +220,11 @@ class TestQabRun:
             QabOptions(initial=random_state(rng, 2), gamma=0.0)
         with pytest.raises(ValueError):
             QabOptions(initial=np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, rng, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            QabOptions(initial=random_state(rng, 2), gamma=gamma)
 
 
 @pytest.fixture(scope="module")

@@ -106,7 +106,7 @@ def test_report_round_trip(tmp_path):
     pair = ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05))
     obj = ChannelObjective(pair)
     traj = qab_run(obj, QabOptions(initial=random_density(2, 3), max_iters=20))
-    report = certify(traj, obj, 1.0, n_samples=50, seed=13)
+    report = certify(traj, obj, n_samples=50, seed=13)
     path = tmp_path / "report.json"
     save_report(path, report)
     back = load_report(path)
@@ -141,7 +141,7 @@ def test_non_finite_values_are_strict_json_and_round_trip(tmp_path):
     traj.step_kl[2] = np.inf
     traj.step_domega[2] = 5.0
     traj.values[0] = -np.inf
-    report = certify(traj, obj, 1.0, n_samples=200)
+    report = certify(traj, obj, n_samples=200)
     assert math.isnan(report.a3.min) and math.isnan(report.a3.max)
 
     traj_path, report_path = tmp_path / "traj.json", tmp_path / "report.json"

@@ -1,15 +1,21 @@
 """Command-line interface reproducing the channel-divergence experiments.
 
 Commands: ``sweep`` (divergence vs. depolarizing parameter with per-point
-certification), ``solve`` (one channel pair), ``certify`` (certification of
-a stored or freshly computed trajectory), ``energy`` (energy-constrained
-run, per-iteration trace) and ``oracle-compare`` (solver vs. the two
-independent oracles).
+certification), ``solve`` (one channel pair, the one-point path of
+``sweep``), ``certify`` (certification of a stored or freshly computed
+trajectory), ``energy`` (energy-constrained run, per-iteration trace) and
+``oracle-compare`` (solver vs. the two independent oracles).
 
-Exit codes: 0 success (and, for ``certify``, all conditions passed),
-1 numeric or certification failure, 2 usage error.  Identical configs
-produce byte-identical output files; every output embeds the resolved
-config and the library version.
+Each command takes only the settings it reads (``COMMANDS`` lists them),
+as flags or as ``--config`` JSON keys; flags win.  Outputs echo the whole
+resolved ``RunConfig`` and the library version; identical configs produce
+byte-identical output files.
+
+Exit codes: 0 success (for ``certify``: all conditions passed), 1 a numeric
+or certification failure, 2 any input error, reported as one ``error:``
+line: a flag or config key the command does not read, a wrong-typed or
+out-of-range value, a missing or malformed input file, an unwritable output
+path, or dimensions that disagree.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,20 +36,19 @@ from .channel_re import (
     ChannelObjective,
     ChannelPair,
     OracleInapplicableError,
+    SolveResult,
     SupportViolationError,
     bell_diagonal_oracle,
     brute_force_oracle,
     solve_energy_constrained,
-    solve_unconstrained,
 )
 from .linalg import hermitize
-from .mixture import InfeasibleFamilyError, MixtureFamily
-from .qab_core import IterationError, QabOptions, qab_run
+from .mixture import MixtureFamily
+from .qab_core import IterationError, QabOptions
 from .quantum import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    ChoiMatrix,
     choi_from_kraus,
     dephasing_choi,
     depolarizing_choi,
@@ -57,9 +63,11 @@ from .serialize import (
     save_trajectory,
 )
 
-__all__ = ["main", "RunConfig", "UsageError"]
+__all__ = ["COMMANDS", "main", "RunConfig", "UsageError"]
 
 _BUILTIN_MATRICES = {"sigma-x": PAULI_X, "sigma-y": PAULI_Y, "sigma-z": PAULI_Z}
+_FAMILIES = {"dephasing": dephasing_choi, "depolarizing": depolarizing_choi}
+_UNCONSTRAINED = MixtureFamily(observables=(), targets=())
 
 SWEEP_COLUMNS = (
     "p",
@@ -145,73 +153,107 @@ class RunConfig:
     def log_scale(self) -> float:
         return 1.0 if self.log_base == "e" else math.log(2.0)
 
-    @property
-    def stop(self):
-        return None if self.stop_kl == 0 else self.stop_kl
+
+# The type each setting's flag converts to (str for the constraint list); a
+# config file value must have that type, or be an int where it is a float.
+_KINDS = {
+    f.name: {float: float, int: int}.get(type(f.default), str)
+    for f in dataclasses.fields(RunConfig)
+}
+_FLAG_NAMES = {"iterations": "--iters", "constraints": "--constraint"}
+_FLAG_OPTIONS = {
+    "log_base": {"choices": ("e", "2")},
+    "constraints": {
+        "action": "append",
+        "help": "repeatable 'matrix-file=target' (builtins: sigma-x, sigma-y, sigma-z)",
+    },
+}
 
 
-def _derive_seed(*keys) -> int:
-    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1, np.uint64)[0])
-
-
-def _parse_channel(spec: str, parameter: float | None = None) -> ChoiMatrix:
-    """Resolve a channel source: builtin name[:param] or a channel file path."""
-    name, _, arg = spec.partition(":")
-    if name in ("dephasing", "depolarizing"):
-        if arg == "" and parameter is None:
-            raise UsageError(f"channel '{spec}' needs a parameter (e.g. {name}:0.4)")
-        value = parameter if arg == "" else float(arg)
-        try:
-            return dephasing_choi(value) if name == "dephasing" else depolarizing_choi(value)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if spec == "identity":
-        return choi_from_kraus([np.eye(2)])
-    path = Path(spec)
-    if path.exists():
-        return load_channel(path)
-    raise UsageError(f"unknown channel source {spec!r} (not a builtin, not a file)")
-
-
-def _channel_pair(cfg: RunConfig, p: float | None = None) -> ChannelPair:
-    """The configured pair; ``p`` parameterizes a parameterless channel-m."""
-    return ChannelPair(
-        choi_n=_parse_channel(cfg.channel_n), choi_m=_parse_channel(cfg.channel_m, parameter=p)
-    )
-
-
-def _parse_constraint(entry: str):
-    source, sep, target = entry.rpartition("=")
-    if not sep or not source:
-        raise UsageError(f"constraint {entry!r} must look like matrix-file=target")
+def _read(kind: str, path: str, load: Callable):
+    """``load(path)``, with a missing or malformed file as a UsageError."""
+    if not Path(path).exists():
+        raise UsageError(f"{kind} file {path!r} does not exist")
     try:
-        value = float(target)
+        return load(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise UsageError(f"{kind} file {path!r} is malformed: {exc!r}") from exc
+
+
+def _load_matrix(path: str) -> np.ndarray:
+    doc = json.loads(Path(path).read_text())
+    return hermitize(pairs_to_complex_matrix(doc["matrix"] if isinstance(doc, dict) else doc))
+
+
+def _channel(spec: str, p: float = math.nan) -> tuple:
+    """(p, Choi matrix) of a channel source.
+
+    A builtin is ``dephasing:p`` or ``depolarizing:p`` (a bare name takes
+    the given ``p``) or ``identity``; any other source is a channel file.
+    p stays NaN unless the channel is a parameterized builtin.
+    """
+    name, sep, arg = spec.partition(":")
+    if name in _FAMILIES:
+        if not sep and math.isnan(p):
+            raise UsageError(f"channel '{spec}' needs a parameter (e.g. {name}:0.4)")
+        try:
+            p = float(arg) if sep else p
+            return p, _FAMILIES[name](p)
+        except ValueError as exc:  # not a number, or outside [0, 1]
+            raise UsageError(f"channel {spec!r}: {exc}") from exc
+    if spec == "identity":
+        return p, choi_from_kraus([np.eye(2)])
+    return p, _read("channel", spec, load_channel)
+
+
+def _pairs(cfg: RunConfig) -> list:
+    """Every (p, pair) the command runs, built and checked before any solve.
+
+    A command that reads the p grid takes the builtin channel-m at each grid
+    point; the others take channel-m as given.
+    """
+    _, choi_n = _channel(cfg.channel_n)
+    if "p_steps" in COMMANDS[cfg.command].fields:
+        if cfg.channel_m not in _FAMILIES:
+            raise UsageError(
+                f"{cfg.command} needs a parameterless builtin channel-m (got {cfg.channel_m!r})"
+            )
+        grid = [cfg.p_min] if cfg.p_steps == 1 else np.linspace(cfg.p_min, cfg.p_max, cfg.p_steps)
+        points = [_channel(cfg.channel_m, float(p)) for p in grid]
+    else:
+        points = [_channel(cfg.channel_m)]
+    try:
+        return [(p, ChannelPair(choi_n=choi_n, choi_m=choi_m)) for p, choi_m in points]
     except ValueError as exc:
-        raise UsageError(f"constraint target {target!r} is not a number") from exc
-    if source in _BUILTIN_MATRICES:
-        return _BUILTIN_MATRICES[source], value
-    path = Path(source)
-    if not path.exists():
-        raise UsageError(f"constraint matrix file {source!r} does not exist")
-    doc = json.loads(path.read_text())
-    rows = doc["matrix"] if isinstance(doc, dict) else doc
-    return hermitize(pairs_to_complex_matrix(rows)), value
+        raise UsageError(f"channel-n and channel-m do not match: {exc}") from exc
 
 
-def _build_family(cfg: RunConfig) -> MixtureFamily:
+def _build_family(cfg: RunConfig, dim_a: int) -> MixtureFamily:
     obs, targets = [], []
     if cfg.constraints_file:
-        fam = load_constraints(cfg.constraints_file)
+        fam = _read("constraints", cfg.constraints_file, load_constraints)
         obs.extend(fam.observables)
         targets.extend(fam.targets)
     for entry in cfg.constraints or []:
-        h, c = _parse_constraint(entry)
-        obs.append(h)
-        targets.append(c)
+        source, sep, target = entry.rpartition("=")
+        if not sep or not source:
+            raise UsageError(f"constraint {entry!r} must look like matrix-file=target")
+        try:
+            targets.append(float(target))
+        except ValueError as exc:
+            raise UsageError(f"constraint target {target!r} is not a number") from exc
+        matrix = _BUILTIN_MATRICES.get(source)
+        obs.append(_read("constraint matrix", source, _load_matrix) if matrix is None else matrix)
     try:
-        return MixtureFamily(observables=tuple(obs), targets=tuple(targets))
+        family = MixtureFamily(observables=tuple(obs), targets=tuple(targets))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if family.size and family.dim != dim_a:
+        raise UsageError(
+            f"constraint observables are {family.dim}x{family.dim}, "
+            f"but the channels' input dimension is {dim_a}"
+        )
+    return family
 
 
 def _fmt(x) -> str:
@@ -228,168 +270,136 @@ def _config_values(cfg: RunConfig) -> dict:
     return {k: ";".join(v) if isinstance(v, list) else v for k, v in values.items()}
 
 
-def _config_header(cfg: RunConfig) -> list:
+def _table(cfg: RunConfig, columns, rows) -> tuple:
+    """(CSV text of ``rows`` under the config header, whether no row failed)."""
     lines = [f"# qabcert-version={__version__}"]
     for name, value in _config_values(cfg).items():
         lines.append(f"# {name}={'' if value is None else _fmt(value)}")
-    return lines
-
-
-def _write_csv(path: str, cfg: RunConfig, columns, rows) -> None:
-    lines = _config_header(cfg)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
+    ok = not any(str(row.get("status", "")).startswith("failed") for row in rows)
+    return "\n".join(lines) + "\n", ok
+
+
+def _write(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
-def _qab_options(cfg: RunConfig, pair: ChannelPair, index: int) -> QabOptions:
-    initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, index, 0]))
-    return QabOptions(
-        initial=initial,
-        gamma=cfg.gamma,
-        max_iters=cfg.iterations,
-        divergence_stop=cfg.stop,
-    )
+def _failed(cfg: RunConfig, error: Exception) -> tuple:
+    """The outcome of a single-run command whose run failed: no output, exit 1."""
+    print(f"{cfg.command} run failed: {error}", file=sys.stderr)
+    return None, False
 
 
-def _solve_point(cfg: RunConfig, pair: ChannelPair, index: int):
-    return solve_unconstrained(
-        pair,
-        _qab_options(cfg, pair, index),
-        n_samples=cfg.samples,
-        eps_max=cfg.eps_max,
-        cert_seed=_derive_seed(cfg.seed, index, 1),
-    )
+def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=_UNCONSTRAINED, traj=None):
+    """Solve and certify point ``index`` (or certify ``traj``): (result, status, error).
 
-
-def _sweep_row(cfg: RunConfig, p: float, index: int):
-    """Compute one grid row; returns (row, SolveResult or None)."""
-    scale = cfg.log_scale
-    row = {c: float("nan") for c in SWEEP_COLUMNS}
-    row.update(p=p, certified=False, iterations=0, status="ok")
+    The status is ``ok``, ``infinite`` (S_N leaks out of the support of S_M,
+    so the divergence is +inf) or ``failed:<error type>``; the result is
+    None and the error the exception unless the status is ``ok``.
+    """
+    seed = int(np.random.SeedSequence([cfg.seed, index, 1]).generate_state(1, np.uint64)[0])
     try:
-        pair = _channel_pair(cfg, p)
-    except UsageError:
-        raise
-    except Exception as exc:  # invalid parameter for this point
-        row["status"] = f"failed:{type(exc).__name__}"
-        return row, None
-    try:
-        row["oracle"] = bell_diagonal_oracle(pair) / scale
-    except OracleInapplicableError:
-        pass
-    try:
-        result = _solve_point(cfg, pair, index)
-    except SupportViolationError:
-        row["value"] = float("inf")
-        row["status"] = "infinite"
-        return row, None
+        if traj is None:
+            initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, index, 0]))
+            stop = None if cfg.stop_kl == 0 else cfg.stop_kl
+            opts = QabOptions(
+                initial, gamma=cfg.gamma, max_iters=cfg.iterations, divergence_stop=stop
+            )
+            result = solve_energy_constrained(
+                pair, family, opts, n_samples=cfg.samples, eps_max=cfg.eps_max, cert_seed=seed
+            )
+        else:
+            obj = ChannelObjective(pair)
+            report = certify(traj, obj, n_samples=cfg.samples, eps_max=cfg.eps_max, seed=seed)
+            result = SolveResult(value=obj.divergence(traj), trajectory=traj, report=report)
+    except SupportViolationError as exc:
+        return None, "infinite", exc
     except (IterationError, ValueError) as exc:
-        row["status"] = f"failed:{type(exc).__name__}"
-        return row, None
-    report = result.report
-    row.update(
-        value=result.value / scale,
-        a1_min=report.a1.min,
-        a1_max=report.a1.max,
-        a2_min=report.a2.min,
-        a2_max=report.a2.max,
-        a3_min=report.a3.min,
-        a3_max=report.a3.max,
-        certified=report.certified,
-        xme_bound=pair.dim_a * report.bound_value / scale,
-        iterations=len(result.trajectory.states) - 1,
-    )
-    if math.isfinite(row["oracle"]):
-        row["gap"] = abs(row["value"] - row["oracle"])
-    return row, result
+        return None, f"failed:{type(exc).__name__}", exc
+    return result, "ok", None
 
 
-def _grid(cfg: RunConfig) -> list:
-    """The p grid of a sweep over a parameterless builtin channel-m."""
-    if cfg.channel_m not in ("dephasing", "depolarizing"):
-        raise UsageError(
-            f"{cfg.command} needs a parameterless builtin channel-m (got {cfg.channel_m!r})"
+def _row(columns, p: float, status: str, **fields) -> dict:
+    """A result row: NaN columns but for ``p``, ``status`` and ``fields``."""
+    row = dict.fromkeys(columns, math.nan)
+    row.update(fields, p=p, status=status)
+    if status == "infinite":
+        row["value"] = math.inf
+    return row
+
+
+def cmd_sweep(cfg: RunConfig) -> tuple:
+    """``sweep`` over the p grid, and ``solve`` as its one-point path."""
+    scale = cfg.log_scale
+    rows = []
+    for index, (p, pair) in enumerate(_pairs(cfg)):
+        result, status, _ = _solve(cfg, pair, index)
+        row = _row(SWEEP_COLUMNS, p, status, certified=False, iterations=0)
+        try:
+            row["oracle"] = bell_diagonal_oracle(pair) / scale
+        except OracleInapplicableError:
+            pass
+        rows.append(row)
+        if result is None:
+            continue
+        if cfg.save_trajectory:
+            save_trajectory(cfg.save_trajectory, result.trajectory)
+        report = result.report
+        row.update(
+            value=result.value / scale,
+            a1_min=report.a1.min,
+            a1_max=report.a1.max,
+            a2_min=report.a2.min,
+            a2_max=report.a2.max,
+            a3_min=report.a3.min,
+            a3_max=report.a3.max,
+            certified=report.certified,
+            xme_bound=pair.dim_a * report.bound_value / scale,
+            iterations=len(result.trajectory.states) - 1,
         )
-    if cfg.p_steps == 1:
-        return [cfg.p_min]
-    return list(np.linspace(cfg.p_min, cfg.p_max, cfg.p_steps))
+        if math.isfinite(row["oracle"]):
+            row["gap"] = abs(row["value"] - row["oracle"])
+    return _table(cfg, SWEEP_COLUMNS, rows)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
-    _parse_channel(cfg.channel_n)  # validate before computing
-    rows = [_sweep_row(cfg, float(p), index)[0] for index, p in enumerate(grid)]
-    _write_csv(cfg.out or "sweep.csv", cfg, SWEEP_COLUMNS, rows)
-    return 1 if any(str(r["status"]).startswith("failed") for r in rows) else 0
-
-
-def cmd_solve(cfg: RunConfig) -> int:
-    _channel_pair(cfg)  # validate before computing
-    _, _, arg = cfg.channel_m.partition(":")
-    p = float(arg) if arg else float("nan")
-    row, result = _sweep_row(cfg, p, 0)
-    if result is not None and cfg.save_trajectory:
-        save_trajectory(cfg.save_trajectory, result.trajectory)
-    _write_csv(cfg.out or "solve.csv", cfg, SWEEP_COLUMNS, [row])
-    return 1 if str(row["status"]).startswith("failed") else 0
-
-
-def cmd_certify(cfg: RunConfig) -> int:
-    pair = _channel_pair(cfg)
-    obj = ChannelObjective(pair)
+def cmd_certify(cfg: RunConfig) -> tuple:
+    [(_, pair)] = _pairs(cfg)
+    traj = None
     if cfg.trajectory:
-        path = Path(cfg.trajectory)
-        if not path.exists():
-            raise UsageError(f"trajectory file {cfg.trajectory!r} does not exist")
-        traj = load_trajectory(path)
-        if not traj.states:
-            raise UsageError("trajectory file does not contain state dumps")
+        traj = _read("trajectory", cfg.trajectory, load_trajectory)
+        if len(traj.states) < 2:
+            raise UsageError("trajectory file holds fewer than two state dumps")
         if traj.gamma != cfg.gamma:
             made_with = "no recorded gamma" if traj.gamma is None else f"gamma={traj.gamma}"
             raise UsageError(
                 f"trajectory file was made with {made_with}, but --gamma is {cfg.gamma}"
             )
-    else:
-        traj = qab_run(obj, _qab_options(cfg, pair, 0))
-    report = certify(
-        traj, obj, n_samples=cfg.samples, eps_max=cfg.eps_max, seed=_derive_seed(cfg.seed, 0, 1)
-    )
+        if any(state.shape != (pair.dim_a, pair.dim_a) for state in traj.states):
+            raise UsageError(f"trajectory states do not match the input dimension {pair.dim_a}")
+    result, _, error = _solve(cfg, pair, 0, traj=traj)
+    if result is None:
+        return _failed(cfg, error)
     doc = {
         "version": __version__,
         "config": _config_values(cfg),
-        "report": report_to_dict(report),
+        "report": report_to_dict(result.report),
     }
-    text = json.dumps(doc, indent=1, allow_nan=False)
-    if cfg.out and cfg.out != "-":
-        Path(cfg.out).write_text(text)
-    else:
-        sys.stdout.write(text + "\n")
-    return 0 if report.certified else 1
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n", result.report.certified
 
 
-def cmd_energy(cfg: RunConfig) -> int:
-    pair = _channel_pair(cfg)
+def cmd_energy(cfg: RunConfig) -> tuple:
+    [(_, pair)] = _pairs(cfg)
     if cfg.constraints is None and not cfg.constraints_file:
         cfg.constraints = ["sigma-z=-0.25"]
-    family = _build_family(cfg)
-    try:
-        result = solve_energy_constrained(
-            pair,
-            family,
-            _qab_options(cfg, pair, 0),
-            n_samples=cfg.samples,
-            eps_max=cfg.eps_max,
-            cert_seed=_derive_seed(cfg.seed, 0, 1),
-        )
-    except (InfeasibleFamilyError, IterationError) as exc:
-        print(f"energy run failed: {exc}", file=sys.stderr)
-        return 1
+    family = _build_family(cfg, pair.dim_a)
+    result, _, error = _solve(cfg, pair, 0, family)
+    if result is None:
+        return _failed(cfg, error)
     traj = result.trajectory
     scale = cfg.log_scale
     columns = ["t", "objective", "divergence_estimate"] + [
@@ -406,94 +416,86 @@ def cmd_energy(cfg: RunConfig) -> int:
         for j, r in enumerate(resid):
             row[f"residual_{j}"] = float(r)
         rows.append(row)
-    _write_csv(cfg.out or "energy.csv", cfg, columns, rows)
-    return 0
+    return _table(cfg, columns, rows)
 
 
-def cmd_oracle_compare(cfg: RunConfig) -> int:
-    grid = _grid(cfg)
-    # The Bell oracle must apply to the whole sweep: check both channels now.
+def cmd_oracle_compare(cfg: RunConfig) -> tuple:
+    points = _pairs(cfg)
     try:
-        bell_diagonal_oracle(_channel_pair(cfg, grid[0]))
+        bell = [bell_diagonal_oracle(pair) for _, pair in points]
     except OracleInapplicableError as exc:
         raise UsageError(f"oracle-compare requires a Bell-diagonal pair: {exc}") from exc
-
     scale = cfg.log_scale
     rows = []
-    failed = False
-    for index, p in enumerate(grid):
-        pair = _channel_pair(cfg, float(p))
-        row = {c: float("nan") for c in ORACLE_COLUMNS}
-        row.update(p=float(p), status="ok")
-        row["bell_oracle"] = bell_diagonal_oracle(pair) / scale
-        try:
-            result = _solve_point(cfg, pair, index)
-            row["value"] = result.value / scale
-            brute, _ = brute_force_oracle(pair, cfg.grid_resolution)
-            row["brute_oracle"] = -brute / scale
-            row["gap_bell"] = abs(row["value"] - row["bell_oracle"])
-            row["gap_brute"] = abs(row["value"] - row["brute_oracle"])
-        except SupportViolationError:
-            row["value"] = float("inf")
-            row["status"] = "infinite"
-        except (IterationError, ValueError) as exc:
-            row["status"] = f"failed:{type(exc).__name__}"
-            failed = True
+    for index, ((p, pair), oracle) in enumerate(zip(points, bell)):
+        result, status, _ = _solve(cfg, pair, index)
+        row = _row(ORACLE_COLUMNS, p, status, bell_oracle=oracle / scale)
         rows.append(row)
-    _write_csv(cfg.out or "oracle_compare.csv", cfg, ORACLE_COLUMNS, rows)
-    return 1 if failed else 0
+        if result is None:
+            continue
+        row["value"] = result.value / scale
+        row["brute_oracle"] = -brute_force_oracle(pair, cfg.grid_resolution)[0] / scale
+        row["gap_bell"] = abs(row["value"] - row["bell_oracle"])
+        row["gap_brute"] = abs(row["value"] - row["brute_oracle"])
+    return _table(cfg, ORACLE_COLUMNS, rows)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file with RunConfig field names")
-    sub.add_argument("--channel-n", dest="channel_n")
-    sub.add_argument("--channel-m", dest="channel_m")
-    sub.add_argument("--p-min", dest="p_min", type=float)
-    sub.add_argument("--p-max", dest="p_max", type=float)
-    sub.add_argument("--p-steps", dest="p_steps", type=int)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--iters", dest="iterations", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--samples", type=int)
-    sub.add_argument("--eps-max", dest="eps_max", type=float)
-    sub.add_argument("--stop-kl", dest="stop_kl", type=float)
-    sub.add_argument("--log-base", dest="log_base", choices=("e", "2"))
-    sub.add_argument("--out")
-    sub.add_argument("--grid-resolution", dest="grid_resolution", type=int)
-    sub.add_argument(
-        "--constraint",
-        dest="constraints",
-        action="append",
-        help="repeatable 'matrix-file=target' (builtins: sigma-x, sigma-y, sigma-z)",
-    )
-    sub.add_argument("--constraints-file", dest="constraints_file")
-    sub.add_argument("--trajectory")
-    sub.add_argument("--save-trajectory", dest="save_trajectory")
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """A subcommand: its function, the RunConfig fields it reads, its defaults."""
+
+    run: Callable  # RunConfig -> (output text or None, whether it succeeded)
+    fields: tuple
+    out: str  # output path when --out is not given; "-" is stdout
+    channel_m: str = "depolarizing:0.05"
+
+
+_RUN = ("gamma", "iterations", "seed", "samples", "eps_max", "stop_kl")
+_SWEEP = ("channel_n", "channel_m", "p_min", "p_max", "p_steps", *_RUN, "log_base", "out")
+_PAIR = ("channel_n", "channel_m", *_RUN)
+
+COMMANDS = {
+    "sweep": Command(cmd_sweep, _SWEEP, "sweep.csv", channel_m="depolarizing"),
+    "solve": Command(cmd_sweep, (*_PAIR, "log_base", "out", "save_trajectory"), "solve.csv"),
+    "certify": Command(cmd_certify, (*_PAIR, "out", "trajectory"), "-"),
+    "energy": Command(
+        cmd_energy, (*_PAIR, "log_base", "out", "constraints", "constraints_file"), "energy.csv"
+    ),
+    "oracle-compare": Command(
+        cmd_oracle_compare, (*_SWEEP, "grid_resolution"), "oracle_compare.csv",
+        channel_m="depolarizing",
+    ),
+}
+
+
+def _config_value(key: str, value):
+    """A config file value, checked against the type its flag converts to."""
+    kind, many = _KINDS[key], key == "constraints"
+    items = value if many else [value]
+    valid = (int, float) if kind is float else kind
+    if not isinstance(items, list) or any(
+        isinstance(v, bool) or not isinstance(v, valid) for v in items
+    ):
+        of = "a list of " if many else ""
+        raise UsageError(f"config key {key!r} must be {of}{kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    doc = {}
+    command = COMMANDS[args.command]
+    cfg = RunConfig(command=args.command, channel_m=command.channel_m)
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file {args.config!r} does not exist")
-        doc = json.loads(path.read_text())
-        valid = {f.name for f in dataclasses.fields(RunConfig)}
+        doc = _read("config", args.config, lambda path: json.loads(Path(path).read_text()))
+        if not isinstance(doc, dict):
+            raise UsageError(f"config file {args.config!r} must hold a JSON object")
         for key, value in doc.items():
-            if key not in valid:
-                raise UsageError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
+            if key not in command.fields:
+                raise UsageError(f"config key {key!r} is not a setting of {args.command}")
+            setattr(cfg, key, _config_value(key, value))
+    for name in command.fields:
+        value = getattr(args, name)
         if value is not None:
-            setattr(cfg, field.name, value)
-    cfg.command = args.command
-    single_pair = cfg.command in ("solve", "certify", "energy")
-    if single_pair and args.channel_m is None and "channel_m" not in doc:
-        cfg.channel_m = "depolarizing:0.05"
-    if cfg.constraints is not None:
-        cfg.constraints = list(cfg.constraints)
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 
@@ -505,25 +507,20 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("sweep", cmd_sweep),
-        ("solve", cmd_solve),
-        ("certify", cmd_certify),
-        ("energy", cmd_energy),
-        ("oracle-compare", cmd_oracle_compare),
-    ):
+    for name, command in COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common_flags(sub)
-        sub.set_defaults(func=fn)
+        sub.add_argument("--config", help="JSON config file with this command's settings")
+        for field in command.fields:
+            flag = _FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
+            sub.add_argument(flag, dest=field, type=_KINDS[field], **_FLAG_OPTIONS.get(field, {}))
 
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
-        return args.func(cfg)
-    except UsageError as exc:
+        text, ok = COMMANDS[cfg.command].run(cfg)
+        if text is not None:
+            _write(cfg.out or COMMANDS[cfg.command].out, text)
+    except (UsageError, OSError) as exc:  # inputs are read by _read, so an OSError is a write
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return 0 if ok else 1

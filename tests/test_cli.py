@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qabcert.cli import main
-from qabcert.quantum import choi_from_kraus
-from qabcert.serialize import save_channel
+import qabcert
+from qabcert.cli import COMMANDS, RunConfig, main
+from qabcert.qab_core import Trajectory
+from qabcert.quantum import choi_from_kraus, depolarizing_choi
+from qabcert.serialize import complex_matrix_to_pairs, save_channel, save_trajectory
 
 
 def run(*argv):
@@ -257,3 +263,154 @@ class TestChannelFiles:
         )
         _, rows = data_rows(out)
         assert float(rows[0]["value"]) == pytest.approx(1.9715, abs=1e-3)
+
+
+def one_error_line(err: str, prefix: str = "error:") -> bool:
+    return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
+
+
+# Each case: files to write into tmp_path, then argv with "{tmp}" standing
+# for tmp_path.
+BAD_INPUTS = {
+    "channel-file-not-json": ({"c.json": "{not json"}, ["solve", "--channel-n", "{tmp}/c.json"]),
+    "channel-file-without-dim_a": (
+        {"c.json": json.dumps({"format": "choi", "dim_b": 2, "choi": []})},
+        ["solve", "--channel-n", "{tmp}/c.json"],
+    ),
+    "matrix-file-without-matrix": (
+        {"h.json": json.dumps({"rows": complex_matrix_to_pairs(np.eye(2))})},
+        ["energy", "--constraint", "{tmp}/h.json=0.1"],
+    ),
+    "constraints-file-without-target": (
+        {"f.json": json.dumps({"constraints": [{"matrix": complex_matrix_to_pairs(np.eye(2))}]})},
+        ["energy", "--constraints-file", "{tmp}/f.json"],
+    ),
+    "config-is-a-list": ({"cfg.json": "[1, 2]"}, ["solve", "--config", "{tmp}/cfg.json"]),
+    "trajectory-not-json": ({"t.json": "{not json"}, ["certify", "--trajectory", "{tmp}/t.json"]),
+    "trajectory-of-one-state": (
+        {"t.json": json.dumps({"gamma": 1.0, "values": [0.0], "step_kl": [], "step_domega": [],
+                               "states": [complex_matrix_to_pairs(np.eye(2) / 2)]})},
+        ["certify", "--trajectory", "{tmp}/t.json"],
+    ),
+    "channel-parameter-not-a-number": ({}, ["solve", "--channel-m", "depolarizing:abc"]),
+    "config-int-as-string": (
+        {"cfg.json": '{"samples": "100"}'},
+        ["solve", "--config", "{tmp}/cfg.json"],
+    ),
+    "config-float-as-bool": (
+        {"cfg.json": '{"gamma": true}'},
+        ["solve", "--config", "{tmp}/cfg.json"],
+    ),
+    "config-list-as-string": (
+        {"cfg.json": '{"constraints": "sigma-z=0.1"}'},
+        ["energy", "--config", "{tmp}/cfg.json"],
+    ),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exits_two_with_one_error_line(self, case, tmp_path, capsys):
+        files, argv = case
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        out = tmp_path / "out"
+        assert run(*argv, *FAST, "--out", str(out)) == 2
+        assert one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--save-trajectory"])
+    def test_unwritable_output_path(self, flag, tmp_path, capsys):
+        paths = {"--out": str(tmp_path / "row.csv"), flag: str(tmp_path / "no-dir" / "file")}
+        assert run("solve", *FAST, *[arg for item in paths.items() for arg in item]) == 2
+        assert one_error_line(capsys.readouterr().err)
+
+    def test_channel_file_with_colon_in_path(self, tmp_path):
+        path = tmp_path / "dep:0.05.json"
+        save_channel(path, depolarizing_choi(0.05))
+        out = tmp_path / "row.csv"
+        assert run("solve", "--channel-m", str(path), *FAST, "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert rows[0]["p"] == "nan"
+        assert float(rows[0]["value"]) == pytest.approx(1.9715, abs=1e-3)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_qutrit_channel_against_qubit_channel(self, command, tmp_path, capsys):
+        path = tmp_path / "qutrit.json"
+        save_channel(path, choi_from_kraus([np.eye(3)]))
+        out = tmp_path / "out"
+        assert run(command, "--channel-n", str(path), "--out", str(out)) == 2
+        assert one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_constraint_of_other_dimension(self, tmp_path, capsys):
+        path = tmp_path / "h3.json"
+        path.write_text(json.dumps({"matrix": complex_matrix_to_pairs(np.diag([1.0, 0.0, -1.0]))}))
+        out = tmp_path / "out.csv"
+        assert run("energy", "--constraint", f"{path}=0.1", *FAST, "--out", str(out)) == 2
+        assert "input dimension is 2" in capsys.readouterr().err
+
+    def test_trajectory_of_other_dimension(self, tmp_path, capsys):
+        path = tmp_path / "traj.json"
+        state = np.eye(3, dtype=complex) / 3
+        save_trajectory(path, Trajectory([state, state], [0.0, 0.0], [0.0], [0.0], gamma=1.0))
+        assert run("certify", "--trajectory", str(path), *FAST, "--out", "-") == 2
+        assert one_error_line(capsys.readouterr().err)
+
+
+class TestInfiniteDivergence:
+    @pytest.mark.parametrize("command", ["energy", "certify"])
+    def test_single_run_command_exits_one_naming_leaked_mass(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(command, "--channel-m", "depolarizing:0", *FAST, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert one_error_line(err, f"{command} run failed:") and "leaked mass" in err
+        assert not out.exists()
+
+    def test_solve_reports_infinite_row(self, tmp_path):
+        out = tmp_path / "row.csv"
+        assert run("solve", "--channel-m", "depolarizing:0", *FAST, "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert rows[0]["status"] == "infinite"
+        assert float(rows[0]["value"]) == math.inf
+
+
+class TestUnreadSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--constraint", "sigma-z=-0.25"),
+            ("sweep", "--p-steps", "1", "--save-trajectory", "{tmp}/t.json"),
+        ],
+        ids=["solve-constraint", "sweep-save-trajectory"],
+    )
+    def test_flag_is_rejected(self, argv, tmp_path):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *FAST, "--out", str(tmp_path / "out.csv"))
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_key_is_rejected_naming_key_and_command(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constraints": ["sigma-z=-0.25"]}))
+        assert run("solve", "--config", str(cfg), *FAST, "--out", str(tmp_path / "row.csv")) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err) and "'constraints'" in err and "solve" in err
+
+    def test_each_setting_is_read_by_some_command(self):
+        settings = [name for command in COMMANDS.values() for name in command.fields]
+        assert set(settings) == set(vars(RunConfig())) - {"command"}
+        assert len(settings) == 60
+
+
+def test_module_entry_point_reports_usage_error(tmp_path):
+    src = str(Path(qabcert.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qabcert", "solve", "--channel-n", "missing.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 2
+    assert one_error_line(proc.stderr)

@@ -2,132 +2,17 @@
 
 __version__ = "0.1.0"
 
-from .certify import (
-    CertificationReport,
-    RatioStats,
-    certify,
-    check_a1,
-    check_a2,
-    check_a3,
-    stationarity_residual,
-    xme_bound,
-)
-from .channel_re import (
-    ChannelObjective,
-    ChannelPair,
-    OracleInapplicableError,
-    SolveResult,
-    SupportViolationError,
-    bell_diagonal_oracle,
-    brute_force_oracle,
-    objective_value,
-    omega,
-    omega1,
-    solve_energy_constrained,
-    solve_unconstrained,
-)
-from .linalg import (
-    DecompositionError,
-    MatrixDomainError,
-    Spectrum,
-    eigh,
-    hermitize,
-    kron,
-    matrix_exp,
-    matrix_fn,
-    matrix_inv_sqrt,
-    matrix_log,
-    matrix_sqrt,
-    partial_trace,
-    random_hermitian,
-)
-from .mixture import (
-    EProjectionError,
-    InfeasibleFamilyError,
-    MixtureFamily,
-    TauSolution,
-    e_project,
-    free_energy,
-    free_energy_gradient,
-)
-from .qab_core import (
-    IterationError,
-    Objective,
-    QabOptions,
-    Trajectory,
-    d_omega,
-    f3_map,
-    floor_state,
-    j_function,
-    qab_run,
-)
-from .quantum import (
-    ChoiMatrix,
-    choi_from_kraus,
-    dephasing_choi,
-    depolarizing_choi,
-    maximally_entangled,
-    random_density,
-    relative_entropy,
-    sandwich,
+from . import certify, channel_re, linalg, mixture, qab_core, quantum
+
+# Each module's ``__all__`` is the one list of its public names.  It is read
+# here before ``from .certify import *`` rebinds ``certify`` to the function.
+__all__ = sorted(
+    {name for m in (certify, channel_re, linalg, mixture, qab_core, quantum) for name in m.__all__}
 )
 
-__all__ = [
-    "CertificationReport",
-    "ChannelObjective",
-    "ChannelPair",
-    "ChoiMatrix",
-    "DecompositionError",
-    "EProjectionError",
-    "InfeasibleFamilyError",
-    "IterationError",
-    "MatrixDomainError",
-    "MixtureFamily",
-    "Objective",
-    "OracleInapplicableError",
-    "QabOptions",
-    "RatioStats",
-    "SolveResult",
-    "Spectrum",
-    "SupportViolationError",
-    "TauSolution",
-    "Trajectory",
-    "bell_diagonal_oracle",
-    "brute_force_oracle",
-    "certify",
-    "check_a1",
-    "check_a2",
-    "check_a3",
-    "choi_from_kraus",
-    "d_omega",
-    "dephasing_choi",
-    "depolarizing_choi",
-    "e_project",
-    "eigh",
-    "f3_map",
-    "floor_state",
-    "free_energy",
-    "free_energy_gradient",
-    "hermitize",
-    "j_function",
-    "kron",
-    "matrix_exp",
-    "matrix_fn",
-    "matrix_inv_sqrt",
-    "matrix_log",
-    "matrix_sqrt",
-    "maximally_entangled",
-    "objective_value",
-    "omega",
-    "omega1",
-    "partial_trace",
-    "qab_run",
-    "random_density",
-    "random_hermitian",
-    "relative_entropy",
-    "sandwich",
-    "solve_energy_constrained",
-    "solve_unconstrained",
-    "stationarity_residual",
-    "xme_bound",
-]
+from .certify import *  # noqa: E402, F403
+from .channel_re import *  # noqa: E402, F403
+from .linalg import *  # noqa: E402, F403
+from .mixture import *  # noqa: E402, F403
+from .qab_core import *  # noqa: E402, F403
+from .quantum import *  # noqa: E402, F403

@@ -97,32 +97,31 @@ class _NothingKept(ValueError):
     """Every divergence of a scan was at or below ``DIVERGENCE_SKIP_TOL``."""
 
 
-def _ratio_stats(nums, dens, indices, skipped) -> RatioStats:
-    """Extrema of nums[k] / dens[k] at step or sample ``indices[k]``.
+def _kept(dens) -> np.ndarray:
+    """Mask of divergences above ``DIVERGENCE_SKIP_TOL``, or NaN (kept, so it fails closed)."""
+    return ~(np.asarray(dens, dtype=float) <= DIVERGENCE_SKIP_TOL)
 
-    A non-finite divergence or ratio reads NaN: it fails every pass rule,
-    and arg_min / arg_max point at it.
+
+def _scan(nums, dens, kept=None) -> RatioStats:
+    """Extrema of nums[k] / dens[k] over the step or sample indices k in ``kept``.
+
+    ``kept`` defaults to ``_kept(dens)``; every other index is skipped.  A
+    non-finite divergence or ratio reads NaN: it fails every pass rule, and
+    arg_min / arg_max point at it.
     """
-    if len(indices) == 0:
-        raise _NothingKept(
-            "all pairs were skipped (divergences at or below "
-            f"{DIVERGENCE_SKIP_TOL}); the trajectory is already converged"
-        )
     nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
+    indices = np.nonzero(_kept(dens) if kept is None else kept)[0]
+    if indices.size == 0:
+        raise _NothingKept(
+            f"all pairs skipped (every divergence <= {DIVERGENCE_SKIP_TOL}): already converged"
+        )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = nums / dens
-    arr = np.where(np.isfinite(dens) & np.isfinite(ratios), ratios, np.nan)
+        ratios = nums[indices] / dens[indices]
+    arr = np.where(np.isfinite(dens[indices]) & np.isfinite(ratios), ratios, np.nan)
     i_min, i_max = int(np.argmin(arr)), int(np.argmax(arr))
     arg_min, arg_max = int(indices[i_min]), int(indices[i_max])
-    return RatioStats(float(arr[i_min]), float(arr[i_max]), len(indices), arg_min, arg_max, skipped)
-
-
-def _scan(nums, dens) -> RatioStats:
-    """Stats of nums[j] / dens[j], skipping divergences at or below ``DIVERGENCE_SKIP_TOL``."""
-    nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
-    # Written as "not <=" so that a NaN divergence is kept and shows in the stats.
-    kept = np.nonzero(~(dens <= DIVERGENCE_SKIP_TOL))[0]
-    return _ratio_stats(nums[kept], dens[kept], kept, dens.size - kept.size)
+    skipped = dens.size - indices.size
+    return RatioStats(float(arr[i_min]), float(arr[i_max]), indices.size, arg_min, arg_max, skipped)
 
 
 def check_a3(traj: Trajectory) -> RatioStats:
@@ -178,14 +177,14 @@ def check_a1(
 ) -> RatioStats:
     """Neighborhood ratios D_Omega(final || sigma) / D(final || sigma).
 
-    All ``n_samples`` first draws come as two blocks: the directions from
-    the stream keyed by ``(seed, 0)`` and the sizes from ``(seed, 1)``, one
-    row per sample.  A rejected sample (divergence at or below
-    ``DIVERGENCE_SKIP_TOL``, or a PSD repair that clips more than 10% of
-    trace mass) re-draws from its own stream keyed by ``(seed, 2, i)`` until
-    it has made ``MAX_RESAMPLE_ATTEMPTS`` draws in all, and is then skipped.
-    Sample i thus depends only on the seed and i: results are independent
-    of evaluation order and nested in ``n_samples``; omega reads the repaired spectra.
+    One loop draws, repairs and scores samples, at most ``MAX_RESAMPLE_ATTEMPTS``
+    times.  Attempt 0 draws all ``n_samples`` rows as two blocks: directions
+    from the stream keyed by ``(seed, 0)``, sizes from ``(seed, 1)``.  A sample
+    is rejected if ``_kept`` skips its divergence or its PSD repair clips more
+    than 10% of trace mass; each later attempt re-draws every rejected sample
+    i from its own stream keyed by ``(seed, 2, i)``.  A sample rejected at every
+    attempt is skipped.  Sample i thus depends only on the seed and i, so
+    results nest in ``n_samples``; omega reads the repaired spectra.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -193,32 +192,32 @@ def check_a1(
         raise ValueError("eps_max must be positive and finite")
     final = hermitize(final)
     base_seed = int(seed) & 0x7FFFFFFFFFFFFFFF
+    blocks = [np.random.default_rng([base_seed, k]) for k in (0, 1)]
+    w, v = np.empty((n_samples, len(final))), np.empty((n_samples, *final.shape), dtype=complex)
+    dens, accepted = np.full(n_samples, np.nan), np.zeros(n_samples, dtype=bool)
+    for attempt in range(MAX_RESAMPLE_ATTEMPTS):
+        rows = np.nonzero(~accepted)[0]
+        if rows.size == 0:
+            break
+        if attempt == 0:
+            raw = _draw_perturbations(final, *blocks, eps_max, n_samples)
+        else:
+            if attempt == 1:
+                redraws = {i: np.random.default_rng([base_seed, 2, i]) for i in rows}
+            raw = np.concatenate(
+                [_draw_perturbations(final, redraws[i], redraws[i], eps_max, 1) for i in rows]
+            )
+        # Repaired candidates are full rank, but their renormalized REPAIR_FLOOR sits
+        # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
+        repaired, heavy = _repair_candidates(raw)
+        den = relative_entropy(final, repaired, support_cutoff=0.0)
+        ok = ~heavy & _kept(den)
+        w[rows[ok]], v[rows[ok]] = repaired.eigenvalues[ok], repaired.eigenvectors[ok]
+        dens[rows[ok]], accepted[rows[ok]] = den[ok], True
 
-    directions, sizes = (np.random.default_rng([base_seed, k]) for k in (0, 1))
-    raw = _draw_perturbations(final, directions, sizes, eps_max, n_samples)
-    # Repaired candidates are full rank, but their renormalized REPAIR_FLOOR sits
-    # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
-    repaired, heavy = _repair_candidates(raw)
-    dens = relative_entropy(final, repaired, support_cutoff=0.0)
-    w, v = repaired.eigenvalues, repaired.eigenvectors  # a re-draw replaces row i
-    accepted = ~heavy & (dens > DIVERGENCE_SKIP_TOL)
-    for i in np.nonzero(~accepted)[0]:
-        rng = np.random.default_rng([base_seed, 2, i])
-        for _ in range(MAX_RESAMPLE_ATTEMPTS - 1):
-            cand, heavy_clip = _repair_candidates(_draw_perturbations(final, rng, rng, eps_max, 1))
-            if heavy_clip[0]:
-                continue
-            den = relative_entropy(final, cand, support_cutoff=0.0)[0]
-            if not den <= DIVERGENCE_SKIP_TOL:
-                w[i], v[i] = cand.eigenvalues[0], cand.eigenvectors[0]
-                dens[i], accepted[i] = den, True
-                break
-
-    indices = np.nonzero(accepted)[0]
-    if indices.size == 0:
-        raise ValueError("all neighborhood samples degenerated; nothing to certify")
-    nums = d_omega(final, Spectrum(w[indices], v[indices]), obj)
-    return _ratio_stats(nums, dens[indices], indices, n_samples - indices.size)
+    nums = np.full(n_samples, np.nan)
+    nums[accepted] = d_omega(final, Spectrum(w[accepted], v[accepted]), obj)
+    return _scan(nums, dens, accepted)
 
 
 def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int) -> float:
@@ -287,7 +286,7 @@ def certify(
         try:
             return check(traj, *args)
         except _NothingKept:
-            if not all(kl <= DIVERGENCE_SKIP_TOL for kl in traj.step_kl):
+            if _kept(traj.step_kl).any():
                 raise
             return RatioStats(0.0, 0.0, count=0, arg_min=-1, arg_max=-1, skipped=len(traj.step_kl))
 

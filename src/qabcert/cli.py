@@ -478,6 +478,8 @@ def _config_value(key: str, value):
     ):
         of = "a list of " if many else ""
         raise UsageError(f"config key {key!r} must be {of}{kind.__name__}, got {value!r}")
+    if kind is float and abs(value) > sys.float_info.max:
+        raise UsageError(f"config key {key!r} is beyond the range of a float")
     return float(value) if kind is float else value
 
 

@@ -205,4 +205,6 @@ def save_report(path, report: CertificationReport) -> None:
 
 
 def load_report(path) -> CertificationReport:
-    return report_from_dict(json.loads(Path(path).read_text()))
+    """Read a ``save_report`` file, or the ``report`` member of a ``certify --out`` document."""
+    doc = json.loads(Path(path).read_text())
+    return report_from_dict(doc.get("report", doc))

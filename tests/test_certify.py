@@ -154,6 +154,13 @@ class TestCheckA1:
         assert check_a1(near_pure, obj, 200, 1.0, seed=4) == first
         assert len(generators_built) == 2 * (redrawn + 2)
 
+    def test_every_sample_rejected_errors(self, channel_run):
+        # At eps_max 1e-9 every draw has D ~ 1e-18, below the skip tolerance,
+        # so each sample is rejected at all of its attempts.
+        obj, traj = channel_run
+        with pytest.raises(ValueError):
+            check_a1(traj.states[-1], obj, 5, 1e-9, seed=3)
+
     def test_validation(self, channel_run):
         obj, traj = channel_run
         with pytest.raises(ValueError):

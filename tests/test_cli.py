@@ -12,7 +12,7 @@ import qabcert
 from qabcert.cli import COMMANDS, RunConfig, main
 from qabcert.qab_core import Trajectory
 from qabcert.quantum import choi_from_kraus, depolarizing_choi
-from qabcert.serialize import complex_matrix_to_pairs, save_channel, save_trajectory
+from qabcert.serialize import complex_matrix_to_pairs, load_report, save_channel, save_trajectory
 
 
 def run(*argv):
@@ -193,6 +193,19 @@ class TestCertifyCommand:
         report = json.loads(out.read_text(), parse_constant=reject)["report"]
         assert report["a3"]["max"] == "NaN" and report["a3_pass"] is False
 
+    def test_report_file_loads_with_the_verdict_of_the_exit_code(self, saved_trajectory, tmp_path):
+        doc = json.loads(saved_trajectory.read_text())
+        doc["step_kl"][2] = "Infinity"  # fails (a3) closed
+        failing = tmp_path / "failing.json"
+        failing.write_text(json.dumps(doc))
+        codes = []
+        for traj in (saved_trajectory, failing):
+            out = tmp_path / "report.json"
+            codes.append(run("certify", "--channel-m", "depolarizing:0.05", *FAST,
+                             "--trajectory", str(traj), "--out", str(out)))
+            assert codes[-1] == (0 if load_report(out).certified else 1)
+        assert codes == [0, 1]
+
     def test_missing_trajectory_is_usage_error(self, tmp_path):
         assert (
             run("certify", "--trajectory", str(tmp_path / "none.json"), "--out", "-") == 2
@@ -304,6 +317,10 @@ BAD_INPUTS = {
     "config-list-as-string": (
         {"cfg.json": '{"constraints": "sigma-z=0.1"}'},
         ["energy", "--config", "{tmp}/cfg.json"],
+    ),
+    "config-int-beyond-float-range": (
+        {"cfg.json": '{"p_min": 1' + "0" * 400 + "}"},
+        ["sweep", "--config", "{tmp}/cfg.json"],
     ),
 }
 

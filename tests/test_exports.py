@@ -23,6 +23,14 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def test_package_exports_exactly_the_library_modules_names():
+    library = ["linalg", "quantum", "mixture", "qab_core", "certify", "channel_re"]
+    names = set()
+    for name in library:
+        names |= set(importlib.import_module(f"qabcert.{name}").__all__)
+    assert set(qabcert.__all__) == names
+
+
 def _tolerance_like(param: str) -> bool:
     return "tol" in param or "cutoff" in param or param in {"reg", "atol", "chunk", "floor"}
 

@@ -37,6 +37,7 @@ from .quantum import relative_entropy
 
 __all__ = [
     "CertificationReport",
+    "NothingKeptError",
     "RatioStats",
     "certify",
     "check_a1",
@@ -93,7 +94,7 @@ class CertificationReport:
     proxy_note: str
 
 
-class _NothingKept(ValueError):
+class NothingKeptError(ValueError):
     """Every divergence of a scan was at or below ``DIVERGENCE_SKIP_TOL``."""
 
 
@@ -112,7 +113,7 @@ def _scan(nums, dens, kept=None) -> RatioStats:
     nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
     indices = np.nonzero(_kept(dens) if kept is None else kept)[0]
     if indices.size == 0:
-        raise _NothingKept(
+        raise NothingKeptError(
             f"all pairs skipped (every divergence <= {DIVERGENCE_SKIP_TOL}): already converged"
         )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -285,7 +286,7 @@ def certify(
     def scan_or_fixed_point(check, *args):
         try:
             return check(traj, *args)
-        except _NothingKept:
+        except NothingKeptError:
             if _kept(traj.step_kl).any():
                 raise
             return RatioStats(0.0, 0.0, count=0, arg_min=-1, arg_max=-1, skipped=len(traj.step_kl))

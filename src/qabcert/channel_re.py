@@ -5,7 +5,8 @@ For channels given as Choi matrices ``Gamma_N``, ``Gamma_M`` (unnormalized,
 of ``D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M))``.  The module
 provides the omega map realizing that objective, unconstrained and
 energy-constrained solvers with a posteriori certification, and two
-independent oracles (closed-form Bell-diagonal and brute-force Bloch grid).
+independent oracles (closed-form Bell-diagonal, and a brute-force Bloch grid
+scored ray by ray without decomposing any grid state).
 
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
 divergence per Choi *state*, i.e. the full-scale objective divided by
@@ -25,8 +26,10 @@ import numpy as np
 from .certify import CertificationReport, certify
 from .linalg import (
     OUTSIDE_MASS_TOL,
+    SUPPORT_CUTOFF,
     Spectrum,
     _spectrum,
+    _support,
     eigh,
     hermitize,
     kron,
@@ -56,7 +59,6 @@ __all__ = [
 ]
 
 BELL_TOL = 1e-10
-_GRID_CHUNK = 100_000
 
 
 class SupportViolationError(ValueError):
@@ -240,23 +242,28 @@ def bell_diagonal_oracle(pair: ChannelPair) -> float:
     return float(total)
 
 
-def _bloch_states(r, theta, phi) -> np.ndarray:
-    nx = r * np.sin(theta) * np.cos(phi)
-    ny = r * np.sin(theta) * np.sin(phi)
-    nz = r * np.cos(theta)
-    out = np.zeros(np.shape(r) + (2, 2), dtype=complex)
-    out[..., 0, 0] = 1 + nz
-    out[..., 1, 1] = 1 - nz
-    out[..., 0, 1] = nx - 1j * ny
-    out[..., 1, 0] = nx + 1j * ny
-    return out / 2
+def _bloch_eigenvectors(theta, phi) -> np.ndarray:
+    """Columns (|-n>, |+n>) for the Bloch direction n(theta, phi): ascending eigenvalues."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    phase = np.exp(1j * phi)
+    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 0] = s, -phase * c
+    out[..., 0, 1], out[..., 1, 1] = c, phase * s
+    return out
 
 
 def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     """Minimize the full-scale objective over a Bloch-ball grid (qubits only).
 
     The grid has ``grid_resolution`` points per axis in radius [0, 1-1e-6],
-    polar and azimuthal angle; returns ``(value, argmin_state)``.
+    polar and azimuthal angle; returns ``(value, argmin_state)``, the first
+    minimizer with radius outermost.  Every state on the ray through
+    n(theta, phi) has the eigenvectors U = (|-n>, |+n>) and eigenvalues
+    lambda(r) = ((1-r)/2, (1+r)/2), and D(S_N || S_M) is invariant under the
+    joint rotation by U x I.  So each Choi matrix is rotated once per
+    direction, Gamma' = (U^dag x I) Gamma (U x I), and each radius scores one
+    batch D(Gamma'_N o dd^T || Gamma'_M o dd^T) with d = sqrt(lambda) x 1_B:
+    no grid state is built or decomposed.
     """
     if pair.dim_a != 2:
         raise OracleInapplicableError("brute-force oracle requires a qubit input space")
@@ -265,17 +272,21 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     rs = np.linspace(0.0, 1.0 - 1e-6, grid_resolution)
     thetas = np.linspace(0.0, np.pi, grid_resolution)
     phis = np.linspace(0.0, 2 * np.pi, grid_resolution, endpoint=False)
-    grid_r, grid_t, grid_p = np.meshgrid(rs, thetas, phis, indexing="ij")
-    grid_r, grid_t, grid_p = grid_r.ravel(), grid_t.ravel(), grid_p.ravel()
+    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
+    u = _bloch_eigenvectors(grid_t.ravel(), grid_p.ravel())
+    ux = kron(u, np.eye(pair.dim_b))
+    uxh = np.conj(np.swapaxes(ux, -1, -2))
+    rot_n, rot_m = (uxh @ choi.mat @ ux for choi in (pair.choi_n, pair.choi_m))
 
     best = np.inf
     best_state = None
-    for lo in range(0, grid_r.size, _GRID_CHUNK):
-        hi = min(lo + _GRID_CHUNK, grid_r.size)
-        rhos = _bloch_states(grid_r[lo:hi], grid_t[lo:hi], grid_p[lo:hi])
-        vals = objective_value(rhos, pair)
+    for r in rs:
+        lam = np.array([(1 - r) / 2, (1 + r) / 2])
+        d = np.repeat(_support(lam, SUPPORT_CUTOFF, np.sqrt)[2], pair.dim_b)
+        scale = np.outer(d, d)
+        vals = -relative_entropy(rot_n * scale, rot_m * scale)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])
-            best_state = rhos[i]
-    return best, hermitize(best_state)
+            best_state = Spectrum(lam, u[i]).matrix()
+    return best, best_state

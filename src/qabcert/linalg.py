@@ -194,12 +194,11 @@ def floor_spectrum(m: np.ndarray | Spectrum, floor: float) -> Spectrum:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product, broadcasting over leading (batch) axes."""
+    """Tensor product of (possibly rectangular) matrices, broadcasting over leading (batch) axes."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    da, db = a.shape[-1], b.shape[-1]
     out = np.einsum("...ij,...kl->...ikjl", a, b)
-    return out.reshape(out.shape[:-4] + (da * db, da * db))
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def partial_trace(m: np.ndarray, dim_a: int, dim_b: int, keep: str = "A") -> np.ndarray:

@@ -91,6 +91,12 @@ def load_channel(path) -> ChoiMatrix:
         return ChoiMatrix(mat=mat, dim_a=dim_a, dim_b=dim_b)
     if doc["format"] == "kraus":
         ops = [pairs_to_complex_matrix(k) for k in doc["kraus"]]
+        for i, k in enumerate(ops):
+            if k.shape != (dim_b, dim_a):
+                raise ValueError(
+                    f"Kraus operator {i} has shape {k.shape}, but dim_a={dim_a} and "
+                    f"dim_b={dim_b} need ({dim_b}, {dim_a})"
+                )
         return choi_from_kraus(ops)
     raise ValueError(f"unknown channel format {doc['format']!r}")
 

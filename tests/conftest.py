@@ -62,3 +62,16 @@ def random_state(rng, dim):
     rho = g @ np.conj(g.T)
     rho = rho / np.trace(rho).real
     return (rho + 1e-9 * np.eye(dim) / dim) / (1 + 1e-9)
+
+
+def random_kraus(seed, dim_a, dim_b, n_ops):
+    """``n_ops`` Kraus operators (dim_b x dim_a): the blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    shape = (n_ops * dim_b, dim_a)
+    w, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return np.split(w, n_ops)
+
+
+def isometry_kraus_2to3():
+    """Two 3x2 Kraus operators of a channel from a qubit to a qutrit."""
+    return random_kraus(7, 2, 3, 2)

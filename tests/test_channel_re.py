@@ -4,6 +4,7 @@ import pytest
 from qabcert import (
     ChannelObjective,
     ChannelPair,
+    ChoiMatrix,
     MixtureFamily,
     OracleInapplicableError,
     QabOptions,
@@ -21,7 +22,7 @@ from qabcert import (
 )
 from qabcert.quantum import PAULI_Z, random_density, relative_entropy, sandwich
 
-from conftest import random_state
+from conftest import isometry_kraus_2to3, random_kraus, random_state
 
 
 def paper_pair(p=0.05):
@@ -36,11 +37,14 @@ def closed_form(p, p_deph=0.4):
     )
 
 
-def amplitude_damping_pair(g=0.3):
+def amplitude_damping(g):
     k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(g)], [0, 0]], dtype=complex)
-    ad = choi_from_kraus([k0, k1])
-    return ChannelPair(ad, depolarizing_choi(0.3))
+    return choi_from_kraus([k0, k1])
+
+
+def amplitude_damping_pair(g=0.3):
+    return ChannelPair(amplitude_damping(g), depolarizing_choi(0.3))
 
 
 class TestOmega:
@@ -173,6 +177,64 @@ class TestBruteForceOracle:
         qutrit = choi_from_kraus([np.eye(3)])
         with pytest.raises(OracleInapplicableError):
             brute_force_oracle(ChannelPair(qutrit, qutrit), 5)
+
+
+def _bloch_states(r, theta, phi) -> np.ndarray:
+    nx = r * np.sin(theta) * np.cos(phi)
+    ny = r * np.sin(theta) * np.sin(phi)
+    nz = r * np.cos(theta)
+    out = np.zeros(np.shape(r) + (2, 2), dtype=complex)
+    out[..., 0, 0] = 1 + nz
+    out[..., 1, 1] = 1 - nz
+    out[..., 0, 1] = nx - 1j * ny
+    out[..., 1, 0] = nx + 1j * ny
+    return out / 2
+
+
+def grid_reference(pair, resolution):
+    """The oracle by its definition: objective_value on every Bloch grid state."""
+    rs = np.linspace(0.0, 1.0 - 1e-6, resolution)
+    thetas = np.linspace(0.0, np.pi, resolution)
+    phis = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
+    grid = [g.ravel() for g in np.meshgrid(rs, thetas, phis, indexing="ij")]
+    rhos = _bloch_states(*grid)
+    vals = objective_value(rhos, pair)
+    i = int(np.argmin(vals))
+    return float(vals[i]), rhos[i]
+
+
+def qubit_to_qutrit_pair():
+    iso = choi_from_kraus(isometry_kraus_2to3())
+    noisy = ChoiMatrix(0.7 * iso.mat + 0.1 * np.eye(6), dim_a=2, dim_b=3)
+    return ChannelPair(iso, noisy)
+
+
+GRID_PAIRS = {
+    "bell": lambda: paper_pair(0.05),
+    "ad-dep": amplitude_damping_pair,
+    "random-kraus": lambda: ChannelPair(
+        choi_from_kraus(random_kraus(3, 2, 2, 2)), choi_from_kraus(random_kraus(4, 2, 2, 4))
+    ),
+    "ad-ad-infinite": lambda: ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5)),
+    "qubit-to-qutrit": qubit_to_qutrit_pair,
+}
+
+
+class TestBruteForceOracleMatchesGridStates:
+    # An odd resolution puts no antipode -n on the grid, so a ray scored at
+    # the wrong end of its eigenbasis changes the minimum.
+    @pytest.mark.parametrize("resolution", [11, 12])
+    @pytest.mark.parametrize("make_pair", GRID_PAIRS.values(), ids=GRID_PAIRS.keys())
+    def test_value_and_argmin(self, make_pair, resolution):
+        pair = make_pair()
+        value, argmin = brute_force_oracle(pair, resolution)
+        ref_value, ref_argmin = grid_reference(pair, resolution)
+        if np.isinf(ref_value):
+            assert value == ref_value == -np.inf
+        else:
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+        assert np.max(np.abs(argmin - ref_argmin)) <= 1e-12
+        assert np.max(np.abs(argmin - np.conj(argmin.T))) == 0.0
 
 
 class TestSolveUnconstrained:

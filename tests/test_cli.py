@@ -14,6 +14,8 @@ from qabcert.qab_core import Trajectory
 from qabcert.quantum import choi_from_kraus, depolarizing_choi
 from qabcert.serialize import complex_matrix_to_pairs, load_report, save_channel, save_trajectory
 
+from conftest import isometry_kraus_2to3
+
 
 def run(*argv):
     return main(list(argv))
@@ -277,6 +279,33 @@ class TestChannelFiles:
         _, rows = data_rows(out)
         assert float(rows[0]["value"]) == pytest.approx(1.9715, abs=1e-3)
 
+    def test_kraus_file_with_more_outputs_than_inputs(self, tmp_path):
+        path = tmp_path / "k23.json"
+        path.write_text(json.dumps(kraus_doc(isometry_kraus_2to3(), dim_a=2, dim_b=3)))
+        out = tmp_path / "row.csv"
+        assert (
+            run("solve", "--channel-n", str(path), "--channel-m", str(path), *FAST,
+                "--out", str(out))
+            == 0
+        )
+        _, rows = data_rows(out)
+        assert rows[0]["status"] == "ok"
+        assert float(rows[0]["value"]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_kraus_file_with_wrong_dim_b(self, tmp_path, capsys):
+        path = tmp_path / "k23.json"
+        path.write_text(json.dumps(kraus_doc(isometry_kraus_2to3(), dim_a=2, dim_b=2)))
+        out = tmp_path / "row.csv"
+        assert run("solve", "--channel-n", str(path), *FAST, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err) and "dim_b=2" in err and "(3, 2)" in err
+        assert not out.exists()
+
+
+def kraus_doc(kraus, dim_a, dim_b) -> dict:
+    return {"format": "kraus", "dim_a": dim_a, "dim_b": dim_b,
+            "kraus": [complex_matrix_to_pairs(k) for k in kraus]}
+
 
 def one_error_line(err: str, prefix: str = "error:") -> bool:
     return err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err
@@ -374,6 +403,17 @@ class TestInputErrors:
         save_trajectory(path, Trajectory([state, state], [0.0, 0.0], [0.0], [0.0], gamma=1.0))
         assert run("certify", "--trajectory", str(path), *FAST, "--out", "-") == 2
         assert one_error_line(capsys.readouterr().err)
+
+
+class TestFailedRows:
+    def test_nothing_kept_status_names_a_public_error(self, tmp_path):
+        # With eps_max 1e-9 every (a1) draw has D ~ 1e-18, below the skip tolerance.
+        out = tmp_path / "row.csv"
+        argv = ("solve", "--channel-m", "depolarizing:0.05", "--eps-max", "1e-9", "--samples", "5")
+        assert run(*argv, "--out", str(out)) == 1
+        _, rows = data_rows(out)
+        assert rows[0]["status"] == "failed:NothingKeptError"
+        assert "NothingKeptError" in qabcert.__all__
 
 
 class TestInfiniteDivergence:

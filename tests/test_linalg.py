@@ -177,6 +177,12 @@ class TestKron:
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.allclose(kron(a, b), np.kron(a, b))
 
+    def test_rectangular_matches_numpy(self, rng):
+        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        assert np.allclose(kron(a, b), np.kron(a, b))
+        assert kron(np.eye(2), b).shape == (6, 4)
+
     def test_trace_multiplicativity(self, rng):
         a = hermitize(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         b = hermitize(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))

@@ -17,7 +17,7 @@ from qabcert import (
 )
 from qabcert.quantum import BELL_STATES, PAULI_X, PAULI_Y, PAULI_Z
 
-from conftest import random_state
+from conftest import isometry_kraus_2to3, random_state
 
 
 def bell_diag(choi):
@@ -148,6 +148,12 @@ class TestChoiFromKraus:
         p = 0.4
         kraus = [np.sqrt(p) * np.eye(2), np.sqrt(1 - p) * PAULI_Z]
         assert np.allclose(choi_from_kraus(kraus).mat, dephasing_choi(p).mat, atol=1e-12)
+
+    def test_rectangular_kraus_is_trace_preserving(self):
+        choi = choi_from_kraus(isometry_kraus_2to3())
+        assert (choi.dim_a, choi.dim_b) == (2, 3)
+        marg = partial_trace(choi.mat, 2, 3, keep="A")
+        assert np.max(np.abs(marg - np.eye(2))) < 1e-12
 
     def test_completeness_check(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,7 @@ class CertificationReport:
     samples: int
     seed: int
     eps_max: float
+    divergence_skip_tol: float
     a1: RatioStats
     a1_pass: bool
     a1_margin: float
@@ -303,6 +304,7 @@ def certify(
         samples=n_samples,
         seed=int(seed),
         eps_max=eps_max,
+        divergence_skip_tol=DIVERGENCE_SKIP_TOL,
         a1=a1,
         a1_pass=a1_pass,
         a1_margin=A1_MARGIN,

@@ -149,9 +149,13 @@ class ChannelObjective(Objective):
     def value(self, rho: np.ndarray):
         return objective_value(rho, self.pair) / self.pair.dim_a
 
+    def channel_scale(self, value: float) -> float:
+        """-dim_a * value, the channel divergence of an objective value; +0.0 for 0."""
+        return 0.0 - self.pair.dim_a * value
+
     def divergence(self, traj: Trajectory) -> float:
         """Channel relative entropy estimate from a trajectory: -dim_a * min G."""
-        return -self.pair.dim_a * min(traj.values)
+        return self.channel_scale(min(traj.values))
 
 
 @dataclass(frozen=True)
@@ -190,12 +194,8 @@ def solve_energy_constrained(
     If the supplied initial state violates the constraints it is replaced
     by its e-projection onto the family before the run starts.
     """
-    if constraints.size == 0:
-        return solve_unconstrained(
-            pair, opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
-        )
     initial = opts.initial
-    if np.max(np.abs(constraints.residuals(initial))) > CONSTRAINT_TOL:
+    if np.max(np.abs(constraints.residuals(initial)), initial=0.0) > CONSTRAINT_TOL:
         initial = e_project(matrix_log(initial), constraints)[0].matrix()
     run_opts = replace(opts, initial=initial, family=constraints)
     return solve_unconstrained(

@@ -67,7 +67,6 @@ __all__ = ["COMMANDS", "main", "RunConfig", "UsageError"]
 
 _BUILTIN_MATRICES = {"sigma-x": PAULI_X, "sigma-y": PAULI_Y, "sigma-z": PAULI_Z}
 _FAMILIES = {"dephasing": dephasing_choi, "depolarizing": depolarizing_choi}
-_UNCONSTRAINED = MixtureFamily(observables=(), targets=())
 
 SWEEP_COLUMNS = (
     "p",
@@ -295,7 +294,7 @@ def _failed(cfg: RunConfig, error: Exception) -> tuple:
     return None, False
 
 
-def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=_UNCONSTRAINED, traj=None):
+def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=MixtureFamily(), traj=None):
     """Solve and certify point ``index`` (or certify ``traj``): (result, status, error).
 
     The status is ``ok``, ``infinite`` (S_N leaks out of the support of S_M,
@@ -400,7 +399,7 @@ def cmd_energy(cfg: RunConfig) -> tuple:
     result, _, error = _solve(cfg, pair, 0, family)
     if result is None:
         return _failed(cfg, error)
-    traj = result.trajectory
+    traj, obj = result.trajectory, ChannelObjective(pair)
     scale = cfg.log_scale
     columns = ["t", "objective", "divergence_estimate"] + [
         f"residual_{j}" for j in range(family.size)
@@ -411,7 +410,7 @@ def cmd_energy(cfg: RunConfig) -> tuple:
         row = {
             "t": t,
             "objective": traj.values[t] / scale,
-            "divergence_estimate": -pair.dim_a * traj.values[t] / scale,
+            "divergence_estimate": obj.channel_scale(traj.values[t]) / scale,
         }
         for j, r in enumerate(resid):
             row[f"residual_{j}"] = float(r)

@@ -28,7 +28,9 @@ override it (the relative support rule itself is ``_support``):
 ``mixture.CONSTRAINT_TOL``       1e-8   constraint residual of an initial state
 ``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators
 ``channel_re.BELL_TOL``          1e-10  off-diagonal entry of a Bell-diagonal Choi matrix
-``certify.DIVERGENCE_SKIP_TOL``  1e-14  ``certify._kept`` skips (a1)-(a3) divergences at or below it
+``certify.DIVERGENCE_SKIP_TOL``  1e-14  ``certify._kept`` skips (a1)-(a3) divergences at or below it;
+                                        the report records it
+``certify.A2_TOLERANCE``         1e-9   most negative (a2) ratio that passes; the report records it
 ===============================  =====  ==============================================
 """
 

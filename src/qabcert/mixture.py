@@ -48,10 +48,10 @@ class EProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MixtureFamily:
-    """Linear expectation constraints Tr(rho H_j) = c_j on one system."""
+    """Linear expectation constraints Tr(rho H_j) = c_j; ``MixtureFamily()`` has none."""
 
-    observables: tuple
-    targets: tuple
+    observables: tuple = ()
+    targets: tuple = ()
 
     def __post_init__(self):
         obs = tuple(np.asarray(h, dtype=complex) for h in self.observables)
@@ -95,6 +95,9 @@ class TauSolution:
     tau: np.ndarray
     gradient_norm: float
     iterations: int
+
+
+_NO_TAU = TauSolution(np.zeros(0), 0.0, 0)
 
 
 def _evaluate(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray):
@@ -166,17 +169,18 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 2
     ``rho = C exp(base + sum tau_j H_j)``, which satisfies every constraint
     within ``TAU_TOL``.  ``tau0`` warm starts the solver from an earlier
     solve on the same family, so only a cold start checks that each target
-    lies in its observable's spectral range.  Damped
+    lies in its observable's spectral range.  The empty family returns
+    ``gibbs_spectrum(base)`` and one shared empty ``TauSolution``.  Damped
     Newton with the exact Hessian, Armijo backtracking (its accepted trial is
     the next iterate's evaluation), and a gradient-descent fallback when the
     Hessian is near-singular.
     """
     base = np.asarray(rho_log_domain, dtype=complex)
-    if not np.all(np.isfinite(base)):
+    if not np.isfinite(base).all():
         raise ValueError("log-domain matrix has non-finite entries")
     k = fam.size
     if k == 0:
-        return gibbs_spectrum(base), TauSolution(np.zeros(0), 0.0, 0)
+        return gibbs_spectrum(base), _NO_TAU
     if tau0 is None:
         _spectral_feasibility(fam)
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)

@@ -2,9 +2,9 @@
 
 An :class:`Objective` supplies a map ``omega(rho)`` returning a Hermitian
 matrix; the iteration minimizes ``G(rho) = Tr rho omega(rho)`` over density
-matrices (optionally restricted to a :class:`~qabcert.mixture.MixtureFamily`)
-by repeatedly applying ``rho -> exp(log rho - omega(rho)/gamma)``, trace
-normalized, followed by the e-projection when constraints are present.
+matrices (restricted to a :class:`~qabcert.mixture.MixtureFamily`, empty by
+default) by repeatedly applying ``rho -> exp(log rho - omega(rho)/gamma)``,
+trace normalized, through the e-projection onto the family.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .linalg import (
     Spectrum,
     eigh,
     floor_spectrum,
-    gibbs_spectrum,
     gibbs_state,
     hermitize,
     matrix_fn,
@@ -81,14 +80,17 @@ class QabOptions:
     initial: np.ndarray
     gamma: float = 1.0
     max_iters: int = 100
-    family: MixtureFamily | None = None
+    family: MixtureFamily = field(default_factory=MixtureFamily)
     divergence_stop: float | None = None
 
     def __post_init__(self):
+        self.gamma = float(self.gamma)  # the trajectory document records it as a float
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.family, MixtureFamily):
+            raise TypeError("family must be a MixtureFamily; MixtureFamily() has no constraints")
         self.initial = hermitize(self.initial)
         w = np.linalg.eigvalsh(self.initial)
         if w.min() < 1e-10:
@@ -159,24 +161,19 @@ def j_function(rho: np.ndarray, sigma: np.ndarray, obj: Objective, gamma: float)
 def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     """Run the iteration and record the trajectory.
 
-    With a family present each step e-projects the log-domain update onto
-    the constraints (warm starting tau from the previous step); otherwise
-    the bare trace-normalized update is used.  Iterate eigenvalues are
-    floored at ``STATE_FLOOR`` so the next logarithm stays finite.  Each
-    iterate is carried with its spectrum, so omega, log rho and the
-    per-step divergence need no further decomposition of it.
+    Each step e-projects the log-domain update onto ``opts.family``, warm
+    starting tau from the previous step; for the empty family that is the
+    bare trace-normalized update, and ``tau_history`` stays empty.  Iterate
+    eigenvalues are floored at ``STATE_FLOOR`` so the next logarithm stays
+    finite.  Each iterate is carried with its spectrum, so omega, log rho and
+    the per-step divergence need no further decomposition of it.
     """
     family = opts.family
-    constrained = family is not None and family.size > 0
     spec = floor_spectrum(opts.initial, STATE_FLOOR)
     rho = spec.matrix()
-    if constrained:
-        resid = family.residuals(rho)
-        if np.max(np.abs(resid)) > CONSTRAINT_TOL:
-            raise ValueError(
-                "initial state violates the constraint family "
-                f"(max residual {np.max(np.abs(resid)):.3e})"
-            )
+    resid = np.max(np.abs(family.residuals(rho)), initial=0.0)
+    if resid > CONSTRAINT_TOL:
+        raise ValueError(f"initial state violates the constraint family (max residual {resid:.3e})")
 
     traj = Trajectory(gamma=opts.gamma)
     omega_cur = obj.omega(spec)
@@ -187,14 +184,12 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     for t in range(opts.max_iters):
         log_domain = matrix_fn(spec, np.log) - omega_cur / opts.gamma
         try:
-            if constrained:
-                update, tau_sol = e_project(log_domain, family, tau0=tau_prev)
-                tau_prev = tau_sol.tau
-                traj.tau_history.append(tau_sol)
-            else:
-                update = gibbs_spectrum(log_domain)
+            update, tau_sol = e_project(log_domain, family, tau0=tau_prev)
         except EProjectionError as exc:
             raise IterationError(t + 1, exc) from exc
+        tau_prev = tau_sol.tau
+        if family.size:
+            traj.tau_history.append(tau_sol)
         spec_nxt = floor_spectrum(update, STATE_FLOOR)
         nxt = spec_nxt.matrix()
 

@@ -1,11 +1,12 @@
 """File formats: channels, constraint families, trajectories and reports.
 
-Complex matrices are encoded as nested arrays of ``[re, im]`` pairs.  All
-documents are strict JSON; floats survive a dump/load round trip
+Complex matrices are encoded as nested arrays of ``[re, im]`` pairs.  A
+trajectory or report document is its dataclass: one key per field, in field
+order, with every 2-D array (a state) written as pairs whatever its dtype.
+All documents are strict JSON; floats survive a dump/load round trip
 bit-exactly (Python renders them with shortest-repr), and a non-finite float
 is written as the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which
-``float`` reads back.  Report documents keep a stable key order so identical
-inputs produce identical bytes.
+``float`` reads back.  Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import DIVERGENCE_SKIP_TOL, CertificationReport, RatioStats
+from .certify import CertificationReport, RatioStats
 from .mixture import MixtureFamily, TauSolution
 from .qab_core import Trajectory
 from .quantum import ChoiMatrix, choi_from_kraus
@@ -47,11 +48,19 @@ def _encode_float(x) -> float | str:
     return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _encode_non_finite(obj):
-    """``obj`` with each float of its nested dicts passed through ``_encode_float``."""
-    if isinstance(obj, dict):
-        return {k: _encode_non_finite(v) for k, v in obj.items()}
-    return _encode_float(obj) if isinstance(obj, float) else obj
+def _encode(value):
+    """The document of ``value``: dataclasses, lists and arrays walked, floats encoded."""
+    if isinstance(value, float):
+        return _encode_float(value)
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            return complex_matrix_to_pairs(value)
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
 
 
 def _decode_non_finite(value):
@@ -120,29 +129,9 @@ def load_constraints(path) -> MixtureFamily:
     return MixtureFamily(observables=tuple(obs), targets=tuple(targets))
 
 
-def trajectory_to_dict(traj: Trajectory, include_states: bool = True) -> dict:
-    doc = {
-        "gamma": None if traj.gamma is None else _encode_float(traj.gamma),
-        "values": [_encode_float(v) for v in traj.values],
-        "step_kl": [_encode_float(v) for v in traj.step_kl],
-        "step_domega": [_encode_float(v) for v in traj.step_domega],
-        "tau_history": [
-            {
-                "tau": [_encode_float(t) for t in sol.tau],
-                "gradient_norm": _encode_float(sol.gradient_norm),
-                "iterations": int(sol.iterations),
-            }
-            for sol in traj.tau_history
-        ],
-    }
-    if include_states:
-        doc["states"] = [complex_matrix_to_pairs(s) for s in traj.states]
-    return doc
-
-
 def trajectory_from_dict(doc: dict) -> Trajectory:
     traj = Trajectory(
-        states=[pairs_to_complex_matrix(s) for s in doc.get("states", [])],
+        states=[pairs_to_complex_matrix(s) for s in doc["states"]],
         gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
         values=[float(v) for v in doc["values"]],
         step_kl=[float(v) for v in doc["step_kl"]],
@@ -156,13 +145,12 @@ def trajectory_from_dict(doc: dict) -> Trajectory:
             for entry in doc.get("tau_history", [])
         ],
     )
-    if traj.states:
-        traj.check_consistent()
+    traj.check_consistent()
     return traj
 
 
-def save_trajectory(path, traj: Trajectory, include_states: bool = True) -> None:
-    Path(path).write_text(json.dumps(trajectory_to_dict(traj, include_states), allow_nan=False))
+def save_trajectory(path, traj: Trajectory) -> None:
+    Path(path).write_text(json.dumps(_encode(traj), allow_nan=False))
 
 
 def load_trajectory(path) -> Trajectory:
@@ -170,32 +158,8 @@ def load_trajectory(path) -> Trajectory:
 
 
 def report_to_dict(report: CertificationReport) -> dict:
-    """Stable-key-order dict of a report, including every threshold and seed.
-
-    Non-finite floats (a failed-closed ratio reads NaN) are strings, so the
-    dict is strict JSON.
-    """
-    doc = {
-        "gamma": report.gamma,
-        "samples": report.samples,
-        "seed": report.seed,
-        "eps_max": report.eps_max,
-        "divergence_skip_tol": DIVERGENCE_SKIP_TOL,
-        "a1": dataclasses.asdict(report.a1),
-        "a1_pass": report.a1_pass,
-        "a1_margin": report.a1_margin,
-        "a2": dataclasses.asdict(report.a2),
-        "a2_pass": report.a2_pass,
-        "a2_tolerance": report.a2_tolerance,
-        "a3": dataclasses.asdict(report.a3),
-        "a3_pass": report.a3_pass,
-        "bound_value": report.bound_value,
-        "bound_t0": report.bound_t0,
-        "bound_certified": report.bound_certified,
-        "certified": report.certified,
-        "proxy_note": report.proxy_note,
-    }
-    return _encode_non_finite(doc)
+    """The report document, every threshold and seed included; strict JSON."""
+    return _encode(report)
 
 
 def report_from_dict(doc: dict) -> CertificationReport:

@@ -243,6 +243,23 @@ class TestEnergyCommand:
         assert len(rows) >= 2
 
 
+class TestEqualChannels:
+    # The objective of a channel against itself is +0.0; its divergence must not read -0.
+    ARGS = ("--channel-n", "dephasing:0.4", "--channel-m", "dephasing:0.4", "--samples", "20")
+
+    def test_solve_value_is_zero(self, tmp_path):
+        out = tmp_path / "row.csv"
+        assert run("solve", *self.ARGS, "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert rows[0]["value"] == "0"
+
+    def test_energy_estimate_is_zero(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert run("energy", *self.ARGS, "--iters", "3", "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert [row["divergence_estimate"] for row in rows] == ["0"] * len(rows)
+
+
 class TestOracleCompare:
     def test_bell_pair_rows(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -332,6 +349,11 @@ BAD_INPUTS = {
     "trajectory-of-one-state": (
         {"t.json": json.dumps({"gamma": 1.0, "values": [0.0], "step_kl": [], "step_domega": [],
                                "states": [complex_matrix_to_pairs(np.eye(2) / 2)]})},
+        ["certify", "--trajectory", "{tmp}/t.json"],
+    ),
+    "trajectory-without-states": (
+        {"t.json": json.dumps({"gamma": 1.0, "values": [0.0, 0.0], "step_kl": [0.0],
+                               "step_domega": [0.0], "tau_history": []})},
         ["certify", "--trajectory", "{tmp}/t.json"],
     ),
     "channel-parameter-not-a-number": ({}, ["solve", "--channel-m", "depolarizing:abc"]),

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -64,3 +65,19 @@ def test_no_tolerance_knobs_beyond_the_two_valued_ones():
         if _tolerance_like(param)
     }
     assert knobs == ALLOWED_KNOBS
+
+
+def test_constants_table_names_every_tolerance():
+    # The linalg docstring's table lists each support, floor and tolerance
+    # constant, qualified by its module outside linalg, with its value.
+    linalg = importlib.import_module("qabcert.linalg")
+    table = dict(re.findall(r"^``([\w.]+)``\s+(\S+)", linalg.__doc__, re.M))
+    pattern = r"^([A-Z0-9_]+_(?:TOL|TOLERANCE|CUTOFF|FLOOR)) = "
+    constants = {}
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for const in re.findall(pattern, inspect.getsource(module), re.M):
+            key = const if module is linalg else f"{name.split('.')[1]}.{const}"
+            constants[key] = getattr(module, const)
+    assert len(constants) >= 12
+    assert {key: float(table[key]) if key in table else None for key in constants} == constants

@@ -226,6 +226,11 @@ class TestQabRun:
         with pytest.raises(ValueError, match="gamma"):
             QabOptions(initial=random_state(rng, 2), gamma=gamma)
 
+    def test_family_defaults_to_the_empty_family(self, rng):
+        assert QabOptions(initial=random_state(rng, 2)).family.size == 0
+        with pytest.raises(TypeError, match="MixtureFamily"):
+            QabOptions(initial=random_state(rng, 2), family=None)
+
 
 @pytest.fixture(scope="module")
 def channel_traj():

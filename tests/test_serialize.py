@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from qabcert import (
     depolarizing_choi,
     qab_run,
 )
+from qabcert.qab_core import Trajectory
 from qabcert.quantum import PAULI_X, PAULI_Z, random_density
 from qabcert.serialize import (
     complex_matrix_to_pairs,
@@ -114,15 +116,61 @@ def test_report_round_trip(tmp_path):
     assert json.dumps(report_to_dict(back)) == json.dumps(report_to_dict(report))
 
 
-def test_trajectory_without_states(tmp_path):
+REPORT_KEYS = [
+    "gamma", "samples", "seed", "eps_max", "divergence_skip_tol",
+    "a1", "a1_pass", "a1_margin", "a2", "a2_pass", "a2_tolerance", "a3", "a3_pass",
+    "bound_value", "bound_t0", "bound_certified", "certified", "proxy_note",
+]  # fmt: skip
+
+
+def test_report_document_keys_and_order():
     pair = ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05))
     obj = ChannelObjective(pair)
-    traj = qab_run(obj, QabOptions(initial=random_density(2, 3), max_iters=5))
-    path = tmp_path / "slim.json"
-    save_trajectory(path, traj, include_states=False)
+    traj = qab_run(obj, QabOptions(initial=random_density(2, 3), max_iters=20))
+    doc = report_to_dict(certify(traj, obj, n_samples=50, seed=13))
+    assert list(doc) == REPORT_KEYS
+    assert doc["divergence_skip_tol"] == 1e-14
+    assert list(doc["a1"]) == ["min", "max", "count", "arg_min", "arg_max", "skipped"]
+
+
+def test_real_states_are_written_as_pairs(tmp_path):
+    states = [np.diag([0.25, 0.75]), np.eye(2) / 2]
+    traj = Trajectory(states, [-0.5, -0.25], [0.125], [0.0625], gamma=2.0)
+    path = tmp_path / "real.json"
+    save_trajectory(path, traj)
+    assert json.loads(path.read_text())["states"][0] == [[[0.25, 0.0], [0.0, 0.0]],
+                                                         [[0.0, 0.0], [0.75, 0.0]]]
     back = load_trajectory(path)
-    assert back.values == traj.values
-    assert back.states == []
+    for a, b in zip(back.states, states):
+        assert np.array_equal(a, b)
+
+
+def test_every_trajectory_field_is_saved_and_loaded(tmp_path):
+    fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
+    pair = ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05))
+    opts = QabOptions(initial=np.diag([0.375, 0.625]), gamma=2, max_iters=4, family=fam)
+    traj = qab_run(ChannelObjective(pair), opts)
+    path = tmp_path / "traj.json"
+    save_trajectory(path, traj)
+    names = [f.name for f in dataclasses.fields(Trajectory)]
+    assert list(json.loads(path.read_text())) == names
+    back = load_trajectory(path)
+    for name in names:
+        saved, loaded = getattr(traj, name), getattr(back, name)
+        if name == "states":
+            assert len(loaded) == len(saved) == 5
+            assert all(np.array_equal(a, b) for a, b in zip(loaded, saved))
+        elif name == "tau_history":
+            assert len(loaded) == len(saved) == 4
+            for a, b in zip(loaded, saved):
+                assert np.array_equal(a.tau, b.tau)
+                assert (a.gradient_norm, a.iterations) == (b.gradient_norm, b.iterations)
+        else:
+            assert loaded == saved
+    # An int gamma is recorded as a float, so a second dump is byte-identical.
+    path2 = tmp_path / "traj2.json"
+    save_trajectory(path2, back)
+    assert path2.read_text() == path.read_text()
 
 
 def strict_loads(text):

@@ -49,6 +49,7 @@ __all__ = [
 
 DIVERGENCE_SKIP_TOL = 1e-14
 A1_MARGIN = 0.999
+A1_ROUNDING_PROBES = 4
 A2_TOLERANCE = 1e-9
 MAX_RESAMPLE_ATTEMPTS = 100
 CLIP_MASS_FRACTION = 0.1
@@ -56,7 +57,10 @@ CLIP_MASS_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class RatioStats:
-    """Extrema of a ratio scan; arg_min / arg_max are step or sample indices."""
+    """Extrema of a ratio scan; arg_min / arg_max are step or sample indices.
+
+    ``skip_tol`` is the divergence at or below which the scan skipped an index.
+    """
 
     min: float
     max: float
@@ -64,6 +68,7 @@ class RatioStats:
     arg_min: int
     arg_max: int
     skipped: int = 0
+    skip_tol: float = DIVERGENCE_SKIP_TOL
 
 
 @dataclass(frozen=True)
@@ -96,26 +101,26 @@ class CertificationReport:
 
 
 class NothingKeptError(ValueError):
-    """Every divergence of a scan was at or below ``DIVERGENCE_SKIP_TOL``."""
+    """Every divergence of a scan was at or below its skip tolerance."""
 
 
-def _kept(dens) -> np.ndarray:
-    """Mask of divergences above ``DIVERGENCE_SKIP_TOL``, or NaN (kept, so it fails closed)."""
-    return ~(np.asarray(dens, dtype=float) <= DIVERGENCE_SKIP_TOL)
+def _kept(dens, skip_tol: float = DIVERGENCE_SKIP_TOL) -> np.ndarray:
+    """Mask of divergences above ``skip_tol``, or NaN (kept, so it fails closed)."""
+    return ~(np.asarray(dens, dtype=float) <= skip_tol)
 
 
-def _scan(nums, dens, kept=None) -> RatioStats:
+def _scan(nums, dens, kept=None, skip_tol: float = DIVERGENCE_SKIP_TOL) -> RatioStats:
     """Extrema of nums[k] / dens[k] over the step or sample indices k in ``kept``.
 
-    ``kept`` defaults to ``_kept(dens)``; every other index is skipped.  A
-    non-finite divergence or ratio reads NaN: it fails every pass rule, and
-    arg_min / arg_max point at it.
+    ``kept`` defaults to ``_kept(dens, skip_tol)``; every other index is
+    skipped.  A non-finite divergence or ratio reads NaN: it fails every pass
+    rule, and arg_min / arg_max point at it.
     """
     nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
-    indices = np.nonzero(_kept(dens) if kept is None else kept)[0]
+    indices = np.nonzero(_kept(dens, skip_tol) if kept is None else kept)[0]
     if indices.size == 0:
         raise NothingKeptError(
-            f"all pairs skipped (every divergence <= {DIVERGENCE_SKIP_TOL}): already converged"
+            f"all pairs skipped (every divergence <= {skip_tol}): already converged"
         )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = nums[indices] / dens[indices]
@@ -123,7 +128,9 @@ def _scan(nums, dens, kept=None) -> RatioStats:
     i_min, i_max = int(np.argmin(arr)), int(np.argmax(arr))
     arg_min, arg_max = int(indices[i_min]), int(indices[i_max])
     skipped = dens.size - indices.size
-    return RatioStats(float(arr[i_min]), float(arr[i_max]), indices.size, arg_min, arg_max, skipped)
+    return RatioStats(
+        float(arr[i_min]), float(arr[i_max]), indices.size, arg_min, arg_max, skipped, skip_tol
+    )
 
 
 def check_a3(traj: Trajectory) -> RatioStats:
@@ -170,6 +177,25 @@ def _repair_candidates(raw: np.ndarray):
     return floor_spectrum(Spectrum(clipped, spec.eigenvectors), REPAIR_FLOOR), heavy
 
 
+def _a1_skip_tol(final: np.ndarray, spec: Spectrum, omega_final: np.ndarray, obj: Objective):
+    """The (a1) divergence at or below which rounding can move a ratio by 1 - ``A1_MARGIN``.
+
+    D_Omega(final || sigma) = Tr final (omega(final) - omega(sigma)) is a
+    difference of two rounded traces.  Its rounding error is measured as the
+    largest change of Tr final omega(final) when omega reads final's spectrum
+    ``spec`` with ``A1_ROUNDING_PROBES`` rephased eigenbases: the same state,
+    so every change is rounding.  A ratio whose divergence exceeds that error
+    over 1 - ``A1_MARGIN`` (the pass margin at gamma = 1) is resolved within
+    the margin.  Never below ``DIVERGENCE_SKIP_TOL``.
+    """
+    k, d = A1_ROUNDING_PROBES, final.shape[-1]
+    phases = np.exp(1j * np.outer(np.arange(1, k + 1), np.arange(1, d + 1)))
+    eigenvalues = np.broadcast_to(spec.eigenvalues, (k, d))
+    probes = Spectrum(eigenvalues, spec.eigenvectors * phases[:, None, :])
+    diff = np.einsum("ij,kji->k", final, omega_final - obj.omega(probes)).real
+    return max(DIVERGENCE_SKIP_TOL, float(np.abs(diff).max()) / (1 - A1_MARGIN))
+
+
 def check_a1(
     final: np.ndarray,
     obj: Objective,
@@ -182,17 +208,21 @@ def check_a1(
     One loop draws, repairs and scores samples, at most ``MAX_RESAMPLE_ATTEMPTS``
     times.  Attempt 0 draws all ``n_samples`` rows as two blocks: directions
     from the stream keyed by ``(seed, 0)``, sizes from ``(seed, 1)``.  A sample
-    is rejected if ``_kept`` skips its divergence or its PSD repair clips more
-    than 10% of trace mass; each later attempt re-draws every rejected sample
-    i from its own stream keyed by ``(seed, 2, i)``.  A sample rejected at every
-    attempt is skipped.  Sample i thus depends only on the seed and i, so
-    results nest in ``n_samples``; omega reads the repaired spectra.
+    is rejected if its divergence is at or below ``_a1_skip_tol`` (recorded
+    as the stats' ``skip_tol``) or its PSD repair clips more than 10% of trace
+    mass; each later attempt re-draws every rejected sample i from its own
+    stream keyed by ``(seed, 2, i)``.  A sample rejected at every attempt is
+    skipped.  Sample i thus depends only on the seed and i, so results nest in
+    ``n_samples``; omega reads the repaired spectra.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0 < eps_max < np.inf:
         raise ValueError("eps_max must be positive and finite")
     final = hermitize(final)
+    spec = eigh(final)
+    omega_final = obj.omega(spec)
+    skip_tol = _a1_skip_tol(final, spec, omega_final, obj)
     base_seed = int(seed) & 0x7FFFFFFFFFFFFFFF
     blocks = [np.random.default_rng([base_seed, k]) for k in (0, 1)]
     w, v = np.empty((n_samples, len(final))), np.empty((n_samples, *final.shape), dtype=complex)
@@ -213,13 +243,14 @@ def check_a1(
         # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
         repaired, heavy = _repair_candidates(raw)
         den = relative_entropy(final, repaired, support_cutoff=0.0)
-        ok = ~heavy & _kept(den)
+        ok = ~heavy & _kept(den, skip_tol)
         w[rows[ok]], v[rows[ok]] = repaired.eigenvalues[ok], repaired.eigenvectors[ok]
         dens[rows[ok]], accepted[rows[ok]] = den[ok], True
 
     nums = np.full(n_samples, np.nan)
-    nums[accepted] = d_omega(final, Spectrum(w[accepted], v[accepted]), obj)
-    return _scan(nums, dens, accepted)
+    omega_kept = obj.omega(Spectrum(w[accepted], v[accepted]))
+    nums[accepted] = np.einsum("ij,kji->k", final, omega_final - omega_kept).real
+    return _scan(nums, dens, accepted, skip_tol)
 
 
 def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int) -> float:

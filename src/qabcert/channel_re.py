@@ -8,6 +8,13 @@ energy-constrained solvers with a posteriori certification, and two
 independent oracles (closed-form Bell-diagonal, and a brute-force Bloch grid
 scored ray by ray without decomposing any grid state).
 
+Every evaluation works in the eigenbasis of rho: both Choi matrices are
+rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
+and scaled elementwise, S' = Gamma' o dd^T with d = sqrt(lambda) x 1_B, which
+is S_X rotated by V x I.  S'_N and S'_M are decomposed by one stacked
+``eigh`` call, and omega is rotated back by V at the end.  The oracle rotates
+once per Bloch direction and scales once per radius with the same helpers.
+
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
 divergence per Choi *state*, i.e. the full-scale objective divided by
 ``dim_a``.  The two scalings are mathematically equivalent up to
@@ -19,6 +26,7 @@ is the true channel relative entropy in nats.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,14 +36,13 @@ from .linalg import (
     OUTSIDE_MASS_TOL,
     SUPPORT_CUTOFF,
     Spectrum,
+    _on_support,
     _spectrum,
     _support,
     eigh,
     hermitize,
     kron,
-    matrix_inv_sqrt,
     matrix_log,
-    matrix_sqrt,
     partial_trace,
 )
 from .mixture import CONSTRAINT_TOL, MixtureFamily, e_project
@@ -89,13 +96,32 @@ class ChannelPair:
         return self.choi_n.dim_b
 
 
-def _sandwiches(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
-    """(spectrum of rho, sqrt(rho) x I, S_N, S_M); decomposes rho unless given its spectrum."""
-    spec = _spectrum(rho_a)
-    sq = kron(matrix_sqrt(spec), np.eye(pair.dim_b))
-    s_n = hermitize(sq @ pair.choi_n.mat @ sq)
-    s_m = hermitize(sq @ pair.choi_m.mat @ sq)
-    return spec, sq, s_n, s_m
+def _rotated_chois(pair: ChannelPair, v: np.ndarray) -> np.ndarray:
+    """Gamma' = (W^dag x I) [Gamma_N; Gamma_M] (W x I), shape (..., 2, n, n).
+
+    ``v`` holds eigenvectors of states on A in ascending eigenvalue order
+    (a ``Spectrum``'s); W is ``v`` with its columns reversed, so the largest
+    eigenvalue comes first.  That puts the large block of the graded S' of
+    ``_eigenbasis_sandwiches`` where LAPACK's tridiagonal reduction keeps
+    its small eigenvalues accurate: ascending order loses an order of
+    magnitude on states with a 1e-4 eigenvalue.
+    """
+    wx = kron(v[..., ::-1], np.eye(pair.dim_b))[..., None, :, :]
+    chois = np.stack([pair.choi_n.mat, pair.choi_m.mat])
+    return np.conj(np.swapaxes(wx, -1, -2)) @ chois @ wx
+
+
+def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
+    """``(S', d)``: S' = Gamma' o dd^T with d = sqrt(lam) x 1_B, zero off lam's support.
+
+    ``lam`` holds ascending eigenvalues of rho and ``rotated`` comes from
+    ``_rotated_chois`` at its eigenvectors; d follows the rotated (descending)
+    order.  Then S'_X = (W^dag x I) S_X (W x I) for both sandwiches
+    S_X = (sqrt(rho) x I) Gamma_X (sqrt(rho) x I).  Raises
+    :class:`~qabcert.linalg.MatrixDomainError` on negative ``lam``.
+    """
+    d = np.repeat(_on_support(lam, np.sqrt, SUPPORT_CUTOFF)[..., ::-1], dim_b, axis=-1)
+    return rotated * (d[..., None, :, None] * d[..., None, None, :]), d
 
 
 def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
@@ -104,19 +130,39 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
     -D(S_N || S_M).  Stack-aware in ``rho_a``.  Raises
     :class:`SupportViolationError` when S_N leaks outside the support of S_M.
+
+    Evaluated in rho's eigenbasis W (descending, see ``_rotated_chois``): with
+    S' and d from ``_eigenbasis_sandwiches``, omega1 = -W Tr_B[(Gamma'_N o
+    1d^T) (log S'_N - log S'_M) o 1d^-T] W^dag, where d^- inverts d on its
+    support.  One stacked decomposition gives both S'_N and S'_M.
     """
-    spec, sq, s_n, s_m = _sandwiches(rho_a, pair)
-    spec_m = eigh(s_m)
-    outside, _ = support_overlap(s_n, spec_m)
-    if np.any(outside > OUTSIDE_MASS_TOL):
-        raise SupportViolationError(
-            "support of sandwich(rho, Gamma_N) is not contained in the "
-            "support of sandwich(rho, Gamma_M); the objective is -inf "
-            f"(leaked mass {float(np.max(outside)):.3e})"
-        )
-    log_diff = matrix_log(s_n) - matrix_log(spec_m)
-    inner = pair.choi_n.mat @ sq @ log_diff @ kron(matrix_inv_sqrt(spec), np.eye(pair.dim_b))
-    return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
+    spec = _spectrum(rho_a)
+    rotated = _rotated_chois(pair, spec.eigenvectors)
+    sand, d = _eigenbasis_sandwiches(rotated, spec.eigenvalues, pair.dim_b)
+    gamma_nd = rotated[..., 0, :, :] * d[..., None, :]
+    # (a2) evaluates every iterate in one call; dropping each stack once it
+    # is used keeps that call's peak memory down.
+    del rotated
+    both = eigh(sand)
+    del sand
+    spec_n, spec_m = (
+        Spectrum(both.eigenvalues[..., k, :], both.eigenvectors[..., k, :, :]) for k in (0, 1)
+    )
+    if not _support(spec_m.eigenvalues, SUPPORT_CUTOFF)[1].all():
+        outside, _ = support_overlap(spec_n, spec_m)
+        if (outside > OUTSIDE_MASS_TOL).any():
+            raise SupportViolationError(
+                "support of sandwich(rho, Gamma_N) is not contained in the "
+                "support of sandwich(rho, Gamma_M); the objective is -inf "
+                f"(leaked mass {float(outside.max()):.3e})"
+            )
+    logs = Spectrum(_on_support(both.eigenvalues, np.log, SUPPORT_CUTOFF), both.eigenvectors)
+    logs = logs.matrix()
+    d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+    inner = gamma_nd @ (logs[..., 0, :, :] - logs[..., 1, :, :]) * d_inv[..., None, :]
+    traced = partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
+    w = spec.eigenvectors[..., ::-1]
+    return -(w @ traced @ np.conj(np.swapaxes(w, -1, -2)))
 
 
 def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
@@ -125,9 +171,14 @@ def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
 
 
 def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
-    """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss."""
-    _, _, s_n, s_m = _sandwiches(rho_a, pair)
-    out = -relative_entropy(s_n, s_m)
+    """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss.
+
+    Scored in rho's eigenbasis, as :func:`omega1` is.
+    """
+    spec = _spectrum(rho_a)
+    rotated = _rotated_chois(pair, spec.eigenvectors)
+    sand = _eigenbasis_sandwiches(rotated, spec.eigenvalues, pair.dim_b)[0]
+    out = -relative_entropy(sand[..., 0, :, :], sand[..., 1, :, :])
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -194,10 +245,11 @@ def solve_energy_constrained(
     If the supplied initial state violates the constraints it is replaced
     by its e-projection onto the family before the run starts.
     """
-    initial = opts.initial
-    if np.max(np.abs(constraints.residuals(initial)), initial=0.0) > CONSTRAINT_TOL:
-        initial = e_project(matrix_log(initial), constraints)[0].matrix()
-    run_opts = replace(opts, initial=initial, family=constraints)
+    run_opts = copy.copy(opts)  # already validated; a new initial state is validated below
+    run_opts.family = constraints
+    if np.max(np.abs(constraints.residuals(opts.initial)), initial=0.0) > CONSTRAINT_TOL:
+        projected = e_project(matrix_log(opts.initial), constraints)[0].matrix()
+        run_opts = replace(run_opts, initial=projected)
     return solve_unconstrained(
         pair, run_opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
     )
@@ -274,17 +326,14 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     phis = np.linspace(0.0, 2 * np.pi, grid_resolution, endpoint=False)
     grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
     u = _bloch_eigenvectors(grid_t.ravel(), grid_p.ravel())
-    ux = kron(u, np.eye(pair.dim_b))
-    uxh = np.conj(np.swapaxes(ux, -1, -2))
-    rot_n, rot_m = (uxh @ choi.mat @ ux for choi in (pair.choi_n, pair.choi_m))
+    rotated = _rotated_chois(pair, u)
 
     best = np.inf
     best_state = None
     for r in rs:
         lam = np.array([(1 - r) / 2, (1 + r) / 2])
-        d = np.repeat(_support(lam, SUPPORT_CUTOFF, np.sqrt)[2], pair.dim_b)
-        scale = np.outer(d, d)
-        vals = -relative_entropy(rot_n * scale, rot_m * scale)
+        sand = _eigenbasis_sandwiches(rotated, lam, pair.dim_b)[0]
+        vals = -relative_entropy(sand[:, 0], sand[:, 1])
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])

@@ -11,7 +11,12 @@ decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`, :func:`matrix_exp`
 :func:`matrix_sqrt`, :func:`matrix_inv_sqrt`), :func:`floor_spectrum`,
 ``quantum.relative_entropy`` and ``qab_core.Objective.omega`` (so ``d_omega``'s
 sigma, ``channel_re.omega``, ``omega1`` and ``objective_value``) accept one
-in place of a matrix, and :func:`gibbs_spectrum` returns one.
+in place of a matrix, and :func:`gibbs_spectrum` returns one.  ``channel_re``
+works in that spectrum's eigenbasis: it rotates both Choi matrices there as
+one stack, scales them by sqrt(lambda) elementwise instead of building
+sqrt(rho), and decomposes the sandwiches S_N and S_M with one stacked
+:func:`eigh` call, so an omega evaluation costs one LAPACK call beyond the
+state's own spectrum.  The brute-force oracle shares the rotation and scaling.
 
 Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):
@@ -29,7 +34,9 @@ override it (the relative support rule itself is ``_support``):
 ``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators
 ``channel_re.BELL_TOL``          1e-10  off-diagonal entry of a Bell-diagonal Choi matrix
 ``certify.DIVERGENCE_SKIP_TOL``  1e-14  ``certify._kept`` skips (a1)-(a3) divergences at or below it;
-                                        the report records it
+                                        (a1) raises it to D_Omega's measured rounding over
+                                        1 - ``A1_MARGIN``; each scan's ``RatioStats`` records
+                                        its own
 ``certify.A2_TOLERANCE``         1e-9   most negative (a2) ratio that passes; the report records it
 ===============================  =====  ==============================================
 """
@@ -84,7 +91,10 @@ class MatrixDomainError(ValueError):
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m^dag) / 2."""
     m = np.asarray(m, dtype=complex)
-    return (m + np.conj(np.swapaxes(m, -1, -2))) / 2
+    out = np.conjugate(m.swapaxes(-1, -2), order="C")  # one new array; the rest is in place
+    out += m
+    out *= 0.5
+    return out
 
 
 def frobenius_norm(m: np.ndarray) -> np.ndarray | float:
@@ -127,12 +137,33 @@ def _support(w: np.ndarray, cutoff: float, f: Callable | None = None):
     """The support rule: ascending eigenvalue ``w_i`` is in when ``w_i > cutoff * max(w_max, 0)``.
 
     Returns ``(cut, inside, fw)``: that threshold, the mask and ``f`` on the
-    support with zeros off it (``None`` without ``f``).  Stack-aware.
+    support with zeros off it (``None`` without ``f``).  Stack-aware.  A full
+    support applies ``f`` to ``w`` directly, which gives the same values.
     """
     cut = cutoff * np.maximum(w[..., -1:], 0.0)
     inside = w > cut
-    fw = None if f is None else np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
+    if f is None:
+        fw = None
+    elif inside.all():
+        fw = f(w)
+    else:
+        fw = np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
     return cut, inside, fw
+
+
+def _on_support(w: np.ndarray, f: Callable, cutoff: float) -> np.ndarray:
+    """``f`` on the support of ``w`` (``_support``), exact zeros off it.
+
+    Raises :class:`MatrixDomainError` for eigenvalues below the negated
+    threshold.  Stack-aware.
+    """
+    cut, _, fw = _support(w, cutoff, f)
+    if (w < -cut).any():
+        raise MatrixDomainError(
+            "matrix has negative eigenvalues beyond the support cutoff "
+            f"(min={float(w.min()):.3e})"
+        )
+    return fw
 
 
 def matrix_fn(m: np.ndarray | Spectrum, f: Callable, support_cutoff: float = 0.0) -> np.ndarray:
@@ -147,15 +178,7 @@ def matrix_fn(m: np.ndarray | Spectrum, f: Callable, support_cutoff: float = 0.0
     """
     spec = _spectrum(m)
     w = spec.eigenvalues
-    if support_cutoff > 0:
-        cut, _, fw = _support(w, support_cutoff, f)
-        if np.any(w < -cut):
-            raise MatrixDomainError(
-                "matrix has negative eigenvalues beyond the support cutoff "
-                f"(min={float(np.min(w)):.3e})"
-            )
-    else:
-        fw = f(w)
+    fw = _on_support(w, f, support_cutoff) if support_cutoff > 0 else f(w)
     return Spectrum(fw, spec.eigenvectors).matrix()
 
 
@@ -180,7 +203,7 @@ def gibbs_spectrum(m: np.ndarray) -> Spectrum:
     spec = eigh(m)
     w = spec.eigenvalues
     e = np.exp(w - w[..., -1:])
-    return Spectrum(e / np.sum(e, axis=-1, keepdims=True), spec.eigenvectors)
+    return Spectrum(e / e.sum(axis=-1, keepdims=True), spec.eigenvectors)
 
 
 def gibbs_state(m: np.ndarray) -> np.ndarray:
@@ -192,7 +215,7 @@ def floor_spectrum(m: np.ndarray | Spectrum, floor: float) -> Spectrum:
     """Raise eigenvalues below ``floor`` to it and renormalize to unit trace."""
     spec = _spectrum(m)
     w = np.maximum(spec.eigenvalues, floor)
-    return Spectrum(w / np.sum(w, axis=-1, keepdims=True), spec.eigenvectors)
+    return Spectrum(w / w.sum(axis=-1, keepdims=True), spec.eigenvectors)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

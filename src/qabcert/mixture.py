@@ -114,8 +114,9 @@ def _evaluate(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray):
     spec = eigh(m)
     w, v = spec.eigenvalues, spec.eigenvectors
     e = np.exp(w - w[-1])
-    p = e / np.sum(e)
-    value = float(w[-1] + np.log(np.sum(e)) - np.dot(tau, fam.targets))
+    total = e.sum()
+    p = e / total
+    value = float(w[-1] + np.log(total) - np.dot(tau, fam.targets))
     rotated = np.array([np.conj(v.T) @ h @ v for h in fam.observables]).reshape(-1, *v.shape)
     mean = np.einsum("jaa,a->j", rotated, p).real
 
@@ -195,7 +196,7 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 2
 
         try:
             direction = np.linalg.solve(hess, -g)
-            if not np.all(np.isfinite(direction)) or float(np.dot(direction, g)) >= 0:
+            if not np.isfinite(direction).all() or float(np.dot(direction, g)) >= 0:
                 direction = -g
         except np.linalg.LinAlgError:
             direction = -g

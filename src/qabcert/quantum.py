@@ -186,8 +186,8 @@ def support_overlap(
     else:
         diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
     _, inside, log_s = _support(sigma.eigenvalues, support_cutoff, np.log)
-    outside_mass = np.sum(np.where(inside, 0.0, diag), axis=-1)
-    tr_log = np.sum(diag * log_s, axis=-1)
+    outside_mass = np.where(inside, 0.0, diag).sum(axis=-1)
+    tr_log = (diag * log_s).sum(axis=-1)
     return outside_mass, tr_log
 
 
@@ -212,10 +212,10 @@ def relative_entropy(
         wr = np.linalg.eigvalsh(rho)
     spec_s = sigma if isinstance(sigma, Spectrum) else eigh(sigma)
     for name, w in (("rho", wr), ("sigma", spec_s.eigenvalues)):
-        if np.min(w) < -PSD_TOL:
-            raise ValueError(f"{name} has negative eigenvalue {float(np.min(w)):.3e}")
+        if w.min() < -PSD_TOL:
+            raise ValueError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
 
-    tr_rlogr = np.sum(_support(wr, support_cutoff, lambda x: x * np.log(x))[2], axis=-1)
+    tr_rlogr = _support(wr, support_cutoff, lambda x: x * np.log(x))[2].sum(axis=-1)
     outside_mass, tr_rlogs = support_overlap(rho, spec_s, support_cutoff)
     out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
     return float(out) if np.ndim(out) == 0 else out

@@ -27,6 +27,7 @@ __all__ = [
     "complex_matrix_to_pairs",
     "load_channel",
     "load_constraints",
+    "load_report",
     "load_trajectory",
     "pairs_to_complex_matrix",
     "report_to_dict",
@@ -129,7 +130,7 @@ def load_constraints(path) -> MixtureFamily:
     return MixtureFamily(observables=tuple(obs), targets=tuple(targets))
 
 
-def trajectory_from_dict(doc: dict) -> Trajectory:
+def _trajectory_from_dict(doc: dict) -> Trajectory:
     traj = Trajectory(
         states=[pairs_to_complex_matrix(s) for s in doc["states"]],
         gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
@@ -154,7 +155,7 @@ def save_trajectory(path, traj: Trajectory) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    return trajectory_from_dict(json.loads(Path(path).read_text()))
+    return _trajectory_from_dict(json.loads(Path(path).read_text()))
 
 
 def report_to_dict(report: CertificationReport) -> dict:
@@ -162,7 +163,7 @@ def report_to_dict(report: CertificationReport) -> dict:
     return _encode(report)
 
 
-def report_from_dict(doc: dict) -> CertificationReport:
+def _report_from_dict(doc: dict) -> CertificationReport:
     fields = {f.name for f in dataclasses.fields(CertificationReport)}
     kwargs = {k: _decode_non_finite(v) for k, v in doc.items() if k in fields}
     for key in ("a1", "a2", "a3"):
@@ -177,4 +178,4 @@ def save_report(path, report: CertificationReport) -> None:
 def load_report(path) -> CertificationReport:
     """Read a ``save_report`` file, or the ``report`` member of a ``certify --out`` document."""
     doc = json.loads(Path(path).read_text())
-    return report_from_dict(doc.get("report", doc))
+    return _report_from_dict(doc.get("report", doc))

@@ -10,7 +10,10 @@ from qabcert import (
     ChannelObjective,
     ChannelPair,
     MixtureFamily,
+    NothingKeptError,
+    Objective,
     QabOptions,
+    Spectrum,
     Trajectory,
     certify,
     check_a1,
@@ -18,12 +21,20 @@ from qabcert import (
     check_a3,
     dephasing_choi,
     depolarizing_choi,
+    eigh,
     qab_run,
+    relative_entropy,
     stationarity_residual,
     xme_bound,
 )
 from qabcert.quantum import PAULI_Z, random_density
-from qabcert.certify import _draw_perturbations, _scan
+from qabcert.certify import (
+    A1_ROUNDING_PROBES,
+    DIVERGENCE_SKIP_TOL,
+    _draw_perturbations,
+    _repair_candidates,
+    _scan,
+)
 from qabcert.serialize import report_to_dict
 
 from conftest import ConstantObjective, as_matrix, random_state
@@ -176,11 +187,56 @@ class TestCheckA1:
 
     def test_decomposes_each_sample_once_after_repair(self, channel_run, eig_calls):
         # Omega reads the repaired spectra: per sample, one decomposition for
-        # the repair and one for each of S_N and S_M.
+        # the repair and one for each of S_N and S_M.  Per check, the final
+        # state and its omega take 3, and the rounding probes 2 each.
         obj, traj = channel_run
         stats = check_a1(traj.states[-1], obj, 200, 0.1, seed=3)
         assert stats.count == 200  # nothing re-drawn
-        assert sum(eig_calls) <= 3 * 200 + 4
+        assert sum(eig_calls) <= 3 * 200 + 4 + 2 * A1_ROUNDING_PROBES
+
+
+class PhaseReadingObjective(Objective):
+    """omega reads the phase of its state's eigenvectors: one state, many omegas."""
+
+    dim = 2
+
+    def omega(self, rho):
+        v = (rho if isinstance(rho, Spectrum) else eigh(rho)).eigenvectors
+        return np.angle(v[..., 0, 0])[..., None, None] * np.eye(2)
+
+
+class TestA1RoundingFloor:
+    def test_sweep_sample_at_the_rounding_floor_is_redrawn(self):
+        # Point 15 (p = 0.064) of the acceptance sweep protocol.  Its sample
+        # 9898 has D = 8.6e-14; D_Omega's rounding there (about 2e-15) moves
+        # that ratio by about 0.02, and it read 0.96, the sweep's a1 max.
+        seed, p = 20240801, np.linspace(0.004, 0.1, 25)[15]
+        obj = ChannelObjective(ChannelPair(dephasing_choi(0.4), depolarizing_choi(float(p))))
+        initial = random_density(2, np.random.default_rng([seed, 15, 0]))
+        opts = QabOptions(initial=initial, max_iters=100, divergence_stop=1e-10)
+        final = qab_run(obj, opts).states[-1]
+        cert_seed = int(np.random.SeedSequence([seed, 15, 1]).generate_state(1, np.uint64)[0])
+        stats = check_a1(final, obj, 10_000, 0.1, seed=cert_seed)
+
+        streams = [np.random.default_rng([cert_seed & 0x7FFFFFFFFFFFFFFF, k]) for k in (0, 1)]
+        raw = _draw_perturbations(final, *streams, 0.1, 10_000)[9898:9899]
+        den = relative_entropy(final, _repair_candidates(raw)[0], support_cutoff=0.0)
+        assert den[0] < 1e-13 < stats.skip_tol
+        assert (stats.count, stats.skipped) == (10_000, 0)
+        assert stats.arg_max != 9898 and stats.max < 0.5
+
+    def test_report_records_each_scans_skip_tol(self, channel_run):
+        obj, traj = channel_run
+        report = certify(traj, obj, n_samples=50)
+        assert report.a1.skip_tol > DIVERGENCE_SKIP_TOL
+        assert report.a2.skip_tol == report.a3.skip_tol == report.divergence_skip_tol
+
+    def test_omega_noise_above_every_divergence_fails_closed(self, rng):
+        # Rephasing the final state's eigenvectors moves this omega by O(1),
+        # so no sample's ratio is resolved and every one is skipped.
+        final = random_state(rng, 2)
+        with pytest.raises(NothingKeptError, match="every divergence"):
+            check_a1(final, PhaseReadingObjective(), 5, 0.1, seed=1)
 
 
 class TestXmeBound:

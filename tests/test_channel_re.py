@@ -11,14 +11,27 @@ from qabcert import (
     SupportViolationError,
     bell_diagonal_oracle,
     brute_force_oracle,
+    certify,
     choi_from_kraus,
     dephasing_choi,
     depolarizing_choi,
     objective_value,
     omega,
     omega1,
+    qab_run,
     solve_energy_constrained,
     solve_unconstrained,
+)
+from qabcert.linalg import (
+    STATE_FLOOR,
+    Spectrum,
+    floor_spectrum,
+    hermitize,
+    kron,
+    matrix_inv_sqrt,
+    matrix_log,
+    matrix_sqrt,
+    partial_trace,
 )
 from qabcert.quantum import PAULI_Z, random_density, relative_entropy, sandwich
 
@@ -85,6 +98,70 @@ class TestOmega:
         batched = omega(stack, pair)
         for i in range(4):
             assert np.allclose(batched[i], omega(stack[i], pair), atol=1e-12)
+
+
+def omega1_reference(rho, pair):
+    """omega1 by its defining formula in the standard basis of A x B."""
+    sq = kron(matrix_sqrt(rho), np.eye(pair.dim_b))
+    s_n = hermitize(sq @ pair.choi_n.mat @ sq)
+    s_m = hermitize(sq @ pair.choi_m.mat @ sq)
+    inv_sq = kron(matrix_inv_sqrt(rho), np.eye(pair.dim_b))
+    inner = pair.choi_n.mat @ sq @ (matrix_log(s_n) - matrix_log(s_m)) @ inv_sq
+    return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
+
+
+def random_kraus_pair(dim_a, dim_b, seed):
+    """A rank-2 channel against a full-rank one (Kraus rank dim_a * dim_b)."""
+    low = choi_from_kraus(random_kraus(seed, dim_a, dim_b, 2))
+    full = choi_from_kraus(random_kraus(seed + 1, dim_a, dim_b, dim_a * dim_b))
+    return ChannelPair(low, full)
+
+
+def floored_iterate(dim, seed):
+    """A state whose smallest eigenvalue sits at STATE_FLOOR, as qab_run leaves it."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v, _ = np.linalg.qr(g)
+    w = np.concatenate([[0.0], rng.uniform(0.2, 1.0, dim - 1)])
+    return floor_spectrum(Spectrum(w / w.sum(), v), STATE_FLOOR)
+
+
+REFERENCE_CASES = {
+    "paper": (paper_pair, 2, 20),
+    "ad-dep": (
+        lambda: ChannelPair(amplitude_damping(0.2), depolarizing_choi(0.5)),
+        2,
+        20,
+    ),
+    "kraus-d2": (lambda: random_kraus_pair(2, 2, 11), 2, 20),
+    "kraus-d3": (lambda: random_kraus_pair(3, 3, 21), 3, 20),
+    "dim-b-3": (lambda: random_kraus_pair(2, 3, 31), 2, 20),
+    "stack-1000": (paper_pair, 2, 1000),
+}
+
+
+class TestOmegaMatchesReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+    def test_random_states(self, case, rng):
+        make_pair, dim, n = case
+        pair = make_pair()
+        states = np.stack([random_state(rng, dim) for _ in range(n)])
+        ref = omega1_reference(states, pair)
+        assert np.max(np.abs(omega1(states, pair) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim, case", [(2, "paper"), (3, "kraus-d3")])
+    def test_iterate_floored_at_state_floor(self, dim, case):
+        # The floored direction lies outside the support, so both evaluations
+        # zero it, and S_M loses full support.
+        pair, spec = REFERENCE_CASES[case][0](), floored_iterate(dim, 5)
+        ref = omega1_reference(spec, pair)
+        assert np.max(np.abs(omega1(spec, pair) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_leaking_stack_raises(self, rng):
+        pair = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
+        stack = np.stack([random_state(rng, 2) for _ in range(3)])
+        with pytest.raises(SupportViolationError, match="leaked mass"):
+            omega1(stack, pair)
 
 
 class TestObjectiveValue:
@@ -299,6 +376,22 @@ class TestSolveEnergyConstrained:
         opts = QabOptions(initial=initial, max_iters=100, divergence_stop=1e-10)
         result = solve_energy_constrained(pair, fam, opts, n_samples=50)
         assert abs(np.trace(result.trajectory.states[0] @ PAULI_Z).real + 0.25) <= 1e-8
+
+    def test_feasible_solve_decomposes_only_what_run_and_certify_do(self, eig_calls):
+        # The options were validated when built; adding the family to them
+        # decomposes nothing more.
+        pair = paper_pair()
+        fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.0,))
+        opts = QabOptions(initial=np.eye(2) / 2, max_iters=20)
+        run_opts = QabOptions(initial=np.eye(2) / 2, max_iters=20, family=fam)
+        eig_calls.clear()
+        result = solve_energy_constrained(pair, fam, opts, n_samples=50)
+        solve_calls = list(eig_calls)
+        eig_calls.clear()
+        obj = ChannelObjective(pair)
+        report = certify(qab_run(obj, run_opts), obj, n_samples=50)
+        assert result.report == report
+        assert solve_calls == eig_calls
 
 
 class TestChannelPair:

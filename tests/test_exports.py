@@ -24,6 +24,19 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+# ``cli`` is the command-line entry point: its command functions are table
+# entries, and ``main`` is its one public name.
+@pytest.mark.parametrize("name", [m for m in MODULES[1:] if m != "qabcert.cli"])
+def test_every_public_function_is_exported(name):
+    module = importlib.import_module(name)
+    public = {
+        attr
+        for attr, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == name and not attr.startswith("_")
+    }
+    assert public - set(module.__all__) == set()
+
+
 def test_package_exports_exactly_the_library_modules_names():
     library = ["linalg", "quantum", "mixture", "qab_core", "certify", "channel_re"]
     names = set()

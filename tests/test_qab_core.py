@@ -167,17 +167,19 @@ class TestQabRun:
 
     def test_unconstrained_step_decomposes_at_most_four_matrices(self, eig_calls):
         # omega, log rho_t and D(rho_{t+1} || rho_t) reuse known spectra; omega
-        # takes two decompositions (S_N, S_M) and the Gibbs update one.
+        # decomposes S_N and S_M in one stacked call and the Gibbs update one
+        # matrix: two LAPACK calls and three matrices per step.
         obj = ChannelObjective(paper_pair())
         opts = {n: QabOptions(initial=random_density(2, 9), max_iters=n) for n in (10, 30)}
-        counts = {}
+        calls, matrices = {}, {}
         for n, o in opts.items():
             eig_calls.clear()
             traj = qab_run(obj, o)
             assert len(traj.states) == n + 1
-            counts[n] = len(eig_calls)
-        assert counts[30] - counts[10] <= 3 * 20
-        assert counts[10] <= 3 * 10 + 5
+            calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
+        assert calls[30] - calls[10] == 2 * 20
+        assert matrices[30] - matrices[10] == 3 * 20
+        assert calls[10] <= 2 * 10 + 2
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_constrained_step_decomposes_at_most_four_plus_k_matrices(self, eig_calls, k):

@@ -145,10 +145,10 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     del rotated
     both = eigh(sand)
     del sand
-    spec_n, spec_m = (
-        Spectrum(both.eigenvalues[..., k, :], both.eigenvectors[..., k, :, :]) for k in (0, 1)
-    )
-    if not _support(spec_m.eigenvalues, SUPPORT_CUTOFF)[1].all():
+    if not _support(both.eigenvalues[..., 1, :], SUPPORT_CUTOFF)[1].all():  # else nothing leaks
+        spec_n, spec_m = (
+            Spectrum(both.eigenvalues[..., k, :], both.eigenvectors[..., k, :, :]) for k in (0, 1)
+        )
         outside, _ = support_overlap(spec_n, spec_m)
         if (outside > OUTSIDE_MASS_TOL).any():
             raise SupportViolationError(
@@ -156,8 +156,8 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
                 "support of sandwich(rho, Gamma_M); the objective is -inf "
                 f"(leaked mass {float(outside.max()):.3e})"
             )
-    logs = Spectrum(_on_support(both.eigenvalues, np.log, SUPPORT_CUTOFF), both.eigenvectors)
-    logs = logs.matrix()
+    log_w = _on_support(both.eigenvalues, np.log, SUPPORT_CUTOFF)
+    logs = Spectrum(log_w, both.eigenvectors).matrix()
     d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     inner = gamma_nd @ (logs[..., 0, :, :] - logs[..., 1, :, :]) * d_inv[..., None, :]
     traced = partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")

@@ -12,7 +12,8 @@ Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
 and scaled elementwise, S' = Gamma' o dd^T with d = sqrt(lambda) x 1_B, which
 is S_X rotated by V x I.  S'_N and S'_M are decomposed by one stacked
-``eigh`` call, and omega is rotated back by V at the end.  The oracle rotates
+``eigh`` call, and omega is rotated back by V at the end; a long stack of
+states goes through in chunks of ``OMEGA_CHUNK_ENTRIES``.  The oracle rotates
 once per Bloch direction and scales once per radius with the same helpers.
 
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
@@ -66,6 +67,10 @@ __all__ = [
 ]
 
 BELL_TOL = 1e-10
+# omega1 takes a stack of states in chunks whose stacked S'_N and S'_M hold
+# at most this many entries (256 KiB), so its temporaries stay small on the
+# long stacks that (a1) and (a2) pass.
+OMEGA_CHUNK_ENTRIES = 2**14
 
 
 class SupportViolationError(ValueError):
@@ -137,14 +142,18 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     support.  One stacked decomposition gives both S'_N and S'_M.
     """
     spec = _spectrum(rho_a)
-    rotated = _rotated_chois(pair, spec.eigenvectors)
-    sand, d = _eigenbasis_sandwiches(rotated, spec.eigenvalues, pair.dim_b)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    n = v.shape[-1] * pair.dim_b
+    chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
+    if w[..., 0].size > chunk:
+        w, v = w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:])
+        starts = range(0, len(w), chunk)
+        parts = [omega1(Spectrum(w[i : i + chunk], v[i : i + chunk]), pair) for i in starts]
+        return np.concatenate(parts).reshape(spec.eigenvectors.shape)
+    rotated = _rotated_chois(pair, v)
+    sand, d = _eigenbasis_sandwiches(rotated, w, pair.dim_b)
     gamma_nd = rotated[..., 0, :, :] * d[..., None, :]
-    # (a2) evaluates every iterate in one call; dropping each stack once it
-    # is used keeps that call's peak memory down.
-    del rotated
     both = eigh(sand)
-    del sand
     if not _support(both.eigenvalues[..., 1, :], SUPPORT_CUTOFF)[1].all():  # else nothing leaks
         spec_n, spec_m = (
             Spectrum(both.eigenvalues[..., k, :], both.eigenvectors[..., k, :, :]) for k in (0, 1)
@@ -161,8 +170,8 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     inner = gamma_nd @ (logs[..., 0, :, :] - logs[..., 1, :, :]) * d_inv[..., None, :]
     traced = partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
-    w = spec.eigenvectors[..., ::-1]
-    return -(w @ traced @ np.conj(np.swapaxes(w, -1, -2)))
+    basis = v[..., ::-1]
+    return -(basis @ traced @ np.conj(np.swapaxes(basis, -1, -2)))
 
 
 def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:

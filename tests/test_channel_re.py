@@ -157,6 +157,17 @@ class TestOmegaMatchesReference:
         ref = omega1_reference(spec, pair)
         assert np.max(np.abs(omega1(spec, pair) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_stacks_longer_than_a_chunk(self, rng):
+        # 1300 qubit states span three chunks of OMEGA_CHUNK_ENTRIES // 32 = 512
+        # states; a nested stack is flattened first.  Each state's omega is the
+        # one it gets on its own.
+        pair = paper_pair()
+        states = np.stack([random_state(rng, 2) for _ in range(1300)])
+        flat = omega1(states, pair)
+        assert np.array_equal(omega1(states.reshape(13, 100, 2, 2), pair).reshape(flat.shape), flat)
+        for i in (0, 511, 512, 1299):
+            assert np.array_equal(omega1(states[i], pair), flat[i])
+
     def test_leaking_stack_raises(self, rng):
         pair = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
         stack = np.stack([random_state(rng, 2) for _ in range(3)])

@@ -16,7 +16,8 @@ works in that spectrum's eigenbasis: it rotates both Choi matrices there as
 one stack, scales them by sqrt(lambda) elementwise instead of building
 sqrt(rho), and decomposes the sandwiches S_N and S_M with one stacked
 :func:`eigh` call, so an omega evaluation costs one LAPACK call beyond the
-state's own spectrum.  The brute-force oracle shares the rotation and scaling.
+state's own spectrum (one per chunk of a long stack).  The brute-force oracle
+shares the rotation and scaling.
 
 Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):

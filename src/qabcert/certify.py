@@ -36,6 +36,7 @@ from .qab_core import Objective, Trajectory, d_omega
 from .quantum import relative_entropy
 
 __all__ = [
+    "A1Stats",
     "CertificationReport",
     "NothingKeptError",
     "RatioStats",
@@ -49,7 +50,6 @@ __all__ = [
 
 DIVERGENCE_SKIP_TOL = 1e-14
 A1_MARGIN = 0.999
-A1_ROUNDING_PROBES = 4
 A2_TOLERANCE = 1e-9
 MAX_RESAMPLE_ATTEMPTS = 100
 CLIP_MASS_FRACTION = 0.1
@@ -57,10 +57,7 @@ CLIP_MASS_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class RatioStats:
-    """Extrema of a ratio scan; arg_min / arg_max are step or sample indices.
-
-    ``skip_tol`` is the divergence at or below which the scan skipped an index.
-    """
+    """Extrema of a ratio scan; arg_min / arg_max are step or sample indices."""
 
     min: float
     max: float
@@ -68,7 +65,13 @@ class RatioStats:
     arg_min: int
     arg_max: int
     skipped: int = 0
-    skip_tol: float = DIVERGENCE_SKIP_TOL
+
+
+@dataclass(frozen=True)
+class A1Stats(RatioStats):
+    """(a1) extrema; ``max_rounding`` is the rounding estimate of ``max`` (see ``check_a1``)."""
+
+    max_rounding: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class CertificationReport:
     seed: int
     eps_max: float
     divergence_skip_tol: float
-    a1: RatioStats
+    a1: A1Stats
     a1_pass: bool
     a1_margin: float
     a2: RatioStats
@@ -101,26 +104,26 @@ class CertificationReport:
 
 
 class NothingKeptError(ValueError):
-    """Every divergence of a scan was at or below its skip tolerance."""
+    """Every divergence of a scan was at or below ``DIVERGENCE_SKIP_TOL``."""
 
 
-def _kept(dens, skip_tol: float = DIVERGENCE_SKIP_TOL) -> np.ndarray:
-    """Mask of divergences above ``skip_tol``, or NaN (kept, so it fails closed)."""
-    return ~(np.asarray(dens, dtype=float) <= skip_tol)
+def _kept(dens) -> np.ndarray:
+    """Mask of divergences above ``DIVERGENCE_SKIP_TOL``, or NaN (kept, so it fails closed)."""
+    return ~(np.asarray(dens, dtype=float) <= DIVERGENCE_SKIP_TOL)
 
 
-def _scan(nums, dens, kept=None, skip_tol: float = DIVERGENCE_SKIP_TOL) -> RatioStats:
+def _scan(nums, dens, kept=None) -> RatioStats:
     """Extrema of nums[k] / dens[k] over the step or sample indices k in ``kept``.
 
-    ``kept`` defaults to ``_kept(dens, skip_tol)``; every other index is
-    skipped.  A non-finite divergence or ratio reads NaN: it fails every pass
-    rule, and arg_min / arg_max point at it.
+    ``kept`` defaults to ``_kept(dens)``; every other index is skipped.  A
+    non-finite divergence or ratio reads NaN: it fails every pass rule, and
+    arg_min / arg_max point at it.
     """
     nums, dens = np.asarray(nums, dtype=float), np.asarray(dens, dtype=float)
-    indices = np.nonzero(_kept(dens, skip_tol) if kept is None else kept)[0]
+    indices = np.nonzero(_kept(dens) if kept is None else kept)[0]
     if indices.size == 0:
         raise NothingKeptError(
-            f"all pairs skipped (every divergence <= {skip_tol}): already converged"
+            f"all pairs skipped (every divergence <= {DIVERGENCE_SKIP_TOL}): already converged"
         )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = nums[indices] / dens[indices]
@@ -128,9 +131,7 @@ def _scan(nums, dens, kept=None, skip_tol: float = DIVERGENCE_SKIP_TOL) -> Ratio
     i_min, i_max = int(np.argmin(arr)), int(np.argmax(arr))
     arg_min, arg_max = int(indices[i_min]), int(indices[i_max])
     skipped = dens.size - indices.size
-    return RatioStats(
-        float(arr[i_min]), float(arr[i_max]), indices.size, arg_min, arg_max, skipped, skip_tol
-    )
+    return RatioStats(float(arr[i_min]), float(arr[i_max]), indices.size, arg_min, arg_max, skipped)
 
 
 def check_a3(traj: Trajectory) -> RatioStats:
@@ -177,23 +178,20 @@ def _repair_candidates(raw: np.ndarray):
     return floor_spectrum(Spectrum(clipped, spec.eigenvectors), REPAIR_FLOOR), heavy
 
 
-def _a1_skip_tol(final: np.ndarray, spec: Spectrum, omega_final: np.ndarray, obj: Objective):
-    """The (a1) divergence at or below which rounding can move a ratio by 1 - ``A1_MARGIN``.
+def _a1_numerators(final: np.ndarray, omega_final: np.ndarray, sigmas: Spectrum, obj: Objective):
+    """D_Omega(final || sigma_k) for a stack of spectra, and each one's rounding estimate.
 
-    D_Omega(final || sigma) = Tr final (omega(final) - omega(sigma)) is a
-    difference of two rounded traces.  Its rounding error is measured as the
-    largest change of Tr final omega(final) when omega reads final's spectrum
-    ``spec`` with ``A1_ROUNDING_PROBES`` rephased eigenbases: the same state,
-    so every change is rounding.  A ratio whose divergence exceeds that error
-    over 1 - ``A1_MARGIN`` (the pass margin at gamma = 1) is resolved within
-    the margin.  Never below ``DIVERGENCE_SKIP_TOL``.
+    D_Omega = Tr final (omega(final) - omega(sigma_k)) is a sum of n^2
+    products (n = dim) of final with a difference of omega's computed
+    entries; the estimate is the usual bound on rounding in such a sum,
+    (n^2 + 1) eps sum_ij |final_ij| (|omega(final)_ji| + |omega(sigma_k)_ji|).
+    Rounding inside omega is not in it.
     """
-    k, d = A1_ROUNDING_PROBES, final.shape[-1]
-    phases = np.exp(1j * np.outer(np.arange(1, k + 1), np.arange(1, d + 1)))
-    eigenvalues = np.broadcast_to(spec.eigenvalues, (k, d))
-    probes = Spectrum(eigenvalues, spec.eigenvectors * phases[:, None, :])
-    diff = np.einsum("ij,kji->k", final, omega_final - obj.omega(probes)).real
-    return max(DIVERGENCE_SKIP_TOL, float(np.abs(diff).max()) / (1 - A1_MARGIN))
+    omegas = obj.omega(sigmas)
+    nums = np.einsum("ij,kji->k", final, omega_final - omegas).real
+    scale = np.einsum("ij,kji->k", np.abs(final), np.abs(omega_final) + np.abs(omegas))
+    n = final.shape[-1]
+    return nums, (n * n + 1) * np.finfo(float).eps * scale
 
 
 def check_a1(
@@ -202,31 +200,36 @@ def check_a1(
     n_samples: int,
     eps_max: float,
     seed: int,
-) -> RatioStats:
+    *,
+    gamma: float = 1.0,
+) -> A1Stats:
     """Neighborhood ratios D_Omega(final || sigma) / D(final || sigma).
 
     One loop draws, repairs and scores samples, at most ``MAX_RESAMPLE_ATTEMPTS``
     times.  Attempt 0 draws all ``n_samples`` rows as two blocks: directions
     from the stream keyed by ``(seed, 0)``, sizes from ``(seed, 1)``.  A sample
-    is rejected if its divergence is at or below ``_a1_skip_tol`` (recorded
-    as the stats' ``skip_tol``) or its PSD repair clips more than 10% of trace
-    mass; each later attempt re-draws every rejected sample i from its own
-    stream keyed by ``(seed, 2, i)``.  A sample rejected at every attempt is
-    skipped.  Sample i thus depends only on the seed and i, so results nest in
-    ``n_samples``; omega reads the repaired spectra.
+    is rejected if ``_kept`` skips its divergence, its PSD repair clips more
+    than 10% of trace mass, or its rounding could carry its ratio across the
+    pass gate ``gamma * A1_MARGIN``: the ratio lies below the gate by no more
+    than the rounding estimate of ``_a1_numerators`` over the divergence.
+    Each later attempt re-draws every rejected sample i from its own stream
+    keyed by ``(seed, 2, i)``.  A sample rejected at every attempt is skipped.
+    Sample i thus depends only on the seed and i, so results nest in
+    ``n_samples``; omega reads the repaired spectra.  Every kept ratio is at
+    or above the gate or below it by more than its rounding estimate;
+    ``max_rounding`` records that estimate for the largest.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0 < eps_max < np.inf:
         raise ValueError("eps_max must be positive and finite")
     final = hermitize(final)
-    spec = eigh(final)
-    omega_final = obj.omega(spec)
-    skip_tol = _a1_skip_tol(final, spec, omega_final, obj)
+    omega_final = obj.omega(eigh(final))
+    gate = gamma * A1_MARGIN
     base_seed = int(seed) & 0x7FFFFFFFFFFFFFFF
     blocks = [np.random.default_rng([base_seed, k]) for k in (0, 1)]
-    w, v = np.empty((n_samples, len(final))), np.empty((n_samples, *final.shape), dtype=complex)
-    dens, accepted = np.full(n_samples, np.nan), np.zeros(n_samples, dtype=bool)
+    nums, dens, errs = (np.full(n_samples, np.nan) for _ in range(3))
+    accepted = np.zeros(n_samples, dtype=bool)
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         rows = np.nonzero(~accepted)[0]
         if rows.size == 0:
@@ -243,14 +246,20 @@ def check_a1(
         # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
         repaired, heavy = _repair_candidates(raw)
         den = relative_entropy(final, repaired, support_cutoff=0.0)
-        ok = ~heavy & _kept(den, skip_tol)
-        w[rows[ok]], v[rows[ok]] = repaired.eigenvalues[ok], repaired.eigenvectors[ok]
-        dens[rows[ok]], accepted[rows[ok]] = den[ok], True
+        scored = np.nonzero(~heavy & _kept(den))[0]
+        if scored.size == 0:
+            continue
+        sigmas = Spectrum(repaired.eigenvalues[scored], repaired.eigenvectors[scored])
+        num, err = _a1_numerators(final, omega_final, sigmas, obj)
+        below = gate * den[scored] - num
+        ok = ~((below > 0) & (below <= err))  # NaN is kept, so it fails closed
+        done = rows[scored[ok]]
+        nums[done], dens[done], errs[done] = num[ok], den[scored[ok]], err[ok]
+        accepted[done] = True
 
-    nums = np.full(n_samples, np.nan)
-    omega_kept = obj.omega(Spectrum(w[accepted], v[accepted]))
-    nums[accepted] = np.einsum("ij,kji->k", final, omega_final - omega_kept).real
-    return _scan(nums, dens, accepted, skip_tol)
+    stats = _scan(nums, dens, accepted)
+    max_rounding = errs[stats.arg_max] / dens[stats.arg_max]
+    return A1Stats(**vars(stats), max_rounding=float(max_rounding))
 
 
 def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int) -> float:
@@ -313,7 +322,8 @@ def certify(
     gamma = traj.gamma
     if gamma is None or not 0 < gamma < np.inf:
         raise ValueError(f"trajectory gamma must be positive and finite, got {gamma}")
-    a1 = check_a1(traj.states[-1], obj, n_samples=n_samples, eps_max=eps_max, seed=seed)
+    final = traj.states[-1]
+    a1 = check_a1(final, obj, n_samples=n_samples, eps_max=eps_max, seed=seed, gamma=gamma)
 
     def scan_or_fixed_point(check, *args):
         try:
@@ -329,7 +339,7 @@ def certify(
     a2_pass = a2.min >= -A2_TOLERANCE
     a3_pass = a3.max <= gamma
     t0 = len(traj.states) - 1
-    bound = xme_bound(gamma, traj.states[0], traj.states[-1], t0)
+    bound = xme_bound(gamma, traj.states[0], final, t0)
     return CertificationReport(
         gamma=gamma,
         samples=n_samples,

@@ -254,7 +254,11 @@ def solve_energy_constrained(
     If the supplied initial state violates the constraints it is replaced
     by its e-projection onto the family before the run starts.
     """
-    run_opts = copy.copy(opts)  # already validated; a new initial state is validated below
+    if not isinstance(constraints, MixtureFamily):
+        raise TypeError("constraints must be a MixtureFamily")
+    # ``opts`` was validated when built, and solve_unconstrained runs it as it
+    # stands; a projected initial state is validated below.
+    run_opts = copy.copy(opts)
     run_opts.family = constraints
     if np.max(np.abs(constraints.residuals(opts.initial)), initial=0.0) > CONSTRAINT_TOL:
         projected = e_project(matrix_log(opts.initial), constraints)[0].matrix()

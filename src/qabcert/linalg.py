@@ -35,9 +35,7 @@ override it (the relative support rule itself is ``_support``):
 ``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators
 ``channel_re.BELL_TOL``          1e-10  off-diagonal entry of a Bell-diagonal Choi matrix
 ``certify.DIVERGENCE_SKIP_TOL``  1e-14  ``certify._kept`` skips (a1)-(a3) divergences at or below it;
-                                        (a1) raises it to D_Omega's measured rounding over
-                                        1 - ``A1_MARGIN``; each scan's ``RatioStats`` records
-                                        its own
+                                        the report records it
 ``certify.A2_TOLERANCE``         1e-9   most negative (a2) ratio that passes; the report records it
 ===============================  =====  ==============================================
 """

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import CertificationReport, RatioStats
+from .certify import A1Stats, CertificationReport, RatioStats
 from .mixture import MixtureFamily, TauSolution
 from .qab_core import Trajectory
 from .quantum import ChoiMatrix, choi_from_kraus
@@ -166,8 +166,8 @@ def report_to_dict(report: CertificationReport) -> dict:
 def _report_from_dict(doc: dict) -> CertificationReport:
     fields = {f.name for f in dataclasses.fields(CertificationReport)}
     kwargs = {k: _decode_non_finite(v) for k, v in doc.items() if k in fields}
-    for key in ("a1", "a2", "a3"):
-        kwargs[key] = RatioStats(**{k: _decode_non_finite(v) for k, v in doc[key].items()})
+    for key, stats in (("a1", A1Stats), ("a2", RatioStats), ("a3", RatioStats)):
+        kwargs[key] = stats(**{k: _decode_non_finite(v) for k, v in doc[key].items()})
     return CertificationReport(**kwargs)
 
 

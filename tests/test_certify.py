@@ -10,7 +10,6 @@ from qabcert import (
     ChannelObjective,
     ChannelPair,
     MixtureFamily,
-    NothingKeptError,
     Objective,
     QabOptions,
     Spectrum,
@@ -22,19 +21,14 @@ from qabcert import (
     dephasing_choi,
     depolarizing_choi,
     eigh,
+    matrix_log,
     qab_run,
     relative_entropy,
     stationarity_residual,
     xme_bound,
 )
 from qabcert.quantum import PAULI_Z, random_density
-from qabcert.certify import (
-    A1_ROUNDING_PROBES,
-    DIVERGENCE_SKIP_TOL,
-    _draw_perturbations,
-    _repair_candidates,
-    _scan,
-)
+from qabcert.certify import A1_MARGIN, _draw_perturbations, _repair_candidates, _scan
 from qabcert.serialize import report_to_dict
 
 from conftest import ConstantObjective, as_matrix, random_state
@@ -187,29 +181,31 @@ class TestCheckA1:
 
     def test_decomposes_each_sample_once_after_repair(self, channel_run, eig_calls):
         # Omega reads the repaired spectra: per sample, one decomposition for
-        # the repair and one for each of S_N and S_M.  Per check, the final
-        # state and its omega take 3, and the rounding probes 2 each.
+        # the repair and one for each of S_N and S_M.
         obj, traj = channel_run
         stats = check_a1(traj.states[-1], obj, 200, 0.1, seed=3)
         assert stats.count == 200  # nothing re-drawn
-        assert sum(eig_calls) <= 3 * 200 + 4 + 2 * A1_ROUNDING_PROBES
+        assert sum(eig_calls) <= 3 * 200 + 4
 
 
-class PhaseReadingObjective(Objective):
-    """omega reads the phase of its state's eigenvectors: one state, many omegas."""
+class ScaledLogObjective(Objective):
+    """omega(rho) = c log rho + shift I: every (a1) ratio is c, and shift adds rounding."""
 
     dim = 2
 
+    def __init__(self, c, shift=0.0):
+        self.c, self.shift = c, shift
+
     def omega(self, rho):
-        v = (rho if isinstance(rho, Spectrum) else eigh(rho)).eigenvectors
-        return np.angle(v[..., 0, 0])[..., None, None] * np.eye(2)
+        spec = rho if isinstance(rho, Spectrum) else eigh(rho)
+        return self.c * matrix_log(spec) + self.shift * np.eye(2)
 
 
-class TestA1RoundingFloor:
-    def test_sweep_sample_at_the_rounding_floor_is_redrawn(self):
+class TestA1Rounding:
+    def test_sweep_sample_at_the_rounding_floor_is_resolved(self):
         # Point 15 (p = 0.064) of the acceptance sweep protocol.  Its sample
-        # 9898 has D = 8.6e-14; D_Omega's rounding there (about 2e-15) moves
-        # that ratio by about 0.02, and it read 0.96, the sweep's a1 max.
+        # 9898 has D = 8.6e-14 and the sweep's (a1) max, near 0.95 (0.939 in
+        # 40-digit arithmetic); its rounding estimate leaves it below the gate.
         seed, p = 20240801, np.linspace(0.004, 0.1, 25)[15]
         obj = ChannelObjective(ChannelPair(dephasing_choi(0.4), depolarizing_choi(float(p))))
         initial = random_density(2, np.random.default_rng([seed, 15, 0]))
@@ -221,22 +217,31 @@ class TestA1RoundingFloor:
         streams = [np.random.default_rng([cert_seed & 0x7FFFFFFFFFFFFFFF, k]) for k in (0, 1)]
         raw = _draw_perturbations(final, *streams, 0.1, 10_000)[9898:9899]
         den = relative_entropy(final, _repair_candidates(raw)[0], support_cutoff=0.0)
-        assert den[0] < 1e-13 < stats.skip_tol
-        assert (stats.count, stats.skipped) == (10_000, 0)
-        assert stats.arg_max != 9898 and stats.max < 0.5
+        assert den[0] < 1e-13
+        assert (stats.count, stats.skipped, stats.arg_max) == (10_000, 0, 9898)
+        assert stats.max + stats.max_rounding < A1_MARGIN
 
-    def test_report_records_each_scans_skip_tol(self, channel_run):
-        obj, traj = channel_run
-        report = certify(traj, obj, n_samples=50)
-        assert report.a1.skip_tol > DIVERGENCE_SKIP_TOL
-        assert report.a2.skip_tol == report.a3.skip_tol == report.divergence_skip_tol
-
-    def test_omega_noise_above_every_divergence_fails_closed(self, rng):
-        # Rephasing the final state's eigenvectors moves this omega by O(1),
-        # so no sample's ratio is resolved and every one is skipped.
+    def test_resolved_ratios_below_the_gate_are_kept(self, rng):
         final = random_state(rng, 2)
-        with pytest.raises(NothingKeptError, match="every divergence"):
-            check_a1(final, PhaseReadingObjective(), 5, 0.1, seed=1)
+        stats = check_a1(final, ScaledLogObjective(0.9 * A1_MARGIN), 200, 0.1, seed=1)
+        assert (stats.count, stats.skipped) == (200, 0)
+        assert stats.max == pytest.approx(0.9 * A1_MARGIN, rel=1e-9)
+        assert stats.max + stats.max_rounding < A1_MARGIN
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_rounding_above_the_gap_to_the_gate_never_passes(self, rng, gamma):
+        # The shift's rounding exceeds every sample's gap below the gate, so
+        # a sample is redrawn until its ratio reads at or above the gate.
+        final = random_state(rng, 2)
+        obj = ScaledLogObjective(0.9 * gamma * A1_MARGIN, shift=1e14)
+        stats = check_a1(final, obj, 50, 0.1, seed=1, gamma=gamma)
+        assert stats.min >= gamma * A1_MARGIN
+
+    def test_report_records_the_a1_rounding(self, channel_run):
+        obj, traj = channel_run
+        doc = report_to_dict(certify(traj, obj, n_samples=50))
+        assert 0 < doc["a1"]["max_rounding"] < 1e-6
+        assert "max_rounding" not in doc["a2"] and "max_rounding" not in doc["a3"]
 
 
 class TestXmeBound:

@@ -404,6 +404,11 @@ class TestSolveEnergyConstrained:
         assert result.report == report
         assert solve_calls == eig_calls
 
+    def test_constraints_must_be_a_family(self):
+        opts = QabOptions(initial=np.eye(2) / 2, max_iters=5)
+        with pytest.raises(TypeError, match="MixtureFamily"):
+            solve_energy_constrained(paper_pair(), (PAULI_Z, 0.0), opts, n_samples=5)
+
 
 class TestChannelPair:
     def test_dimension_mismatch(self):

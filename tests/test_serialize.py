@@ -130,7 +130,9 @@ def test_report_document_keys_and_order():
     doc = report_to_dict(certify(traj, obj, n_samples=50, seed=13))
     assert list(doc) == REPORT_KEYS
     assert doc["divergence_skip_tol"] == 1e-14
-    assert list(doc["a1"]) == ["min", "max", "count", "arg_min", "arg_max", "skipped", "skip_tol"]
+    ratio_keys = ["min", "max", "count", "arg_min", "arg_max", "skipped"]
+    assert list(doc["a1"]) == ratio_keys + ["max_rounding"]
+    assert list(doc["a2"]) == list(doc["a3"]) == ratio_keys
 
 
 def test_real_states_are_written_as_pairs(tmp_path):

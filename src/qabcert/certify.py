@@ -166,6 +166,8 @@ def _draw_perturbations(final: np.ndarray, rng_h, rng_eps, eps_max: float, n: in
 def _repair_candidates(raw: np.ndarray):
     """PSD repair of a stack: clip at 0, renormalize, floor to full rank.
 
+    The renormalized ``REPAIR_FLOOR`` lies strictly inside the support
+    (``SUPPORT_CUTOFF``), so D and omega score the same repaired sample.
     Returns the repaired spectra and a mask of draws whose clipping removed
     more than 10% of trace mass (those get resampled).
     """
@@ -242,10 +244,8 @@ def check_a1(
             raw = np.concatenate(
                 [_draw_perturbations(final, redraws[i], redraws[i], eps_max, 1) for i in rows]
             )
-        # Repaired candidates are full rank, but their renormalized REPAIR_FLOOR sits
-        # just below SUPPORT_CUTOFF; cutoff 0 keeps that eigenvalue in the support.
         repaired, heavy = _repair_candidates(raw)
-        den = relative_entropy(final, repaired, support_cutoff=0.0)
+        den = relative_entropy(final, repaired)
         scored = np.nonzero(~heavy & _kept(den))[0]
         if scored.size == 0:
             continue

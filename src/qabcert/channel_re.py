@@ -6,7 +6,9 @@ of ``D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M))``.  The module
 provides the omega map realizing that objective, unconstrained and
 energy-constrained solvers with a posteriori certification, and two
 independent oracles (closed-form Bell-diagonal, and a brute-force Bloch grid
-scored ray by ray without decomposing any grid state).
+scored ray by ray without decomposing any grid state).  Finiteness is the
+pair's alone (:class:`ChannelPair`): omega raises on an infinite pair before
+any work and scans no state for a leak.
 
 Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
@@ -28,18 +30,16 @@ is the true channel relative entropy in nats.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .certify import CertificationReport, certify
 from .linalg import (
     OUTSIDE_MASS_TOL,
-    SUPPORT_CUTOFF,
     Spectrum,
     _on_support,
     _spectrum,
-    _support,
     eigh,
     hermitize,
     kron,
@@ -74,7 +74,7 @@ OMEGA_CHUNK_ENTRIES = 2**14
 
 
 class SupportViolationError(ValueError):
-    """The first sandwich leaks outside the second's support: objective -inf."""
+    """Gamma_N leaks outside the support of Gamma_M: the objective is -inf at every state."""
 
 
 class OracleInapplicableError(ValueError):
@@ -83,14 +83,22 @@ class OracleInapplicableError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelPair:
-    """Two channels A -> B as Choi matrices with matching dimensions."""
+    """Two channels A -> B as Choi matrices with matching dimensions.
+
+    ``leaked_mass`` is Gamma_N's mass outside supp Gamma_M.  At full-rank rho,
+    S_X is a congruence of Gamma_X, so the divergence is +inf at every state
+    exactly when ``leaked_mass > OUTSIDE_MASS_TOL``.
+    """
 
     choi_n: ChoiMatrix
     choi_m: ChoiMatrix
+    leaked_mass: float = field(init=False, compare=False)
 
     def __post_init__(self):
         if (self.choi_n.dim_a, self.choi_n.dim_b) != (self.choi_m.dim_a, self.choi_m.dim_b):
             raise ValueError("Choi matrices must share dim_a and dim_b")
+        leaked = support_overlap(self.choi_n.mat, eigh(self.choi_m.mat))[0]
+        object.__setattr__(self, "leaked_mass", float(leaked))
 
     @property
     def dim_a(self) -> int:
@@ -125,7 +133,7 @@ def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
     S_X = (sqrt(rho) x I) Gamma_X (sqrt(rho) x I).  Raises
     :class:`~qabcert.linalg.MatrixDomainError` on negative ``lam``.
     """
-    d = np.repeat(_on_support(lam, np.sqrt, SUPPORT_CUTOFF)[..., ::-1], dim_b, axis=-1)
+    d = np.repeat(_on_support(lam, np.sqrt)[..., ::-1], dim_b, axis=-1)
     return rotated * (d[..., None, :, None] * d[..., None, None, :]), d
 
 
@@ -134,13 +142,19 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
 
     Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
     -D(S_N || S_M).  Stack-aware in ``rho_a``.  Raises
-    :class:`SupportViolationError` when S_N leaks outside the support of S_M.
+    :class:`SupportViolationError` before any work when the pair is
+    infinite (``ChannelPair.leaked_mass``); no state is scanned for a leak.
 
     Evaluated in rho's eigenbasis W (descending, see ``_rotated_chois``): with
     S' and d from ``_eigenbasis_sandwiches``, omega1 = -W Tr_B[(Gamma'_N o
     1d^T) (log S'_N - log S'_M) o 1d^-T] W^dag, where d^- inverts d on its
     support.  One stacked decomposition gives both S'_N and S'_M.
     """
+    if pair.leaked_mass > OUTSIDE_MASS_TOL:
+        raise SupportViolationError(
+            "support of Gamma_N is not contained in the support of Gamma_M; "
+            f"the objective is -inf (leaked mass {pair.leaked_mass:.3e})"
+        )
     spec = _spectrum(rho_a)
     w, v = spec.eigenvalues, spec.eigenvectors
     n = v.shape[-1] * pair.dim_b
@@ -154,18 +168,7 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     sand, d = _eigenbasis_sandwiches(rotated, w, pair.dim_b)
     gamma_nd = rotated[..., 0, :, :] * d[..., None, :]
     both = eigh(sand)
-    if not _support(both.eigenvalues[..., 1, :], SUPPORT_CUTOFF)[1].all():  # else nothing leaks
-        spec_n, spec_m = (
-            Spectrum(both.eigenvalues[..., k, :], both.eigenvectors[..., k, :, :]) for k in (0, 1)
-        )
-        outside, _ = support_overlap(spec_n, spec_m)
-        if (outside > OUTSIDE_MASS_TOL).any():
-            raise SupportViolationError(
-                "support of sandwich(rho, Gamma_N) is not contained in the "
-                "support of sandwich(rho, Gamma_M); the objective is -inf "
-                f"(leaked mass {float(outside.max()):.3e})"
-            )
-    log_w = _on_support(both.eigenvalues, np.log, SUPPORT_CUTOFF)
+    log_w = _on_support(both.eigenvalues, np.log)
     logs = Spectrum(log_w, both.eigenvectors).matrix()
     d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
     inner = gamma_nd @ (logs[..., 0, :, :] - logs[..., 1, :, :]) * d_inv[..., None, :]
@@ -182,7 +185,8 @@ def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
 def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
     """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss.
 
-    Scored in rho's eigenbasis, as :func:`omega1` is.
+    Scored in rho's eigenbasis, as :func:`omega1` is, by ``relative_entropy``;
+    the solver's objective is Tr rho omega instead (:class:`ChannelObjective`).
     """
     spec = _spectrum(rho_a)
     rotated = _rotated_chois(pair, spec.eigenvectors)
@@ -194,9 +198,9 @@ def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
 class ChannelObjective(Objective):
     """The channel objective at the per-Choi-state scale (see module docs).
 
-    ``omega``/``value`` equal the module-level :func:`omega` and
-    :func:`objective_value` divided by ``dim_a``; multiply minimized values
-    by ``dim_a`` to recover the channel divergence.
+    ``omega`` is :func:`omega` over ``dim_a`` and ``value`` the inherited
+    Tr rho omega, :func:`objective_value` over ``dim_a``; multiply minimized
+    values by ``dim_a`` to recover the channel divergence.
     """
 
     def __init__(self, pair: ChannelPair):
@@ -205,9 +209,6 @@ class ChannelObjective(Objective):
 
     def omega(self, rho: np.ndarray | Spectrum) -> np.ndarray:
         return omega(rho, self.pair) / self.pair.dim_a
-
-    def value(self, rho: np.ndarray):
-        return objective_value(rho, self.pair) / self.pair.dim_a
 
     def channel_scale(self, value: float) -> float:
         """-dim_a * value, the channel divergence of an objective value; +0.0 for 0."""

@@ -9,9 +9,11 @@ returned matrix.
 A :class:`Spectrum` is what layers pass to each other, so each state is
 decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`, :func:`matrix_exp`,
 :func:`matrix_sqrt`, :func:`matrix_inv_sqrt`), :func:`floor_spectrum`,
-``quantum.relative_entropy`` and ``qab_core.Objective.omega`` (so ``d_omega``'s
-sigma, ``channel_re.omega``, ``omega1`` and ``objective_value``) accept one
-in place of a matrix, and :func:`gibbs_spectrum` returns one.  ``channel_re``
+``quantum.relative_entropy``, ``quantum.support_overlap`` (its sigma) and
+``qab_core.Objective.omega`` (so ``d_omega``'s sigma, ``channel_re.omega``,
+``omega1`` and ``objective_value``) accept one in place of a matrix, and
+:func:`gibbs_spectrum` returns one; log, sqrt and x^(-1/2) act on the support
+only (``_on_support``), plain :func:`matrix_fn` on all of it.  ``channel_re``
 works in that spectrum's eigenbasis: it rotates both Choi matrices there as
 one stack, scales them by sqrt(lambda) elementwise instead of building
 sqrt(rho), and decomposes the sandwiches S_N and S_M with one stacked
@@ -23,16 +25,18 @@ Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):
 
 ===============================  =====  ==============================================
-``SUPPORT_CUTOFF``               1e-12  support of log, sqrt, x^(-1/2) (so ``omega``),
-                                        ``relative_entropy``, ``support_overlap``
+``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so
+                                        ``omega``), ``relative_entropy``, ``support_overlap``
 ``STATIONARITY_CUTOFF``          1e-8   support in ``certify.stationarity_residual``
-``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``, ``omega`` raise
-``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` admits
+``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's verdict
+                                        (``ChannelPair.leaked_mass``), on which ``omega`` raises
+``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and
+                                        ``quantum.ChoiMatrix`` admit
 ``STATE_FLOOR``                  1e-14  eigenvalue floor of iterates (``qab_run``)
-``REPAIR_FLOOR``                 1e-12  floor of repaired (a1) samples (scored at cutoff 0)
+``REPAIR_FLOOR``                 1e-11  floor of repaired (a1) samples, inside the support
 ``mixture.TAU_TOL``              1e-10  gradient norm at which ``e_project`` stops
 ``mixture.CONSTRAINT_TOL``       1e-8   constraint residual of an initial state
-``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators
+``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators (= a Choi matrix's TP)
 ``channel_re.BELL_TOL``          1e-10  off-diagonal entry of a Bell-diagonal Choi matrix
 ``certify.DIVERGENCE_SKIP_TOL``  1e-14  ``certify._kept`` skips (a1)-(a3) divergences at or below it;
                                         the report records it
@@ -72,7 +76,7 @@ STATIONARITY_CUTOFF = 1e-8
 OUTSIDE_MASS_TOL = 1e-10
 PSD_TOL = 1e-10
 STATE_FLOOR = 1e-14
-REPAIR_FLOOR = 1e-12
+REPAIR_FLOOR = 1e-11
 
 
 class DecompositionError(RuntimeError):
@@ -150,13 +154,13 @@ def _support(w: np.ndarray, cutoff: float, f: Callable | None = None):
     return cut, inside, fw
 
 
-def _on_support(w: np.ndarray, f: Callable, cutoff: float) -> np.ndarray:
-    """``f`` on the support of ``w`` (``_support``), exact zeros off it.
+def _on_support(w: np.ndarray, f: Callable) -> np.ndarray:
+    """``f`` on the support of ``w`` (``_support`` at ``SUPPORT_CUTOFF``), exact zeros off it.
 
     Raises :class:`MatrixDomainError` for eigenvalues below the negated
     threshold.  Stack-aware.
     """
-    cut, _, fw = _support(w, cutoff, f)
+    cut, _, fw = _support(w, SUPPORT_CUTOFF, f)
     if (w < -cut).any():
         raise MatrixDomainError(
             "matrix has negative eigenvalues beyond the support cutoff "
@@ -165,24 +169,22 @@ def _on_support(w: np.ndarray, f: Callable, cutoff: float) -> np.ndarray:
     return fw
 
 
-def matrix_fn(m: np.ndarray | Spectrum, f: Callable, support_cutoff: float = 0.0) -> np.ndarray:
-    """Apply a scalar function to the spectrum: V f(lambda) V^dag.
+def matrix_fn(m: np.ndarray | Spectrum, f: Callable) -> np.ndarray:
+    """Apply a scalar function to the whole spectrum: V f(lambda) V^dag.
 
     ``m`` is a matrix or its already computed :class:`Spectrum`.
-
-    With ``support_cutoff > 0`` the function is evaluated on the support
-    only (see ``_support``): eigenvalues outside it map to exact zeros, and
-    eigenvalues below the negated threshold raise :class:`MatrixDomainError`.
-    Log, sqrt and x^(-1/2) use ``SUPPORT_CUTOFF``; exp takes 0.
     """
     spec = _spectrum(m)
-    w = spec.eigenvalues
-    fw = _on_support(w, f, support_cutoff) if support_cutoff > 0 else f(w)
-    return Spectrum(fw, spec.eigenvectors).matrix()
+    return Spectrum(f(spec.eigenvalues), spec.eigenvectors).matrix()
+
+
+def _matrix_fn_on_support(m: np.ndarray | Spectrum, f: Callable) -> np.ndarray:
+    """:func:`matrix_fn` with ``f`` on the support only (``_on_support``)."""
+    return matrix_fn(m, lambda w: _on_support(w, f))
 
 
 def matrix_log(m: np.ndarray | Spectrum) -> np.ndarray:
-    return matrix_fn(m, np.log, SUPPORT_CUTOFF)
+    return _matrix_fn_on_support(m, np.log)
 
 
 def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
@@ -190,11 +192,11 @@ def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
 
 
 def matrix_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:
-    return matrix_fn(m, np.sqrt, SUPPORT_CUTOFF)
+    return _matrix_fn_on_support(m, np.sqrt)
 
 
 def matrix_inv_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:
-    return matrix_fn(m, lambda x: 1.0 / np.sqrt(x), SUPPORT_CUTOFF)
+    return _matrix_fn_on_support(m, lambda x: 1.0 / np.sqrt(x))
 
 
 def gibbs_spectrum(m: np.ndarray) -> Spectrum:

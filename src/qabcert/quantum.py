@@ -86,11 +86,11 @@ class ChoiMatrix:
             )
         mat = hermitize(mat)
         w = np.linalg.eigvalsh(mat)
-        if w.min() < -1e-10:
+        if w.min() < -PSD_TOL:
             raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
         if self.check_tp:
             marg = partial_trace(mat, self.dim_a, self.dim_b, keep="A")
-            if np.max(np.abs(marg - np.eye(self.dim_a))) > 1e-8:
+            if np.max(np.abs(marg - np.eye(self.dim_a))) > KRAUS_TOL:
                 raise ValueError("channel is not trace-preserving: Tr_B Gamma != I_A")
         object.__setattr__(self, "mat", mat)
 
@@ -170,13 +170,12 @@ def random_density(dim: int, seed) -> np.ndarray:
     return hermitize(rho)
 
 
-def support_overlap(
-    rho: np.ndarray | Spectrum, sigma: Spectrum, support_cutoff: float = SUPPORT_CUTOFF
-):
+def support_overlap(rho: np.ndarray | Spectrum, sigma: Spectrum):
     """``(outside_mass, Tr rho log sigma)`` from the weights <u_k| rho |u_k>.
 
     The u_k are the eigenvectors of ``sigma``; those outside its support
-    (``linalg._support`` at ``support_cutoff``) carry the outside mass.
+    (``linalg._support`` at ``SUPPORT_CUTOFF``) carry the outside mass.
+    ``rho`` need not be a state: ``ChannelPair`` passes Gamma_N.
     """
     u = sigma.eigenvectors
     udag = np.conj(np.swapaxes(u, -1, -2))
@@ -185,17 +184,13 @@ def support_overlap(
         diag = np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
     else:
         diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
-    _, inside, log_s = _support(sigma.eigenvalues, support_cutoff, np.log)
+    _, inside, log_s = _support(sigma.eigenvalues, SUPPORT_CUTOFF, np.log)
     outside_mass = np.where(inside, 0.0, diag).sum(axis=-1)
     tr_log = (diag * log_s).sum(axis=-1)
     return outside_mass, tr_log
 
 
-def relative_entropy(
-    rho: np.ndarray | Spectrum,
-    sigma: np.ndarray | Spectrum,
-    support_cutoff: float = SUPPORT_CUTOFF,
-):
+def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):
     """Umegaki relative entropy Tr rho (log rho - log sigma) in nats.
 
     Inputs must be PSD to ``PSD_TOL`` but need not have unit trace.  When
@@ -215,7 +210,7 @@ def relative_entropy(
         if w.min() < -PSD_TOL:
             raise ValueError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
 
-    tr_rlogr = _support(wr, support_cutoff, lambda x: x * np.log(x))[2].sum(axis=-1)
-    outside_mass, tr_rlogs = support_overlap(rho, spec_s, support_cutoff)
+    tr_rlogr = _support(wr, SUPPORT_CUTOFF, lambda x: x * np.log(x))[2].sum(axis=-1)
+    outside_mass, tr_rlogs = support_overlap(rho, spec_s)
     out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
     return float(out) if np.ndim(out) == 0 else out

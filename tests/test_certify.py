@@ -27,6 +27,7 @@ from qabcert import (
     stationarity_residual,
     xme_bound,
 )
+from qabcert.linalg import SUPPORT_CUTOFF, _support
 from qabcert.quantum import PAULI_Z, random_density
 from qabcert.certify import A1_MARGIN, _draw_perturbations, _repair_candidates, _scan
 from qabcert.serialize import report_to_dict
@@ -187,6 +188,15 @@ class TestCheckA1:
         assert stats.count == 200  # nothing re-drawn
         assert sum(eig_calls) <= 3 * 200 + 4
 
+    def test_repaired_samples_lie_inside_the_support(self):
+        # The renormalized REPAIR_FLOOR of a near-pure final's repaired draws
+        # lies strictly inside SUPPORT_CUTOFF, so D and omega score the same
+        # sigma.  A floor of 1e-12 left 1019 of these 2000 draws at the cut.
+        final = np.diag([1 - 1e-14, 1e-14]).astype(complex)
+        streams = [np.random.default_rng([0, k]) for k in (0, 1)]
+        repaired, _ = _repair_candidates(_draw_perturbations(final, *streams, 0.1, 2000))
+        assert _support(repaired.eigenvalues, SUPPORT_CUTOFF)[1].all()
+
 
 class ScaledLogObjective(Objective):
     """omega(rho) = c log rho + shift I: every (a1) ratio is c, and shift adds rounding."""
@@ -216,7 +226,7 @@ class TestA1Rounding:
 
         streams = [np.random.default_rng([cert_seed & 0x7FFFFFFFFFFFFFFF, k]) for k in (0, 1)]
         raw = _draw_perturbations(final, *streams, 0.1, 10_000)[9898:9899]
-        den = relative_entropy(final, _repair_candidates(raw)[0], support_cutoff=0.0)
+        den = relative_entropy(final, _repair_candidates(raw)[0])
         assert den[0] < 1e-13
         assert (stats.count, stats.skipped, stats.arg_max) == (10_000, 0, 9898)
         assert stats.max + stats.max_rounding < A1_MARGIN

@@ -23,6 +23,7 @@ from qabcert import (
     solve_unconstrained,
 )
 from qabcert.linalg import (
+    OUTSIDE_MASS_TOL,
     STATE_FLOOR,
     Spectrum,
     floor_spectrum,
@@ -410,7 +411,34 @@ class TestSolveEnergyConstrained:
             solve_energy_constrained(paper_pair(), (PAULI_Z, 0.0), opts, n_samples=5)
 
 
+def d4_pair():
+    """Ququart rank 4 vs rank 16: Gamma_M is full rank, so the divergence is finite."""
+    low = choi_from_kraus(random_kraus(31, 4, 4, 4))
+    full = choi_from_kraus(random_kraus(32, 4, 4, 16))
+    return ChannelPair(low, full)
+
+
 class TestChannelPair:
+    def test_leaked_mass_decides_finiteness(self):
+        assert d4_pair().leaked_mass == 0.0
+        assert paper_pair().leaked_mass == 0.0
+        infinite = [
+            ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.0)),
+            ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5)),
+        ]
+        for pair in infinite:
+            assert pair.leaked_mass > OUTSIDE_MASS_TOL
+
+    def test_finite_pair_runs_as_iterates_near_the_boundary(self):
+        # The iterate's smallest eigenvalue drifts to ~1e-10, where S_M's
+        # smallest eigenvalues fall under the relative support cutoff; a
+        # per-state leak scan raised at about the 73rd omega call.
+        obj = ChannelObjective(d4_pair())
+        traj = qab_run(obj, QabOptions(np.eye(4) / 4, gamma=1, max_iters=100))
+        assert len(traj.states) == 101
+        assert np.isfinite(traj.values).all() and np.isfinite(traj.step_domega).all()
+        assert obj.divergence(traj) == pytest.approx(2.851, abs=1e-3)
+
     def test_dimension_mismatch(self):
         qutrit = choi_from_kraus([np.eye(3)])
         with pytest.raises(ValueError):

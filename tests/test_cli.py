@@ -14,7 +14,7 @@ from qabcert.qab_core import Trajectory
 from qabcert.quantum import choi_from_kraus, depolarizing_choi
 from qabcert.serialize import complex_matrix_to_pairs, load_report, save_channel, save_trajectory
 
-from conftest import isometry_kraus_2to3
+from conftest import isometry_kraus_2to3, random_kraus
 
 
 def run(*argv):
@@ -295,6 +295,18 @@ class TestChannelFiles:
         )
         _, rows = data_rows(out)
         assert float(rows[0]["value"]) == pytest.approx(1.9715, abs=1e-3)
+
+    def test_finite_ququart_pair_solves(self, tmp_path):
+        # Ququart rank 4 vs rank 16 (full-rank Gamma_M): the divergence is
+        # finite even where the iterate nears the boundary of the state space.
+        for name, seed, rank in (("n4", 31, 4), ("m4", 32, 16)):
+            save_channel(tmp_path / f"{name}.json", choi_from_kraus(random_kraus(seed, 4, 4, rank)))
+        out = tmp_path / "row.csv"
+        argv = ("--channel-n", str(tmp_path / "n4.json"), "--channel-m", str(tmp_path / "m4.json"))
+        assert run("solve", *argv, "--samples", "20", "--iters", "100", "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert rows[0]["status"] == "ok"
+        assert math.isfinite(float(rows[0]["value"]))
 
     def test_kraus_file_with_more_outputs_than_inputs(self, tmp_path):
         path = tmp_path / "k23.json"

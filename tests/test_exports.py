@@ -49,15 +49,10 @@ def _tolerance_like(param: str) -> bool:
     return "tol" in param or "cutoff" in param or param in {"reg", "atol", "chunk", "floor"}
 
 
-# Parameters whose callers pass two different values: SUPPORT_CUTOFF, and 0.0
-# when (a1) scores its floored samples; STATE_FLOOR and REPAIR_FLOOR.  Every
-# other support, floor or tolerance value is a named module constant.
-ALLOWED_KNOBS = {
-    ("matrix_fn", "support_cutoff"),
-    ("relative_entropy", "support_cutoff"),
-    ("support_overlap", "support_cutoff"),
-    ("floor_spectrum", "floor"),
-}
+# The one parameter whose callers pass two different values: STATE_FLOOR and
+# REPAIR_FLOOR.  Every support, other floor or tolerance value is a named
+# module constant; SUPPORT_CUTOFF is the one support rule.
+ALLOWED_KNOBS = {("floor_spectrum", "floor")}
 
 
 def test_no_tolerance_knobs_beyond_the_two_valued_ones():

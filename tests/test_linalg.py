@@ -62,8 +62,14 @@ class TestEigh:
 
 class TestMatrixFn:
     def test_diagonal_log(self):
-        out = matrix_fn(np.diag([1.0, np.e]), np.log, 1e-12)
+        out = matrix_log(np.diag([1.0, np.e]))
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-14)
+
+    def test_plain_fn_applies_to_every_eigenvalue(self):
+        # No support rule: a floored iterate's log keeps its sub-cutoff direction.
+        spec = Spectrum(np.array([1e-14, 1.0]), np.eye(2))
+        assert np.allclose(matrix_fn(spec, np.log), np.diag([np.log(1e-14), 0.0]), atol=1e-13)
+        assert np.array_equal(matrix_log(spec), np.diag([0.0, 0.0]))
 
     def test_exp_log_round_trip(self, rng):
         # ||H||_F <= 10
@@ -275,11 +281,11 @@ class TestSupportRule:
     def test_negative_eigenvalue_beyond_the_cutoff_raises(self):
         vecs = np.eye(2)
         with pytest.raises(MatrixDomainError):
-            matrix_fn(Spectrum(np.array([-2 * SUPPORT_CUTOFF, 1.0]), vecs), np.sqrt, SUPPORT_CUTOFF)
+            matrix_sqrt(Spectrum(np.array([-2 * SUPPORT_CUTOFF, 1.0]), vecs))
         with pytest.raises(MatrixDomainError):
-            matrix_fn(Spectrum(np.array([-2.0, -1.0]), vecs), np.log, SUPPORT_CUTOFF)
+            matrix_log(Spectrum(np.array([-2.0, -1.0]), vecs))
         at_cutoff = Spectrum(np.array([-SUPPORT_CUTOFF, 1.0]), vecs)
-        assert np.array_equal(matrix_fn(at_cutoff, np.sqrt, SUPPORT_CUTOFF), np.diag([0.0, 1.0]))
+        assert np.array_equal(matrix_sqrt(at_cutoff), np.diag([0.0, 1.0]))
 
     def test_stacked_spectra_use_their_own_largest_eigenvalue(self):
         w = np.array([[1e-13, 1.0], [1e-13, 1e-2]])

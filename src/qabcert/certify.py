@@ -16,7 +16,7 @@ as a disclosed proxy for rho_star).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,10 @@ A1_MARGIN = 0.999
 A2_TOLERANCE = 1e-9
 MAX_RESAMPLE_ATTEMPTS = 100
 CLIP_MASS_FRACTION = 0.1
+PROXY_NOTE = (
+    "rho_star is approximated by the final iterate; the bound is a "
+    "proxy for the exact suboptimality guarantee"
+)
 
 
 @dataclass(frozen=True)
@@ -76,31 +80,47 @@ class A1Stats(RatioStats):
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Verdicts for (a1)/(a2)/(a3) plus the precision bound.
+    """Verdicts for (a1)/(a2)/(a3) plus the precision bound, derived from the stats.
 
-    ``bound_value`` is always computed from the final iterate as a proxy
-    for the true minimizer; ``bound_certified`` marks whether (a2) and (a3)
-    back it.  All thresholds are recorded so the report is re-derivable.
+    The caller gives what the checks measured; the report records its
+    constants and sets its verdicts itself (none of them is an ``__init__``
+    argument, so a loaded document cannot set or loosen them):
+    (a1) passes when ``a1.max <= gamma * a1_margin``, (a2) when
+    ``a2.min >= -a2_tolerance``, (a3) when ``a3.max <= gamma``; a NaN
+    extremum fails.  ``bound_value`` is always computed from the final
+    iterate as a proxy for the true minimizer; ``bound_certified`` marks
+    whether (a2) and (a3) back it, and ``certified`` adds (a1).
     """
 
     gamma: float
     samples: int
     seed: int
     eps_max: float
-    divergence_skip_tol: float
+    divergence_skip_tol: float = field(init=False, default=DIVERGENCE_SKIP_TOL)
     a1: A1Stats
-    a1_pass: bool
-    a1_margin: float
+    a1_pass: bool = field(init=False)
+    a1_margin: float = field(init=False, default=A1_MARGIN)
     a2: RatioStats
-    a2_pass: bool
-    a2_tolerance: float
+    a2_pass: bool = field(init=False)
+    a2_tolerance: float = field(init=False, default=A2_TOLERANCE)
     a3: RatioStats
-    a3_pass: bool
+    a3_pass: bool = field(init=False)
     bound_value: float
     bound_t0: int
-    bound_certified: bool
-    certified: bool
-    proxy_note: str
+    bound_certified: bool = field(init=False)
+    certified: bool = field(init=False)
+    proxy_note: str = field(init=False, default=PROXY_NOTE)
+
+    def __post_init__(self):
+        verdicts = {
+            "a1_pass": self.a1.max <= self.gamma * self.a1_margin,
+            "a2_pass": self.a2.min >= -self.a2_tolerance,
+            "a3_pass": self.a3.max <= self.gamma,
+        }
+        verdicts["bound_certified"] = verdicts["a2_pass"] and verdicts["a3_pass"]
+        verdicts["certified"] = verdicts["a1_pass"] and verdicts["bound_certified"]
+        for name, value in verdicts.items():
+            object.__setattr__(self, name, value)
 
 
 class NothingKeptError(ValueError):
@@ -308,9 +328,9 @@ def certify(
     """Run all checks on a trajectory and assemble the report.
 
     gamma is the run's own, ``traj.gamma``, and must be positive and finite.
-    Pass rules: (a1) max ratio <= 0.999 * gamma, (a2) min ratio >= -1e-9,
-    (a3) max ratio <= gamma.  The precision bound is always evaluated but
-    only marked certified when (a2) and (a3) pass.
+    The report derives its verdicts from the measured stats (the pass rules
+    are in :class:`CertificationReport`).  The precision bound is always
+    evaluated but only marked certified when (a2) and (a3) pass.
 
     A trajectory that never moved (every per-step divergence at or below
     the skip tolerance) started at a fixed point; the step conditions then
@@ -335,31 +355,9 @@ def certify(
 
     a2 = scan_or_fixed_point(check_a2, obj)
     a3 = scan_or_fixed_point(check_a3)
-    a1_pass = a1.max <= gamma * A1_MARGIN
-    a2_pass = a2.min >= -A2_TOLERANCE
-    a3_pass = a3.max <= gamma
     t0 = len(traj.states) - 1
     bound = xme_bound(gamma, traj.states[0], final, t0)
     return CertificationReport(
-        gamma=gamma,
-        samples=n_samples,
-        seed=int(seed),
-        eps_max=eps_max,
-        divergence_skip_tol=DIVERGENCE_SKIP_TOL,
-        a1=a1,
-        a1_pass=a1_pass,
-        a1_margin=A1_MARGIN,
-        a2=a2,
-        a2_pass=a2_pass,
-        a2_tolerance=A2_TOLERANCE,
-        a3=a3,
-        a3_pass=a3_pass,
-        bound_value=bound,
-        bound_t0=t0,
-        bound_certified=a2_pass and a3_pass,
-        certified=a1_pass and a2_pass and a3_pass,
-        proxy_note=(
-            "rho_star is approximated by the final iterate; the bound is a "
-            "proxy for the exact suboptimality guarantee"
-        ),
-    )
+        gamma=gamma, samples=n_samples, seed=int(seed), eps_max=eps_max,
+        a1=a1, a2=a2, a3=a3, bound_value=bound, bound_t0=t0,
+    )  # fmt: skip

@@ -52,7 +52,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "DecompositionError",
     "MatrixDomainError",
     "Spectrum",
     "eigh",
@@ -77,14 +76,6 @@ OUTSIDE_MASS_TOL = 1e-10
 PSD_TOL = 1e-10
 STATE_FLOOR = 1e-14
 REPAIR_FLOOR = 1e-11
-
-
-class DecompositionError(RuntimeError):
-    """Eigendecomposition did not converge."""
-
-    def __init__(self, dim: int):
-        super().__init__(f"eigendecomposition failed to converge (dim={dim})")
-        self.dim = dim
 
 
 class MatrixDomainError(ValueError):
@@ -123,12 +114,12 @@ class Spectrum:
 
 
 def eigh(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix (or stack of them)."""
-    m = hermitize(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(m.shape[-1]) from exc
+    """Eigendecomposition of a Hermitian matrix (or stack of them).
+
+    Raises numpy's ``LinAlgError``, a ``ValueError``, when LAPACK does not
+    converge, as it may not for a matrix with NaN entries.
+    """
+    w, v = np.linalg.eigh(hermitize(m))
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 

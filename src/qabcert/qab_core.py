@@ -23,7 +23,7 @@ from .linalg import (
     hermitize,
     matrix_fn,
 )
-from .mixture import CONSTRAINT_TOL, EProjectionError, MixtureFamily, e_project
+from .mixture import CONSTRAINT_TOL, EProjectionError, MixtureFamily, TauSolution, e_project
 from .quantum import relative_entropy
 
 __all__ = [
@@ -110,11 +110,11 @@ class Trajectory:
     made the trajectory (None when unknown).
     """
 
-    states: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    step_kl: list = field(default_factory=list)
-    step_domega: list = field(default_factory=list)
-    tau_history: list = field(default_factory=list)
+    states: list[np.ndarray] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+    step_kl: list[float] = field(default_factory=list)
+    step_domega: list[float] = field(default_factory=list)
+    tau_history: list[TauSolution] = field(default_factory=list)
     gamma: float | None = None
 
     def check_consistent(self) -> None:

@@ -116,15 +116,15 @@ def dephasing_choi(p_deph: float) -> ChoiMatrix:
 
 
 def choi_from_kraus(kraus, check: bool = True) -> ChoiMatrix:
-    """Choi matrix from Kraus operators (each of shape dim_b x dim_a)."""
+    """Choi matrix from Kraus operators (each of shape dim_b x dim_a).
+
+    Tr_B Gamma = (sum K^dag K)^T, so ``ChoiMatrix``'s trace-preservation
+    check (``check_tp=check``) is the completeness check sum K^dag K = I_A.
+    """
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
         raise ValueError("at least one Kraus operator is required")
     dim_b, dim_a = ops[0].shape
-    comp = sum(np.conj(k.T) @ k for k in ops)
-    complete = np.max(np.abs(comp - np.eye(dim_a))) <= KRAUS_TOL
-    if check and not complete:
-        raise ValueError("Kraus operators do not satisfy sum K^dag K = I_A")
     me = maximally_entangled(dim_a)
     mat = dim_a * sum(
         kron(np.eye(dim_a), k) @ me @ np.conj(kron(np.eye(dim_a), k).T) for k in ops

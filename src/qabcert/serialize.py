@@ -3,23 +3,26 @@
 Complex matrices are encoded as nested arrays of ``[re, im]`` pairs.  A
 trajectory or report document is its dataclass: one key per field, in field
 order, with every 2-D array (a state) written as pairs whatever its dtype.
-All documents are strict JSON; floats survive a dump/load round trip
-bit-exactly (Python renders them with shortest-repr), and a non-finite float
-is written as the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which
-``float`` reads back.  Identical inputs produce identical bytes.
+It is read back by walking the same dataclass's field type hints, so a new
+field needs no reader of its own.  All documents are strict JSON; floats
+survive a dump/load round trip bit-exactly (Python renders them with
+shortest-repr), and a non-finite float is written as the string ``"NaN"``,
+``"Infinity"`` or ``"-Infinity"``.  Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .certify import A1Stats, CertificationReport, RatioStats
-from .mixture import MixtureFamily, TauSolution
+from .certify import CertificationReport
+from .mixture import MixtureFamily
 from .qab_core import Trajectory
 from .quantum import ChoiMatrix, choi_from_kraus
 
@@ -41,18 +44,13 @@ CHOI_NORMALIZATION_TAG = "trace-dim-a"
 _NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 
 
-def _encode_float(x) -> float | str:
-    """``x`` as a float, or as its ``_NON_FINITE`` string if it is not finite."""
-    x = float(x)
-    if math.isfinite(x):
-        return x
-    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
-
-
 def _encode(value):
-    """The document of ``value``: dataclasses, lists and arrays walked, floats encoded."""
+    """The document of ``value``: dataclasses, lists and arrays walked; inf/NaN as strings."""
     if isinstance(value, float):
-        return _encode_float(value)
+        x = float(value)
+        if math.isfinite(x):
+            return x
+        return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
     if isinstance(value, np.ndarray):
         if value.ndim == 2:
             return complex_matrix_to_pairs(value)
@@ -64,9 +62,35 @@ def _encode(value):
     return value
 
 
-def _decode_non_finite(value):
-    """Inverse of ``_encode_float`` for one scalar document value."""
-    return _NON_FINITE.get(value, value) if isinstance(value, str) else value
+@functools.cache
+def _init_field_hints(kind) -> dict:
+    """The type hint of each ``init`` field of dataclass ``kind`` (evaluated once per class)."""
+    hints = typing.get_type_hints(kind)
+    return {f.name: hints[f.name] for f in dataclasses.fields(kind) if f.init}
+
+
+def _decode(kind, doc):
+    """Inverse of ``_encode``: the value of type ``kind`` that ``doc`` encodes.
+
+    A dataclass is built from the document's keys for its ``init`` fields,
+    each decoded by its type hint; a missing key keeps the field's default,
+    and a missing required key raises ``TypeError``.
+    """
+    if kind is float:
+        return float(_NON_FINITE[doc] if isinstance(doc, str) else doc)
+    if kind is np.ndarray:
+        if doc and isinstance(doc[0], list):
+            return pairs_to_complex_matrix(doc)
+        return np.array([_decode(float, v) for v in doc], dtype=float)
+    if dataclasses.is_dataclass(kind):
+        hints = _init_field_hints(kind)
+        return kind(**{name: _decode(hints[name], doc[name]) for name in hints if name in doc})
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return [_decode(args[0], v) for v in doc]
+    if type(None) in args:  # ``X | None``
+        return None if doc is None else _decode(args[0], doc)
+    return kind(doc)
 
 
 def complex_matrix_to_pairs(m: np.ndarray) -> list:
@@ -130,32 +154,14 @@ def load_constraints(path) -> MixtureFamily:
     return MixtureFamily(observables=tuple(obs), targets=tuple(targets))
 
 
-def _trajectory_from_dict(doc: dict) -> Trajectory:
-    traj = Trajectory(
-        states=[pairs_to_complex_matrix(s) for s in doc["states"]],
-        gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
-        values=[float(v) for v in doc["values"]],
-        step_kl=[float(v) for v in doc["step_kl"]],
-        step_domega=[float(v) for v in doc["step_domega"]],
-        tau_history=[
-            TauSolution(
-                tau=np.array(entry["tau"], dtype=float),
-                gradient_norm=float(entry["gradient_norm"]),
-                iterations=int(entry["iterations"]),
-            )
-            for entry in doc.get("tau_history", [])
-        ],
-    )
-    traj.check_consistent()
-    return traj
-
-
 def save_trajectory(path, traj: Trajectory) -> None:
     Path(path).write_text(json.dumps(_encode(traj), allow_nan=False))
 
 
 def load_trajectory(path) -> Trajectory:
-    return _trajectory_from_dict(json.loads(Path(path).read_text()))
+    traj = _decode(Trajectory, json.loads(Path(path).read_text()))
+    traj.check_consistent()
+    return traj
 
 
 def report_to_dict(report: CertificationReport) -> dict:
@@ -163,19 +169,15 @@ def report_to_dict(report: CertificationReport) -> dict:
     return _encode(report)
 
 
-def _report_from_dict(doc: dict) -> CertificationReport:
-    fields = {f.name for f in dataclasses.fields(CertificationReport)}
-    kwargs = {k: _decode_non_finite(v) for k, v in doc.items() if k in fields}
-    for key, stats in (("a1", A1Stats), ("a2", RatioStats), ("a3", RatioStats)):
-        kwargs[key] = stats(**{k: _decode_non_finite(v) for k, v in doc[key].items()})
-    return CertificationReport(**kwargs)
-
-
 def save_report(path, report: CertificationReport) -> None:
     Path(path).write_text(json.dumps(report_to_dict(report), indent=1, allow_nan=False))
 
 
 def load_report(path) -> CertificationReport:
-    """Read a ``save_report`` file, or the ``report`` member of a ``certify --out`` document."""
+    """Read a ``save_report`` file, or the ``report`` member of a ``certify --out`` document.
+
+    The verdicts and recorded constants are not read: the report derives
+    them from its stats, so a file cannot pass what its stats fail.
+    """
     doc = json.loads(Path(path).read_text())
-    return _report_from_dict(doc.get("report", doc))
+    return _decode(CertificationReport, doc.get("report", doc))

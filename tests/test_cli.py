@@ -208,6 +208,20 @@ class TestCertifyCommand:
             assert codes[-1] == (0 if load_report(out).certified else 1)
         assert codes == [0, 1]
 
+    def test_loaded_report_derives_its_verdicts_from_its_stats(self, saved_trajectory, tmp_path):
+        doc = json.loads(saved_trajectory.read_text())
+        doc["step_kl"][2] = "Infinity"  # fails (a3) closed
+        saved_trajectory.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert run("certify", "--channel-m", "depolarizing:0.05", *FAST,
+                   "--trajectory", str(saved_trajectory), "--out", str(out)) == 1
+        doc = json.loads(out.read_text())
+        doc["report"].update(a3_pass=True, certified=True, a2_tolerance=1.0)
+        out.write_text(json.dumps(doc))
+        report = load_report(out)
+        assert report.a3_pass is False and report.certified is False
+        assert report.a2_tolerance == 1e-9
+
     def test_missing_trajectory_is_usage_error(self, tmp_path):
         assert (
             run("certify", "--trajectory", str(tmp_path / "none.json"), "--out", "-") == 2
@@ -448,6 +462,23 @@ class TestFailedRows:
         _, rows = data_rows(out)
         assert rows[0]["status"] == "failed:NothingKeptError"
         assert "NothingKeptError" in qabcert.__all__
+
+    def test_lapack_failure_fails_only_its_row(self, monkeypatch, capsys):
+        eigh, calls = np.linalg.eigh, []
+
+        def eigh_failing_on_call_40(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 40:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_call_40)
+        argv = ("sweep", "--p-steps", "2", "--samples", "20", "--iters", "20", "--out", "-")
+        assert run(*argv) == 1
+        lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        statuses = [dict(zip(header, line.split(",")))["status"] for line in lines[1:]]
+        assert statuses == ["failed:LinAlgError", "ok"]
 
 
 class TestInfiniteDivergence:

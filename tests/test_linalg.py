@@ -59,6 +59,13 @@ class TestEigh:
             assert np.linalg.norm(recon - m) / np.linalg.norm(m) < 1e-10
             assert np.max(np.abs(np.conj(v.T) @ v - np.eye(dim))) < 1e-10
 
+    def test_nan_entries_raise_a_value_error(self, rng):
+        # numpy's LinAlgError is a ValueError, which callers already report.
+        m = random_hermitian_scaled(rng, 4, 1.0)
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            eigh(m)
+
 
 class TestMatrixFn:
     def test_diagonal_log(self):

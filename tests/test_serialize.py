@@ -207,3 +207,45 @@ def test_non_finite_values_are_strict_json_and_round_trip(tmp_path):
     loaded = load_report(report_path)
     assert math.isnan(loaded.a3.min) and math.isnan(loaded.a3.max)
     assert report_to_dict(loaded) == report_to_dict(report)
+
+
+def test_missing_optional_trajectory_keys_keep_their_defaults(tmp_path):
+    traj = Trajectory([np.eye(2) / 2, np.diag([0.25, 0.75])], [-0.5, -0.25], [0.125], [0.0625])
+    path = tmp_path / "traj.json"
+    save_trajectory(path, traj)
+    doc = json.loads(path.read_text())
+    del doc["gamma"], doc["tau_history"]
+    path.write_text(json.dumps(doc))
+    back = load_trajectory(path)
+    assert back.gamma is None and back.tau_history == []
+
+
+def test_decoded_scalars_have_their_field_types(tmp_path):
+    fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
+    pair = ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05))
+    obj = ChannelObjective(pair)
+    traj = qab_run(obj, QabOptions(initial=np.diag([0.375, 0.625]), max_iters=6, family=fam))
+    traj_path, report_path = tmp_path / "traj.json", tmp_path / "report.json"
+    save_trajectory(traj_path, traj)
+    save_report(report_path, certify(traj, obj, n_samples=50, seed=13))
+
+    doc = json.loads(traj_path.read_text())
+    doc["values"][1], doc["tau_history"][0]["tau"][0] = "Infinity", "-Infinity"
+    traj_path.write_text(json.dumps(doc))
+    back = load_trajectory(traj_path)
+    assert back.values[1] == math.inf and back.tau_history[0].tau[0] == -math.inf
+    assert back.tau_history[0].tau.dtype == float
+    assert all(type(t.iterations) is int for t in back.tau_history)
+
+    doc = json.loads(report_path.read_text())
+    doc["a2"]["min"], doc["a3"]["max"] = "NaN", "Infinity"
+    report_path.write_text(json.dumps(doc))
+    report = load_report(report_path)
+    assert math.isnan(report.a2.min) and report.a3.max == math.inf
+    assert not (report.a2_pass or report.a3_pass or report.certified)
+    ints = (report.seed, report.bound_t0, report.a1.count, report.a2.count, report.a3.count)
+    assert all(type(v) is int for v in ints)
+    del doc["bound_t0"]  # a required field
+    report_path.write_text(json.dumps(doc))
+    with pytest.raises(TypeError):
+        load_report(report_path)

@@ -270,7 +270,7 @@ def solve_energy_constrained(
 
 
 def bell_weights(choi: ChoiMatrix) -> np.ndarray:
-    """Diagonal of a two-qubit Choi matrix in the Bell basis, as weights.
+    """Bell-basis diagonal of a two-qubit Choi matrix, as weights (inverts ``_bell_diagonal_choi``).
 
     Raises :class:`OracleInapplicableError` when off-diagonal Bell-basis
     entries exceed ``BELL_TOL`` (the matrix is not Bell diagonal) or the system
@@ -292,20 +292,17 @@ def bell_weights(choi: ChoiMatrix) -> np.ndarray:
 def bell_diagonal_oracle(pair: ChannelPair) -> float:
     """Closed-form divergence for Bell-diagonal pairs (teleportation covariant).
 
-    Equals the classical relative entropy of the Bell weight vectors, which
-    is the channel divergence attained at the maximally entangled input;
-    ``+inf`` when the first channel's support exceeds the second's.
+    Equals sum_i p_i log(p_i / q_i) over the Bell weights with p_i > 1e-15,
+    the channel divergence attained at the maximally entangled input;
+    ``+inf`` when one of those p_i meets q_i <= 1e-15.
     """
     p = bell_weights(pair.choi_n)
     q = bell_weights(pair.choi_m)
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 1e-15:
-            continue
-        if qi <= 1e-15:
-            return np.inf
-        total += pi * np.log(pi / qi)
-    return float(total)
+    kept = p > 1e-15
+    p, q = p[kept], q[kept]
+    if np.any(q <= 1e-15):
+        return np.inf
+    return float(np.sum(p * np.log(p / q)))
 
 
 def _bloch_eigenvectors(theta, phi) -> np.ndarray:

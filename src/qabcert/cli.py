@@ -217,7 +217,7 @@ def _pairs(cfg: RunConfig) -> list:
             raise UsageError(
                 f"{cfg.command} needs a parameterless builtin channel-m (got {cfg.channel_m!r})"
             )
-        grid = [cfg.p_min] if cfg.p_steps == 1 else np.linspace(cfg.p_min, cfg.p_max, cfg.p_steps)
+        grid = np.linspace(cfg.p_min, cfg.p_max, cfg.p_steps)
         points = [_channel(cfg.channel_m, float(p)) for p in grid]
     else:
         points = [_channel(cfg.channel_m)]

@@ -35,8 +35,9 @@ override it (the relative support rule itself is ``_support``):
 ``STATE_FLOOR``                  1e-14  eigenvalue floor of iterates (``qab_run``)
 ``REPAIR_FLOOR``                 1e-11  floor of repaired (a1) samples, inside the support
 ``mixture.TAU_TOL``              1e-10  gradient norm at which ``e_project`` stops
+``mixture.MAX_NEWTON_STEPS``     200    Newton steps before ``e_project`` raises
 ``mixture.CONSTRAINT_TOL``       1e-8   constraint residual of an initial state
-``quantum.KRAUS_TOL``            1e-8   completeness of Kraus operators (= a Choi matrix's TP)
+``quantum.KRAUS_TOL``            1e-8   TP of every ``quantum.ChoiMatrix`` (so Kraus completeness)
 ``channel_re.BELL_TOL``          1e-10  off-diagonal entry of a Bell-diagonal Choi matrix
 ``certify.DIVERGENCE_SKIP_TOL``  1e-14  ``certify._kept`` skips (a1)-(a3) divergences at or below it;
                                         the report records it

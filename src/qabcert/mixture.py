@@ -28,6 +28,7 @@ __all__ = [
 
 TAU_TOL = 1e-10
 CONSTRAINT_TOL = 1e-8
+MAX_NEWTON_STEPS = 200
 
 
 class InfeasibleFamilyError(ValueError):
@@ -163,7 +164,7 @@ def _spectral_feasibility(fam: MixtureFamily) -> None:
             )
 
 
-def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 200, tau0=None):
+def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, tau0=None):
     """e-projection onto ``fam`` of the state with log-domain matrix ``base``.
 
     Returns ``(Spectrum, TauSolution)``, the spectrum of
@@ -174,7 +175,8 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 2
     ``gibbs_spectrum(base)`` and one shared empty ``TauSolution``.  Damped
     Newton with the exact Hessian, Armijo backtracking (its accepted trial is
     the next iterate's evaluation), and a gradient-descent fallback when the
-    Hessian is near-singular.
+    Hessian is near-singular.  Raises :class:`EProjectionError` after
+    ``MAX_NEWTON_STEPS`` steps, :class:`InfeasibleFamilyError` if tau diverges.
     """
     base = np.asarray(rho_log_domain, dtype=complex)
     if not np.isfinite(base).all():
@@ -187,11 +189,11 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 2
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)
     f0, g, hess, gibbs = _evaluate(base, fam, tau)
     grad_norm = np.inf
-    for it in range(max_iters + 1):
+    for it in range(MAX_NEWTON_STEPS + 1):
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= TAU_TOL:
             return gibbs, TauSolution(tau, grad_norm, it)
-        if it == max_iters:
+        if it == MAX_NEWTON_STEPS:
             break
 
         try:
@@ -218,4 +220,4 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, max_iters: int = 2
                 "tau diverged while the constraint gradient stayed "
                 f"{grad_norm:.3e} away from zero; the family appears infeasible"
             )
-    raise EProjectionError(grad_norm, max_iters)
+    raise EProjectionError(grad_norm, MAX_NEWTON_STEPS)

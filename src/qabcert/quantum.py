@@ -1,8 +1,8 @@
 """Quantum states, channels as Choi matrices, and the relative entropy.
 
 Choi matrices follow the unnormalized convention ``Tr_B Gamma = I_A``
-(so ``Tr Gamma = dim_a``), under which ``sandwich(rho, Gamma)`` has unit
-trace for every density matrix ``rho`` and trace-preserving channel.
+(so ``Tr Gamma = dim_a``), and every :class:`ChoiMatrix` is a channel, so
+``sandwich(rho, Gamma)`` has unit trace for every density matrix ``rho``.
 
 Relative entropies are natural-log (nats) throughout; divide by ``ln 2``
 for bits.  ``+inf`` is returned as the IEEE infinity, never a large float.
@@ -10,7 +10,7 @@ for bits.  ``+inf`` is returned as the IEEE infinity, never a large float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +68,13 @@ def _projector(ket: np.ndarray) -> np.ndarray:
 class ChoiMatrix:
     """Choi matrix of a channel A -> B, with ``Tr_B mat = I_A``.
 
-    ``check_tp=False`` admits non-trace-preserving maps (the PSD check
-    always runs).
+    Construction checks that ``mat`` is PSD to ``PSD_TOL`` and trace
+    preserving to ``KRAUS_TOL``, so every instance is a channel.
     """
 
     mat: np.ndarray
     dim_a: int
     dim_b: int
-    check_tp: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
@@ -88,38 +87,37 @@ class ChoiMatrix:
         w = np.linalg.eigvalsh(mat)
         if w.min() < -PSD_TOL:
             raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
-        if self.check_tp:
-            marg = partial_trace(mat, self.dim_a, self.dim_b, keep="A")
-            if np.max(np.abs(marg - np.eye(self.dim_a))) > KRAUS_TOL:
-                raise ValueError("channel is not trace-preserving: Tr_B Gamma != I_A")
+        marg = partial_trace(mat, self.dim_a, self.dim_b, keep="A")
+        if np.max(np.abs(marg - np.eye(self.dim_a))) > KRAUS_TOL:
+            raise ValueError("channel is not trace-preserving: Tr_B Gamma != I_A")
         object.__setattr__(self, "mat", mat)
 
 
-def depolarizing_choi(p: float) -> ChoiMatrix:
-    """Choi matrix of rho -> (1-p) rho + p I/2.
-
-    Bell-basis weights are (1 - 3p/4, p/4, p/4, p/4).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
-    weights = (1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
+def _bell_diagonal_choi(weights) -> ChoiMatrix:
+    """2 sum_i w_i |B_i><B_i| over ``BELL_STATES``; the inverse of ``channel_re.bell_weights``."""
     mat = 2 * sum(w * _projector(k) for w, k in zip(weights, BELL_STATES))
     return ChoiMatrix(mat=mat, dim_a=2, dim_b=2)
+
+
+def depolarizing_choi(p: float) -> ChoiMatrix:
+    """Choi matrix of rho -> (1-p) rho + p I/2 (Bell weights (1 - 3p/4, p/4, p/4, p/4))."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing parameter must be in [0, 1], got {p}")
+    return _bell_diagonal_choi((1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p))
 
 
 def dephasing_choi(p_deph: float) -> ChoiMatrix:
     """Choi matrix of rho -> p rho + (1-p) Z rho Z (Bell weights (p, 1-p, 0, 0))."""
     if not 0.0 <= p_deph <= 1.0:
         raise ValueError(f"dephasing parameter must be in [0, 1], got {p_deph}")
-    mat = 2 * (p_deph * _projector(BELL_STATES[0]) + (1 - p_deph) * _projector(BELL_STATES[1]))
-    return ChoiMatrix(mat=mat, dim_a=2, dim_b=2)
+    return _bell_diagonal_choi((p_deph, 1 - p_deph, 0.0, 0.0))
 
 
-def choi_from_kraus(kraus, check: bool = True) -> ChoiMatrix:
+def choi_from_kraus(kraus) -> ChoiMatrix:
     """Choi matrix from Kraus operators (each of shape dim_b x dim_a).
 
     Tr_B Gamma = (sum K^dag K)^T, so ``ChoiMatrix``'s trace-preservation
-    check (``check_tp=check``) is the completeness check sum K^dag K = I_A.
+    check is the completeness check sum K^dag K = I_A (ValueError if not).
     """
     ops = [np.asarray(k, dtype=complex) for k in kraus]
     if not ops:
@@ -129,7 +127,7 @@ def choi_from_kraus(kraus, check: bool = True) -> ChoiMatrix:
     mat = dim_a * sum(
         kron(np.eye(dim_a), k) @ me @ np.conj(kron(np.eye(dim_a), k).T) for k in ops
     )
-    return ChoiMatrix(mat=mat, dim_a=dim_a, dim_b=dim_b, check_tp=check)
+    return ChoiMatrix(mat=mat, dim_a=dim_a, dim_b=dim_b)
 
 
 def maximally_entangled(d: int) -> np.ndarray:
@@ -142,7 +140,7 @@ def maximally_entangled(d: int) -> np.ndarray:
 
 
 def sandwich(rho_a: np.ndarray, gamma: ChoiMatrix) -> np.ndarray:
-    """(sqrt(rho_A) x I_B) Gamma (sqrt(rho_A) x I_B); unit trace for TP channels.
+    """(sqrt(rho_A) x I_B) Gamma (sqrt(rho_A) x I_B); unit trace for a state rho_A.
 
     ``rho_a`` may be a stack of states with shape (..., dim_a, dim_a).
     """

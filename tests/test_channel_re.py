@@ -10,6 +10,7 @@ from qabcert import (
     QabOptions,
     SupportViolationError,
     bell_diagonal_oracle,
+    bell_weights,
     brute_force_oracle,
     certify,
     choi_from_kraus,
@@ -34,7 +35,13 @@ from qabcert.linalg import (
     matrix_sqrt,
     partial_trace,
 )
-from qabcert.quantum import PAULI_Z, random_density, relative_entropy, sandwich
+from qabcert.quantum import (
+    PAULI_Z,
+    _bell_diagonal_choi,
+    random_density,
+    relative_entropy,
+    sandwich,
+)
 
 from conftest import isometry_kraus_2to3, random_kraus, random_state
 
@@ -231,6 +238,30 @@ class TestBellDiagonalOracle:
     def test_non_bell_diagonal_rejected(self):
         with pytest.raises(OracleInapplicableError):
             bell_diagonal_oracle(amplitude_damping_pair())
+
+    def test_matches_the_weight_loop(self, rng):
+        # The vector form keeps the loop's skip and +inf rules and its
+        # left-to-right sum, so it agrees to the last bit.
+        def loop(p, q):
+            total = 0.0
+            for pi, qi in zip(p, q):
+                if pi <= 1e-15:
+                    continue
+                if qi <= 1e-15:
+                    return np.inf
+                total += pi * np.log(pi / qi)
+            return float(total)
+
+        def weights():
+            w = rng.dirichlet(np.ones(4)) * (rng.random(4) > 0.3)
+            return w / w.sum() if w.sum() > 0 else np.eye(4)[0]
+
+        for _ in range(200):
+            w_n, w_m = weights(), weights()
+            choi_n, choi_m = _bell_diagonal_choi(w_n), _bell_diagonal_choi(w_m)
+            assert bell_weights(choi_n) == pytest.approx(w_n, abs=1e-15)
+            p, q = bell_weights(choi_n), bell_weights(choi_m)
+            assert bell_diagonal_oracle(ChannelPair(choi_n, choi_m)) == loop(p, q)
 
     def test_equals_divergence_at_maximally_entangled_input(self):
         # The oracle value is the sandwich divergence at rho = I/2.

@@ -10,9 +10,16 @@ import pytest
 
 import qabcert
 from qabcert.cli import COMMANDS, RunConfig, main
+from qabcert.mixture import MixtureFamily
 from qabcert.qab_core import Trajectory
-from qabcert.quantum import choi_from_kraus, depolarizing_choi
-from qabcert.serialize import complex_matrix_to_pairs, load_report, save_channel, save_trajectory
+from qabcert.quantum import PAULI_Z, choi_from_kraus, depolarizing_choi
+from qabcert.serialize import (
+    complex_matrix_to_pairs,
+    load_report,
+    save_channel,
+    save_constraints,
+    save_trajectory,
+)
 
 from conftest import isometry_kraus_2to3, random_kraus
 
@@ -125,6 +132,26 @@ class TestUsageErrors:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"workers": 2}))
         assert run("sweep", "--config", str(cfg), "--out", "-") == 2
+
+    # No FAST here: its --samples/--iters would override a bad value.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--iters", "0"],
+            ["sweep", "--p-steps", "0"],
+            ["sweep", "--samples", "0"],
+            ["sweep", "--seed", "-1"],
+            ["sweep", "--p-min", "1.5"],
+            ["sweep", "--p-min", "0.2", "--p-max", "0.1"],
+            ["oracle-compare", "--grid-resolution", "1"],
+        ],
+        ids=["iters", "p_steps", "samples", "seed", "p_min_range", "p_order", "grid_resolution"],
+    )
+    def test_out_of_range_value_exits_two_with_one_error_line(self, argv, capsys):
+        assert run(*argv, "--out", "-") == 2
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err)
+        assert captured.out == ""
 
     def test_config_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -246,6 +273,18 @@ class TestEnergyCommand:
             == 1
         )
 
+    def test_constraints_file_merges_with_flags(self, tmp_path):
+        path = tmp_path / "f.json"
+        save_constraints(path, MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,)))
+        merged, flags = tmp_path / "merged.csv", tmp_path / "flags.csv"
+        assert run("energy", "--constraints-file", str(path), "--constraint", "sigma-x=0.1",
+                   *FAST, "--out", str(merged)) == 0
+        assert run("energy", "--constraint", "sigma-z=-0.25", "--constraint", "sigma-x=0.1",
+                   *FAST, "--out", str(flags)) == 0
+        header, rows = data_rows(merged)
+        assert header[-2:] == ["residual_0", "residual_1"]
+        assert (header, rows) == data_rows(flags)
+
     def test_empty_constraint_matches_solve_trace(self, tmp_path):
         # An explicitly empty family runs the unconstrained path.
         out = tmp_path / "energy.csv"
@@ -293,6 +332,18 @@ class TestOracleCompare:
         assert (
             run("oracle-compare", "--channel-n", str(path), "--out", "-") == 2
         )
+
+
+class TestIdentityChannel:
+    def test_solve_fills_the_oracle_column(self, tmp_path):
+        out = tmp_path / "row.csv"
+        assert run("solve", "--channel-n", "identity", "--channel-m", "depolarizing:0.05",
+                   *FAST, "--out", str(out)) == 0
+        _, [row] = data_rows(out)
+        assert row["status"] == "ok"
+        oracle = float(row["oracle"])
+        assert oracle == pytest.approx(-math.log(1 - 0.75 * 0.05), rel=1e-12)
+        assert abs(float(row["value"]) - oracle) < 1e-3
 
 
 class TestChannelFiles:
@@ -394,6 +445,17 @@ BAD_INPUTS = {
     "config-list-as-string": (
         {"cfg.json": '{"constraints": "sigma-z=0.1"}'},
         ["energy", "--config", "{tmp}/cfg.json"],
+    ),
+    "builtin-channel-without-parameter": ({}, ["solve", "--channel-m", "depolarizing"]),
+    "constraint-without-target": ({}, ["energy", "--constraint", "sigma-z"]),
+    "constraint-target-not-a-number": ({}, ["energy", "--constraint", "sigma-z=abc"]),
+    "dependent-constraints": (
+        {},
+        ["energy", "--constraint", "sigma-z=0.1", "--constraint", "sigma-z=0.2"],
+    ),
+    "channel-file-of-unknown-format": (
+        {"c.json": json.dumps({"format": "stinespring", "dim_a": 2, "dim_b": 2})},
+        ["solve", "--channel-n", "{tmp}/c.json"],
     ),
     "config-int-beyond-float-range": (
         {"cfg.json": '{"p_min": 1' + "0" * 400 + "}"},

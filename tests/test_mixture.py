@@ -180,11 +180,20 @@ class TestEProject:
         with pytest.raises(InfeasibleFamilyError):
             e_project(matrix_log(np.eye(2) / 2), fam)
 
-    def test_non_convergence_carries_gradient_norm(self):
+    def test_jointly_infeasible_family_diverges_in_tau(self):
+        # Each target lies in its observable's spectral range, but no state
+        # has <Z>^2 + <X>^2 = 0.81 + 0.81 > 1.
+        fam = MixtureFamily(observables=(PAULI_Z, PAULI_X), targets=(0.9, 0.9))
+        with pytest.raises(InfeasibleFamilyError, match="tau diverged"):
+            e_project(matrix_log(np.eye(2) / 2), fam)
+
+    def test_non_convergence_carries_gradient_norm(self, monkeypatch):
+        monkeypatch.setattr("qabcert.mixture.MAX_NEWTON_STEPS", 1)
         fam = MixtureFamily(observables=(PAULI_X,), targets=(0.9,))
         with pytest.raises(EProjectionError) as err:
-            e_project(matrix_log(np.diag([0.999, 0.001])), fam, max_iters=1)
+            e_project(matrix_log(np.diag([0.999, 0.001])), fam)
         assert err.value.gradient_norm > 0
+        assert err.value.iterations == 1
 
     def test_rejects_non_finite_base(self):
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.0,))

@@ -4,6 +4,8 @@ import pytest
 from qabcert import (
     ChannelObjective,
     ChannelPair,
+    EProjectionError,
+    IterationError,
     MixtureFamily,
     QabOptions,
     d_omega,
@@ -149,6 +151,16 @@ class TestQabRun:
         obj = ConstantObjective(PAULI_Z)
         with pytest.raises(ValueError, match="violates"):
             qab_run(obj, QabOptions(initial=np.eye(2) / 2, family=fam, max_iters=3))
+
+    def test_e_projection_failure_names_its_iteration(self, monkeypatch):
+        monkeypatch.setattr("qabcert.mixture.MAX_NEWTON_STEPS", 0)
+        fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
+        obj = ChannelObjective(paper_pair())
+        opts = QabOptions(initial=np.diag([0.375, 0.625]), family=fam, max_iters=5)
+        with pytest.raises(IterationError) as err:
+            qab_run(obj, opts)
+        assert err.value.iteration == 1
+        assert isinstance(err.value.cause, EProjectionError)
 
     def test_constrained_run_stays_in_family(self):
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))

@@ -123,7 +123,6 @@ class TestChoiConstructors:
             ChoiMatrix(mat=np.diag([1.0, 1.0, 1.0, -0.2]), dim_a=2, dim_b=2)
         with pytest.raises(ValueError):
             ChoiMatrix(mat=np.eye(4), dim_a=2, dim_b=2)  # Tr_B = 2 I != I
-        ChoiMatrix(mat=np.eye(4), dim_a=2, dim_b=2, check_tp=False)
 
 
 class TestChoiFromKraus:
@@ -158,8 +157,6 @@ class TestChoiFromKraus:
     def test_completeness_check(self):
         with pytest.raises(ValueError):
             choi_from_kraus([0.5 * np.eye(2)])
-        choi = choi_from_kraus([0.5 * np.eye(2)], check=False)
-        assert choi.dim_a == 2
 
 
 class TestSandwich:

@@ -3,12 +3,13 @@
 For channels given as Choi matrices ``Gamma_N``, ``Gamma_M`` (unnormalized,
 ``Tr_B Gamma = I_A``), the divergence is the supremum over input marginals
 of ``D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M))``.  The module
-provides the omega map realizing that objective, unconstrained and
-energy-constrained solvers with a posteriori certification, and two
-independent oracles (closed-form Bell-diagonal, and a brute-force Bloch grid
-scored ray by ray without decomposing any grid state).  Finiteness is the
-pair's alone (:class:`ChannelPair`): omega raises on an infinite pair before
-any work and scans no state for a leak.
+provides the omega map realizing that objective, one solver with a
+posteriori certification (:func:`solve`; constraints reach a run only
+through its ``QabOptions.family``), and two independent oracles
+(closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray
+without decomposing any grid state).  Finiteness is the pair's alone
+(:class:`ChannelPair`): omega raises on an infinite pair before any work
+and scans no state for a leak.
 
 Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
@@ -29,8 +30,7 @@ is the true channel relative entropy in nats.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,8 @@ from .linalg import (
     eigh,
     hermitize,
     kron,
-    matrix_log,
     partial_trace,
 )
-from .mixture import CONSTRAINT_TOL, MixtureFamily, e_project
 from .qab_core import Objective, QabOptions, Trajectory, qab_run
 from .quantum import BELL_STATES, ChoiMatrix, relative_entropy, support_overlap
 
@@ -62,8 +60,7 @@ __all__ = [
     "objective_value",
     "omega",
     "omega1",
-    "solve_energy_constrained",
-    "solve_unconstrained",
+    "solve",
 ]
 
 BELL_TOL = 1e-10
@@ -228,45 +225,22 @@ class SolveResult:
     report: CertificationReport
 
 
-def solve_unconstrained(
+def solve(
     pair: ChannelPair,
-    opts: QabOptions,
+    run: QabOptions | Trajectory,
     n_samples: int = 10_000,
     eps_max: float = 0.1,
     cert_seed: int = 0,
 ) -> SolveResult:
-    """Run the iteration under ``opts`` (unconstrained unless it sets a family) and certify."""
+    """Certify a run and pair its value with the report.
+
+    ``run`` is a :class:`QabOptions`, iterated first (constrained to its
+    ``family``), or a stored :class:`Trajectory`, certified as it is.
+    """
     obj = ChannelObjective(pair)
-    traj = qab_run(obj, opts)
+    traj = qab_run(obj, run) if isinstance(run, QabOptions) else run
     report = certify(traj, obj, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
     return SolveResult(value=obj.divergence(traj), trajectory=traj, report=report)
-
-
-def solve_energy_constrained(
-    pair: ChannelPair,
-    constraints: MixtureFamily,
-    opts: QabOptions,
-    n_samples: int = 10_000,
-    eps_max: float = 0.1,
-    cert_seed: int = 0,
-) -> SolveResult:
-    """Constrained variant: every iterate satisfies Tr(rho H_j) = E_j.
-
-    If the supplied initial state violates the constraints it is replaced
-    by its e-projection onto the family before the run starts.
-    """
-    if not isinstance(constraints, MixtureFamily):
-        raise TypeError("constraints must be a MixtureFamily")
-    # ``opts`` was validated when built, and solve_unconstrained runs it as it
-    # stands; a projected initial state is validated below.
-    run_opts = copy.copy(opts)
-    run_opts.family = constraints
-    if np.max(np.abs(constraints.residuals(opts.initial)), initial=0.0) > CONSTRAINT_TOL:
-        projected = e_project(matrix_log(opts.initial), constraints)[0].matrix()
-        run_opts = replace(run_opts, initial=projected)
-    return solve_unconstrained(
-        pair, run_opts, n_samples=n_samples, eps_max=eps_max, cert_seed=cert_seed
-    )
 
 
 def bell_weights(choi: ChoiMatrix) -> np.ndarray:

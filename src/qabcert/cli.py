@@ -31,16 +31,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .certify import certify
 from .channel_re import (
     ChannelObjective,
     ChannelPair,
     OracleInapplicableError,
-    SolveResult,
     SupportViolationError,
     bell_diagonal_oracle,
     brute_force_oracle,
-    solve_energy_constrained,
+    solve,
 )
 from .linalg import hermitize
 from .mixture import MixtureFamily
@@ -303,19 +301,15 @@ def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=MixtureFamily()
     """
     seed = int(np.random.SeedSequence([cfg.seed, index, 1]).generate_state(1, np.uint64)[0])
     try:
-        if traj is None:
+        run = traj
+        if run is None:
             initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, index, 0]))
             stop = None if cfg.stop_kl == 0 else cfg.stop_kl
-            opts = QabOptions(
-                initial, gamma=cfg.gamma, max_iters=cfg.iterations, divergence_stop=stop
+            run = QabOptions(
+                initial, gamma=cfg.gamma, max_iters=cfg.iterations, family=family,
+                divergence_stop=stop,
             )
-            result = solve_energy_constrained(
-                pair, family, opts, n_samples=cfg.samples, eps_max=cfg.eps_max, cert_seed=seed
-            )
-        else:
-            obj = ChannelObjective(pair)
-            report = certify(traj, obj, n_samples=cfg.samples, eps_max=cfg.eps_max, seed=seed)
-            result = SolveResult(value=obj.divergence(traj), trajectory=traj, report=report)
+        result = solve(pair, run, n_samples=cfg.samples, eps_max=cfg.eps_max, cert_seed=seed)
     except SupportViolationError as exc:
         return None, "infinite", exc
     except (IterationError, ValueError) as exc:

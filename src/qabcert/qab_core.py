@@ -22,6 +22,7 @@ from .linalg import (
     gibbs_state,
     hermitize,
     matrix_fn,
+    matrix_log,
 )
 from .mixture import CONSTRAINT_TOL, EProjectionError, MixtureFamily, TauSolution, e_project
 from .quantum import relative_entropy
@@ -74,7 +75,8 @@ class QabOptions:
 
     ``max_iters`` counts update steps, so the trajectory holds up to
     ``max_iters + 1`` states.  ``divergence_stop`` stops early once the
-    per-step divergence D(rho_next || rho) falls below it.
+    per-step divergence D(rho_next || rho) falls below it.  An ``initial``
+    off ``family`` is e-projected onto it as iteration 0.
     """
 
     initial: np.ndarray
@@ -161,7 +163,10 @@ def j_function(rho: np.ndarray, sigma: np.ndarray, obj: Objective, gamma: float)
 def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     """Run the iteration and record the trajectory.
 
-    Each step e-projects the log-domain update onto ``opts.family``, warm
+    A start off ``opts.family`` (a residual above ``CONSTRAINT_TOL``) is
+    replaced by its e-projection, as iteration 0: no ``tau_history`` entry,
+    and an :class:`EProjectionError` there raises ``IterationError(0, ...)``.
+    Each step e-projects the log-domain update onto the family, warm
     starting tau from the previous step; for the empty family that is the
     bare trace-normalized update, and ``tau_history`` stays empty.  Iterate
     eigenvalues are floored at ``STATE_FLOOR`` so the next logarithm stays
@@ -169,11 +174,14 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     the per-step divergence need no further decomposition of it.
     """
     family = opts.family
-    spec = floor_spectrum(opts.initial, STATE_FLOOR)
+    start = opts.initial
+    if np.max(np.abs(family.residuals(start)), initial=0.0) > CONSTRAINT_TOL:
+        try:
+            start = hermitize(e_project(matrix_log(start), family)[0].matrix())
+        except EProjectionError as exc:
+            raise IterationError(0, exc) from exc
+    spec = floor_spectrum(start, STATE_FLOOR)
     rho = spec.matrix()
-    resid = np.max(np.abs(family.residuals(rho)), initial=0.0)
-    if resid > CONSTRAINT_TOL:
-        raise ValueError(f"initial state violates the constraint family (max residual {resid:.3e})")
 
     traj = Trajectory(gamma=opts.gamma)
     omega_cur = obj.omega(spec)

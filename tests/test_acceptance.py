@@ -33,8 +33,7 @@ from qabcert import (
     partial_trace,
     qab_run,
     relative_entropy,
-    solve_energy_constrained,
-    solve_unconstrained,
+    solve,
 )
 from qabcert.cli import main as cli_main
 from qabcert.quantum import BELL_STATES, PAULI_Z, random_density
@@ -77,9 +76,7 @@ def sweep_protocol():
         cert_seed = int(
             np.random.SeedSequence([SEED, index, 1]).generate_state(1, np.uint64)[0]
         )
-        result = solve_unconstrained(
-            pair, opts, n_samples=10_000, eps_max=0.1, cert_seed=cert_seed
-        )
+        result = solve(pair, opts, n_samples=10_000, eps_max=0.1, cert_seed=cert_seed)
         return float(p), result, bell_diagonal_oracle(pair)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -223,9 +220,10 @@ def test_criterion_6_energy_constrained_run():
         initial=random_density(2, np.random.default_rng([SEED, 6, 0])),
         gamma=1.0,
         max_iters=200,
+        family=fam,
         divergence_stop=1e-10,
     )
-    result = solve_energy_constrained(pair, fam, opts, n_samples=1000)
+    result = solve(pair, opts, n_samples=1000)
     traj = result.trajectory
     resid = max(abs(np.trace(s @ PAULI_Z).real + 0.25) for s in traj.states)
     increases = max(np.diff(traj.values), default=0.0)

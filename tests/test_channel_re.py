@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,7 @@ from qabcert import (
     omega,
     omega1,
     qab_run,
-    solve_energy_constrained,
-    solve_unconstrained,
+    solve,
 )
 from qabcert.linalg import (
     OUTSIDE_MASS_TOL,
@@ -289,7 +290,7 @@ class TestBruteForceOracle:
     def test_never_beats_solver(self):
         pair = paper_pair(0.05)
         opts = QabOptions(initial=random_density(2, 3), divergence_stop=1e-10)
-        result = solve_unconstrained(pair, opts, n_samples=50)
+        result = solve(pair, opts, n_samples=50)
         value, _ = brute_force_oracle(pair, 31)
         assert -value <= result.value + 1e-6
 
@@ -361,13 +362,13 @@ class TestSolveUnconstrained:
     def test_equal_channels_certified_zero(self, rng):
         pair = ChannelPair(dephasing_choi(0.4), dephasing_choi(0.4))
         opts = QabOptions(initial=random_state(rng, 2), divergence_stop=1e-10)
-        result = solve_unconstrained(pair, opts, n_samples=50)
+        result = solve(pair, opts, n_samples=50)
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert result.report.certified
 
     def test_paper_instance_value(self):
         opts = QabOptions(initial=random_density(2, 5), max_iters=100, divergence_stop=1e-10)
-        result = solve_unconstrained(paper_pair(0.05), opts, n_samples=200)
+        result = solve(paper_pair(0.05), opts, n_samples=200)
         assert result.value == pytest.approx(1.9715, abs=1e-3)
         assert result.value == pytest.approx(closed_form(0.05), abs=1e-3)
 
@@ -375,32 +376,22 @@ class TestSolveUnconstrained:
         values = []
         for i, p in enumerate((0.02, 0.05, 0.08)):
             opts = QabOptions(initial=random_density(2, [9, i]), divergence_stop=1e-10)
-            values.append(solve_unconstrained(paper_pair(p), opts, n_samples=50).value)
+            values.append(solve(paper_pair(p), opts, n_samples=50).value)
         assert values[0] > values[1] > values[2]
 
 
 class TestSolveEnergyConstrained:
-    def test_empty_constraints_match_unconstrained(self, rng):
-        pair = paper_pair()
-        fam = MixtureFamily(observables=(), targets=())
-        initial = random_density(2, 8)
-        opts = QabOptions(initial=initial, divergence_stop=1e-10)
-        res_c = solve_energy_constrained(pair, fam, opts, n_samples=50, cert_seed=1)
-        res_u = solve_unconstrained(pair, opts, n_samples=50, cert_seed=1)
-        assert res_c.value == res_u.value
-        assert res_c.report == res_u.report
-
     def test_paper_energy_run(self):
         # Constraint Tr(rho sigma_z) = -0.25, dephasing(0.4) vs depolarizing(0.05).
         pair = paper_pair()
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
         opts = QabOptions(initial=random_density(2, 12), max_iters=200, divergence_stop=1e-10)
-        result = solve_energy_constrained(pair, fam, opts, n_samples=50)
+        result = solve(pair, dataclasses.replace(opts, family=fam), n_samples=50)
         traj = result.trajectory
         for state in traj.states:
             assert abs(np.trace(state @ PAULI_Z).real + 0.25) <= 1e-8
         assert np.all(np.diff(traj.values) <= 1e-9)
-        assert result.value < solve_unconstrained(pair, opts, n_samples=50).value
+        assert result.value < solve(pair, opts, n_samples=50).value
 
     def test_constraint_matching_unconstrained_optimum(self):
         # The unconstrained optimum I/2 has Bloch z = 0, so constraining
@@ -408,8 +399,8 @@ class TestSolveEnergyConstrained:
         pair = paper_pair()
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.0,))
         opts = QabOptions(initial=random_density(2, 4), max_iters=150, divergence_stop=1e-10)
-        res_c = solve_energy_constrained(pair, fam, opts, n_samples=50)
-        res_u = solve_unconstrained(pair, opts, n_samples=50)
+        res_c = solve(pair, dataclasses.replace(opts, family=fam), n_samples=50)
+        res_u = solve(pair, opts, n_samples=50)
         assert res_c.value == pytest.approx(res_u.value, abs=1e-6)
 
     def test_infeasible_initial_gets_projected(self):
@@ -417,29 +408,23 @@ class TestSolveEnergyConstrained:
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
         initial = np.diag([0.9, 0.1])  # violates the constraint
         opts = QabOptions(initial=initial, max_iters=100, divergence_stop=1e-10)
-        result = solve_energy_constrained(pair, fam, opts, n_samples=50)
+        result = solve(pair, dataclasses.replace(opts, family=fam), n_samples=50)
         assert abs(np.trace(result.trajectory.states[0] @ PAULI_Z).real + 0.25) <= 1e-8
 
     def test_feasible_solve_decomposes_only_what_run_and_certify_do(self, eig_calls):
-        # The options were validated when built; adding the family to them
-        # decomposes nothing more.
+        # The options were validated when built; solving under them
+        # decomposes nothing more than the run and its certificate.
         pair = paper_pair()
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.0,))
-        opts = QabOptions(initial=np.eye(2) / 2, max_iters=20)
         run_opts = QabOptions(initial=np.eye(2) / 2, max_iters=20, family=fam)
         eig_calls.clear()
-        result = solve_energy_constrained(pair, fam, opts, n_samples=50)
+        result = solve(pair, run_opts, n_samples=50)
         solve_calls = list(eig_calls)
         eig_calls.clear()
         obj = ChannelObjective(pair)
         report = certify(qab_run(obj, run_opts), obj, n_samples=50)
         assert result.report == report
         assert solve_calls == eig_calls
-
-    def test_constraints_must_be_a_family(self):
-        opts = QabOptions(initial=np.eye(2) / 2, max_iters=5)
-        with pytest.raises(TypeError, match="MixtureFamily"):
-            solve_energy_constrained(paper_pair(), (PAULI_Z, 0.0), opts, n_samples=5)
 
 
 def d4_pair():

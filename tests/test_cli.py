@@ -182,7 +182,13 @@ class TestCertifyCommand:
         code = run("certify", "--channel-m", "depolarizing:0.05", *FAST,
                    "--trajectory", str(traj_path), "--out", str(out))
         assert code == 0
-        assert json.loads(out.read_text())["report"]["certified"] is True
+        report = json.loads(out.read_text())["report"]
+        assert report["certified"] is True
+        # The stored run is certified as the fresh one was: same solve, same cert seed.
+        _, [row] = data_rows(tmp_path / "row.csv")
+        for check in ("a1", "a2", "a3"):
+            for stat in ("min", "max"):
+                assert float(row[f"{check}_{stat}"]) == report[check][stat]
 
     @pytest.fixture
     def saved_trajectory(self, tmp_path):
@@ -272,6 +278,24 @@ class TestEnergyCommand:
                 "--out", str(tmp_path / "x.csv"))
             == 1
         )
+
+    def test_start_projection_failure_exits_one_with_one_line(self, monkeypatch, capsys):
+        monkeypatch.setattr("qabcert.mixture.MAX_NEWTON_STEPS", 0)
+        assert run("energy", "--iters", "5", "--samples", "10", "--out", "-") == 1
+        err = capsys.readouterr().err
+        prefix = "energy run failed: iteration 0 failed: e-projection did not converge"
+        assert one_error_line(err, prefix)
+
+    def test_boundary_target_reaches_the_pure_state_value(self, tmp_path):
+        # <Z> = 1 admits only |0><0|, whose divergence is ln(1/0.975); the
+        # projected start has a zero eigenvalue that the run floors.
+        out = tmp_path / "energy.csv"
+        assert run("energy", "--constraint", "sigma-z=1", "--iters", "30", "--samples", "50",
+                   "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert max(abs(float(r["residual_0"])) for r in rows) <= 1e-8
+        last = float(rows[-1]["divergence_estimate"])
+        assert abs(last - math.log(1 / 0.975)) <= 1e-6
 
     def test_constraints_file_merges_with_flags(self, tmp_path):
         path = tmp_path / "f.json"

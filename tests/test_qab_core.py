@@ -146,11 +146,22 @@ class TestQabRun:
         assert len(traj.states) < 101
         assert traj.step_kl[-1] < 1e-10
 
-    def test_family_membership_enforced(self, rng):
+    def test_infeasible_start_is_projected_onto_family(self):
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
         obj = ConstantObjective(PAULI_Z)
-        with pytest.raises(ValueError, match="violates"):
-            qab_run(obj, QabOptions(initial=np.eye(2) / 2, family=fam, max_iters=3))
+        traj = qab_run(obj, QabOptions(initial=np.eye(2) / 2, family=fam, max_iters=3))
+        assert abs(fam.residuals(traj.states[0])[0]) <= 1e-8
+        assert len(traj.tau_history) == len(traj.step_kl)
+
+    def test_start_projection_failure_is_iteration_zero(self, monkeypatch):
+        monkeypatch.setattr("qabcert.mixture.MAX_NEWTON_STEPS", 0)
+        fam = MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,))
+        obj = ChannelObjective(paper_pair())
+        opts = QabOptions(initial=np.eye(2) / 2, family=fam, max_iters=5)
+        with pytest.raises(IterationError) as err:
+            qab_run(obj, opts)
+        assert err.value.iteration == 0
+        assert isinstance(err.value.cause, EProjectionError)
 
     def test_e_projection_failure_names_its_iteration(self, monkeypatch):
         monkeypatch.setattr("qabcert.mixture.MAX_NEWTON_STEPS", 0)

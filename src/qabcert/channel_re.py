@@ -9,7 +9,8 @@ through its ``QabOptions.family``), and two independent oracles
 (closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray
 without decomposing any grid state).  Finiteness is the pair's alone
 (:class:`ChannelPair`): omega raises on an infinite pair before any work
-and scans no state for a leak.
+and scans no state for a leak.  A :class:`PairStack` stands in for a pair
+so that lockstep runs over several pairs take one omega call per step.
 
 Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
@@ -24,8 +25,8 @@ divergence per Choi *state*, i.e. the full-scale objective divided by
 ``dim_a``.  The two scalings are mathematically equivalent up to
 ``gamma -> gamma * dim_a``, but only the per-state scale converges across
 the full experimental parameter range at the protocol's ``gamma = 1``;
-reported channel divergences are rescaled back, so ``SolveResult.value``
-is the true channel relative entropy in nats.
+reported channel divergences are rescaled back, so ``SolveResult.value``,
+the final iterate's, is in the channel's nats.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "ChannelObjective",
     "ChannelPair",
     "OracleInapplicableError",
+    "PairStack",
     "SolveResult",
     "SupportViolationError",
     "bell_diagonal_oracle",
@@ -90,23 +92,42 @@ class ChannelPair:
     choi_n: ChoiMatrix
     choi_m: ChoiMatrix
     leaked_mass: float = field(init=False, compare=False)
+    chois: np.ndarray = field(init=False, compare=False, repr=False)  # [Gamma_N; Gamma_M]
 
     def __post_init__(self):
         if (self.choi_n.dim_a, self.choi_n.dim_b) != (self.choi_m.dim_a, self.choi_m.dim_b):
             raise ValueError("Choi matrices must share dim_a and dim_b")
         leaked = support_overlap(self.choi_n.mat, eigh(self.choi_m.mat))[0]
         object.__setattr__(self, "leaked_mass", float(leaked))
+        object.__setattr__(self, "chois", np.stack([self.choi_n.mat, self.choi_m.mat]))
 
-    @property
-    def dim_a(self) -> int:
-        return self.choi_n.dim_a
-
-    @property
-    def dim_b(self) -> int:
-        return self.choi_n.dim_b
+    dim_a = property(lambda self: self.choi_n.dim_a)
+    dim_b = property(lambda self: self.choi_n.dim_b)
 
 
-def _rotated_chois(pair: ChannelPair, v: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class PairStack:
+    """Pairs of one shape: omega pairs state i of a (P, d, d) stack with pair i."""
+
+    pairs: tuple
+    leaked_mass: float = field(init=False, compare=False)  # the largest pair's
+    chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
+    dim_a = property(lambda self: self.pairs[0].dim_a)
+    dim_b = property(lambda self: self.pairs[0].dim_b)
+
+    def __post_init__(self):
+        pairs = tuple(self.pairs)
+        if len({(pair.dim_a, pair.dim_b) for pair in pairs}) != 1:
+            raise ValueError("a PairStack needs pairs that share dim_a and dim_b")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "leaked_mass", max(pair.leaked_mass for pair in pairs))
+        object.__setattr__(self, "chois", np.stack([pair.chois for pair in pairs]))
+
+    def __getitem__(self, rows: slice) -> PairStack:
+        return PairStack(self.pairs[rows])
+
+
+def _rotated_chois(pair: ChannelPair | PairStack, v: np.ndarray) -> np.ndarray:
     """Gamma' = (W^dag x I) [Gamma_N; Gamma_M] (W x I), shape (..., 2, n, n).
 
     ``v`` holds eigenvectors of states on A in ascending eigenvalue order
@@ -117,8 +138,7 @@ def _rotated_chois(pair: ChannelPair, v: np.ndarray) -> np.ndarray:
     magnitude on states with a 1e-4 eigenvalue.
     """
     wx = kron(v[..., ::-1], np.eye(pair.dim_b))[..., None, :, :]
-    chois = np.stack([pair.choi_n.mat, pair.choi_m.mat])
-    return np.conj(np.swapaxes(wx, -1, -2)) @ chois @ wx
+    return np.conj(np.swapaxes(wx, -1, -2)) @ pair.chois @ wx
 
 
 def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
@@ -134,11 +154,11 @@ def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
     return rotated * (d[..., None, :, None] * d[..., None, None, :]), d
 
 
-def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
+def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.ndarray:
     """-Tr_B(Gamma_N (sqrt(rho) x I) [log S_N - log S_M] (rho^(-1/2) x I)).
 
     Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
-    -D(S_N || S_M).  Stack-aware in ``rho_a``.  Raises
+    -D(S_N || S_M).  Stack-aware in ``rho_a`` and, as a :class:`PairStack`, ``pair``.  Raises
     :class:`SupportViolationError` before any work when the pair is
     infinite (``ChannelPair.leaked_mass``); no state is scanned for a leak.
 
@@ -158,8 +178,9 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
     if w[..., 0].size > chunk:
         w, v = w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:])
-        starts = range(0, len(w), chunk)
-        parts = [omega1(Spectrum(w[i : i + chunk], v[i : i + chunk]), pair) for i in starts]
+        rows = [slice(i, i + chunk) for i in range(0, len(w), chunk)]
+        stacked = isinstance(pair, PairStack)
+        parts = [omega1(Spectrum(w[r], v[r]), pair[r] if stacked else pair) for r in rows]
         return np.concatenate(parts).reshape(spec.eigenvectors.shape)
     rotated = _rotated_chois(pair, v)
     sand, d = _eigenbasis_sandwiches(rotated, w, pair.dim_b)
@@ -174,12 +195,12 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
     return -(basis @ traced @ np.conj(np.swapaxes(basis, -1, -2)))
 
 
-def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair) -> np.ndarray:
+def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.ndarray:
     """Hermitian part of :func:`omega1`; same weighted trace against rho."""
     return hermitize(omega1(rho_a, pair))
 
 
-def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
+def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack):
     """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss.
 
     Scored in rho's eigenbasis, as :func:`omega1` is, by ``relative_entropy``;
@@ -196,11 +217,11 @@ class ChannelObjective(Objective):
     """The channel objective at the per-Choi-state scale (see module docs).
 
     ``omega`` is :func:`omega` over ``dim_a`` and ``value`` the inherited
-    Tr rho omega, :func:`objective_value` over ``dim_a``; multiply minimized
-    values by ``dim_a`` to recover the channel divergence.
+    Tr rho omega, :func:`objective_value` over ``dim_a``; ``channel_scale``
+    turns a value back into a channel divergence.  Takes a :class:`PairStack`.
     """
 
-    def __init__(self, pair: ChannelPair):
+    def __init__(self, pair: ChannelPair | PairStack):
         self.pair = pair
         self.dim = pair.dim_a
 
@@ -211,14 +232,10 @@ class ChannelObjective(Objective):
         """-dim_a * value, the channel divergence of an objective value; +0.0 for 0."""
         return 0.0 - self.pair.dim_a * value
 
-    def divergence(self, traj: Trajectory) -> float:
-        """Channel relative entropy estimate from a trajectory: -dim_a * min G."""
-        return self.channel_scale(min(traj.values))
-
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Channel divergence estimate (nats), the trajectory, and its certificate."""
+    """Channel divergence (nats) at the final state, the trajectory, and its certificate."""
 
     value: float
     trajectory: Trajectory
@@ -240,7 +257,7 @@ def solve(
     obj = ChannelObjective(pair)
     traj = qab_run(obj, run) if isinstance(run, QabOptions) else run
     report = certify(traj, obj, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
-    return SolveResult(value=obj.divergence(traj), trajectory=traj, report=report)
+    return SolveResult(obj.channel_scale(traj.values[-1]), trajectory=traj, report=report)
 
 
 def bell_weights(choi: ChoiMatrix) -> np.ndarray:

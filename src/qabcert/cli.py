@@ -4,7 +4,9 @@ Commands: ``sweep`` (divergence vs. depolarizing parameter with per-point
 certification), ``solve`` (one channel pair, the one-point path of
 ``sweep``), ``certify`` (certification of a stored or freshly computed
 trajectory), ``energy`` (energy-constrained run, per-iteration trace) and
-``oracle-compare`` (solver vs. the two independent oracles).
+``oracle-compare`` (solver vs. the two independent oracles).  Two or more
+finite points are iterated in lockstep (``qab_run_many``), each trajectory
+certified as ``certify --trajectory`` does; rows are as if run one by one.
 
 Each command takes only the settings it reads (``COMMANDS`` lists them),
 as flags or as ``--config`` JSON keys; flags win.  Outputs echo the whole
@@ -35,14 +37,15 @@ from .channel_re import (
     ChannelObjective,
     ChannelPair,
     OracleInapplicableError,
+    PairStack,
     SupportViolationError,
     bell_diagonal_oracle,
     brute_force_oracle,
     solve,
 )
-from .linalg import hermitize
+from .linalg import OUTSIDE_MASS_TOL, hermitize
 from .mixture import MixtureFamily
-from .qab_core import IterationError, QabOptions
+from .qab_core import IterationError, QabOptions, qab_run_many
 from .quantum import (
     PAULI_X,
     PAULI_Y,
@@ -292,6 +295,15 @@ def _failed(cfg: RunConfig, error: Exception) -> tuple:
     return None, False
 
 
+def _options(cfg: RunConfig, pair: ChannelPair, index: int, family=MixtureFamily()):
+    """The run of point ``index``: its seeded initial state and the config's settings."""
+    initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, index, 0]))
+    stop = None if cfg.stop_kl == 0 else cfg.stop_kl
+    return QabOptions(
+        initial, gamma=cfg.gamma, max_iters=cfg.iterations, family=family, divergence_stop=stop
+    )
+
+
 def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=MixtureFamily(), traj=None):
     """Solve and certify point ``index`` (or certify ``traj``): (result, status, error).
 
@@ -301,20 +313,27 @@ def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=MixtureFamily()
     """
     seed = int(np.random.SeedSequence([cfg.seed, index, 1]).generate_state(1, np.uint64)[0])
     try:
-        run = traj
-        if run is None:
-            initial = random_density(pair.dim_a, np.random.default_rng([cfg.seed, index, 0]))
-            stop = None if cfg.stop_kl == 0 else cfg.stop_kl
-            run = QabOptions(
-                initial, gamma=cfg.gamma, max_iters=cfg.iterations, family=family,
-                divergence_stop=stop,
-            )
+        run = _options(cfg, pair, index, family) if traj is None else traj
         result = solve(pair, run, n_samples=cfg.samples, eps_max=cfg.eps_max, cert_seed=seed)
     except SupportViolationError as exc:
         return None, "infinite", exc
     except (IterationError, ValueError) as exc:
         return None, f"failed:{type(exc).__name__}", exc
     return result, "ok", None
+
+
+def _solve_points(cfg: RunConfig, points: list) -> list:
+    """``_solve`` of each (p, pair) point; if their lockstep run fails, each runs alone."""
+    finite = [i for i, (_, pair) in enumerate(points) if pair.leaked_mass <= OUTSIDE_MASS_TOL]
+    trajs = {}
+    if len(finite) > 1:
+        try:
+            obj = ChannelObjective(PairStack([points[i][1] for i in finite]))
+            runs = [_options(cfg, points[i][1], i) for i in finite]
+            trajs = dict(zip(finite, qab_run_many(obj, runs)))
+        except (IterationError, ValueError):
+            trajs = {}
+    return [_solve(cfg, pair, i, traj=trajs.get(i)) for i, (_, pair) in enumerate(points)]
 
 
 def _row(columns, p: float, status: str, **fields) -> dict:
@@ -330,8 +349,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
     """``sweep`` over the p grid, and ``solve`` as its one-point path."""
     scale = cfg.log_scale
     rows = []
-    for index, (p, pair) in enumerate(_pairs(cfg)):
-        result, status, _ = _solve(cfg, pair, index)
+    points = _pairs(cfg)
+    for (p, pair), (result, status, _) in zip(points, _solve_points(cfg, points)):
         row = _row(SWEEP_COLUMNS, p, status, certified=False, iterations=0)
         try:
             row["oracle"] = bell_diagonal_oracle(pair) / scale
@@ -420,8 +439,7 @@ def cmd_oracle_compare(cfg: RunConfig) -> tuple:
         raise UsageError(f"oracle-compare requires a Bell-diagonal pair: {exc}") from exc
     scale = cfg.log_scale
     rows = []
-    for index, ((p, pair), oracle) in enumerate(zip(points, bell)):
-        result, status, _ = _solve(cfg, pair, index)
+    for (p, pair), oracle, (result, status, _) in zip(points, bell, _solve_points(cfg, points)):
         row = _row(ORACLE_COLUMNS, p, status, bell_oracle=oracle / scale)
         rows.append(row)
         if result is None:

@@ -105,9 +105,8 @@ def _evaluate(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray):
     """Free energy, gradient, exact Hessian and Gibbs spectrum at ``tau``.
 
     One eigendecomposition ``w, V`` of ``base + sum_j tau_j H_j`` gives all
-    four.  The Hessian is the Kubo-Mori covariance, in the eigenbasis
-    ``sum_ab (H_j)_ab (H_k)_ba K_ab - m_j m_k`` with ``m_j = Tr(G H_j)``,
-    Gibbs weights ``p``, ``K_ab = (p_b - p_a) / (w_b - w_a)``, ``K_aa = p_a``.
+    four.  The Hessian comes as a zero-argument callable (:func:`_hessian`),
+    so it is built only when a Newton step needs it.
     """
     m = base
     for t, h in zip(tau, fam.observables):
@@ -120,7 +119,15 @@ def _evaluate(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray):
     value = float(w[-1] + np.log(total) - np.dot(tau, fam.targets))
     rotated = np.array([np.conj(v.T) @ h @ v for h in fam.observables]).reshape(-1, *v.shape)
     mean = np.einsum("jaa,a->j", rotated, p).real
+    gradient = mean - np.asarray(fam.targets)
+    return value, gradient, lambda: _hessian(rotated, w, p, mean), Spectrum(p, v)
 
+
+def _hessian(rotated: np.ndarray, w: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Kubo-Mori covariance ``sum_ab (H_j)_ab (H_k)_ba K_ab - m_j m_k`` in the eigenbasis.
+
+    ``m_j = Tr(G H_j)``, ``K_ab = (p_b - p_a) / (w_b - w_a)``, ``K_aa = p_a``.
+    """
     # K_ab = p_a expm1(gap) / gap for |gap| <= 1, where p_b - p_a cancels;
     # beyond, the plain quotient is exact and p_a expm1(gap) can be 0 * inf.
     gap = w[None, :] - w[:, None]
@@ -130,8 +137,7 @@ def _evaluate(base: np.ndarray, fam: MixtureFamily, tau: np.ndarray):
     ratio[near] = np.expm1(gap[near]) / gap[near]
     kernel = p[:, None] * ratio
     kernel[far] = (p[None, :] - p[:, None])[far] / gap[far]
-    hess = np.einsum("jab,kba,ab->jk", rotated, rotated, kernel).real - np.outer(mean, mean)
-    return value, mean - np.asarray(fam.targets), hess, Spectrum(p, v)
+    return np.einsum("jab,kba,ab->jk", rotated, rotated, kernel).real - np.outer(mean, mean)
 
 
 def free_energy(base: np.ndarray, fam: MixtureFamily, tau) -> float:
@@ -197,7 +203,7 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, tau0=None):
             break
 
         try:
-            direction = np.linalg.solve(hess, -g)
+            direction = np.linalg.solve(hess(), -g)
             if not np.isfinite(direction).all() or float(np.dot(direction, g)) >= 0:
                 direction = -g
         except np.linalg.LinAlgError:

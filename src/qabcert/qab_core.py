@@ -5,6 +5,7 @@ matrix; the iteration minimizes ``G(rho) = Tr rho omega(rho)`` over density
 matrices (restricted to a :class:`~qabcert.mixture.MixtureFamily`, empty by
 default) by repeatedly applying ``rho -> exp(log rho - omega(rho)/gamma)``,
 trace normalized, through the e-projection onto the family.
+:func:`qab_run` is the lockstep loop of :func:`qab_run_many` with one run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "floor_state",
     "j_function",
     "qab_run",
+    "qab_run_many",
 ]
 
 
@@ -173,45 +175,72 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     finite.  Each iterate is carried with its spectrum, so omega, log rho and
     the per-step divergence need no further decomposition of it.
     """
-    family = opts.family
-    start = opts.initial
-    if np.max(np.abs(family.residuals(start)), initial=0.0) > CONSTRAINT_TOL:
+    return _lockstep(obj, [opts])[0]
+
+
+def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
+    """Advance runs in lockstep, each to the trajectory :func:`qab_run` gives it.
+
+    ``obj.omega`` pairs state i with run i (``ChannelObjective`` of a ``PairStack``).
+    The runs share gamma, max_iters, divergence_stop and the empty family.  A
+    stopped run is frozen, its row held; a failure in any run raises for all.
+    """
+    settings = {(o.gamma, o.max_iters, o.divergence_stop, o.family.size) for o in runs}
+    if len(settings) > 1 or runs[0].family.size:
+        raise ValueError("lockstep runs share gamma, max_iters, divergence_stop, empty family")
+    return _lockstep(obj, runs)
+
+
+def _lockstep(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
+    """The one iteration loop, over a stack of runs that share their settings."""
+    opts, family, stop = runs[0], runs[0].family, runs[0].divergence_stop
+    start = np.stack([run.initial for run in runs])
+    if np.max(np.abs(family.residuals(start[0])), initial=0.0) > CONSTRAINT_TOL:
         try:
-            start = hermitize(e_project(matrix_log(start), family)[0].matrix())
+            start = hermitize(e_project(matrix_log(start[0]), family)[0].matrix())[None]
         except EProjectionError as exc:
             raise IterationError(0, exc) from exc
     spec = floor_spectrum(start, STATE_FLOOR)
     rho = spec.matrix()
 
-    traj = Trajectory(gamma=opts.gamma)
     omega_cur = obj.omega(spec)
-    traj.states.append(rho)
-    traj.values.append(float(np.einsum("ij,ji->", rho, omega_cur).real))
-    tau_prev = None
+    values = np.einsum("...ij,...ji->...", rho, omega_cur).real
+    trajs = [Trajectory([rho[i]], [float(v)], gamma=opts.gamma) for i, v in enumerate(values)]
+    running, tau_prev = list(range(len(runs))), None
 
     for t in range(opts.max_iters):
         log_domain = matrix_fn(spec, np.log) - omega_cur / opts.gamma
         try:
-            update, tau_sol = e_project(log_domain, family, tau0=tau_prev)
+            base = log_domain[0] if family.size else log_domain
+            update, tau_sol = e_project(base, family, tau0=tau_prev)
         except EProjectionError as exc:
             raise IterationError(t + 1, exc) from exc
         tau_prev = tau_sol.tau
         if family.size:
-            traj.tau_history.append(tau_sol)
+            trajs[0].tau_history.append(tau_sol)
+            update = Spectrum(update.eigenvalues[None], update.eigenvectors[None])
         spec_nxt = floor_spectrum(update, STATE_FLOOR)
         nxt = spec_nxt.matrix()
 
         omega_nxt = obj.omega(spec_nxt)
         kl = relative_entropy(spec_nxt, spec)
-        dom = float(np.einsum("ij,ji->", nxt, omega_nxt - omega_cur).real)
-        traj.states.append(nxt)
-        traj.values.append(float(np.einsum("ij,ji->", nxt, omega_nxt).real))
-        traj.step_kl.append(kl)
-        traj.step_domega.append(dom)
-
-        spec, omega_cur = spec_nxt, omega_nxt
-        if opts.divergence_stop is not None and kl < opts.divergence_stop:
+        dom = np.einsum("...ij,...ji->...", nxt, omega_nxt - omega_cur).real
+        values = np.einsum("...ij,...ji->...", nxt, omega_nxt).real
+        for i in running:
+            trajs[i].states.append(nxt[i])
+            trajs[i].values.append(float(values[i]))
+            trajs[i].step_kl.append(float(kl[i]))
+            trajs[i].step_domega.append(float(dom[i]))
+        running = [i for i in running if stop is None or not kl[i] < stop]
+        if not running:
             break
+        if len(running) < len(runs):  # a stopped run's row repeats its last step
+            held = ~np.isin(np.arange(len(runs)), running)[:, None, None]
+            w = np.where(held[..., 0], spec.eigenvalues, spec_nxt.eigenvalues)
+            spec_nxt = Spectrum(w, np.where(held, spec.eigenvectors, spec_nxt.eigenvectors))
+            omega_nxt = np.where(held, omega_cur, omega_nxt)
+        spec, omega_cur = spec_nxt, omega_nxt
 
-    traj.check_consistent()
-    return traj
+    for traj in trajs:
+        traj.check_consistent()
+    return trajs

@@ -95,7 +95,7 @@ def _decode(kind, doc):
 
 def complex_matrix_to_pairs(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def pairs_to_complex_matrix(rows: list) -> np.ndarray:

@@ -9,6 +9,7 @@ from qabcert import (
     ChoiMatrix,
     MixtureFamily,
     OracleInapplicableError,
+    PairStack,
     QabOptions,
     SupportViolationError,
     bell_diagonal_oracle,
@@ -176,6 +177,20 @@ class TestOmegaMatchesReference:
         assert np.array_equal(omega1(states.reshape(13, 100, 2, 2), pair).reshape(flat.shape), flat)
         for i in (0, 511, 512, 1299):
             assert np.array_equal(omega1(states[i], pair), flat[i])
+
+    def test_pair_stack_pairs_state_i_with_pair_i(self, rng, monkeypatch):
+        # Seven qubit pairs in chunks of three states: the chunk loop slices
+        # the Choi stack with the states, and each state gets the omega its
+        # own pair gives it alone.
+        monkeypatch.setattr("qabcert.channel_re.OMEGA_CHUNK_ENTRIES", 3 * 2 * 4 * 4)
+        pairs = [paper_pair(p) for p in np.linspace(0.01, 0.3, 6)] + [random_kraus_pair(2, 2, 11)]
+        states = np.stack([random_state(rng, 2) for _ in pairs])
+        stacked = omega1(states, PairStack(pairs))
+        for state, pair, om in zip(states, pairs, stacked):
+            assert np.array_equal(omega1(state, pair), om)
+        values = objective_value(states, PairStack(pairs))
+        for state, pair, value in zip(states, pairs, values):
+            assert objective_value(state, pair) == value
 
     def test_leaking_stack_raises(self, rng):
         pair = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
@@ -448,12 +463,40 @@ class TestChannelPair:
     def test_finite_pair_runs_as_iterates_near_the_boundary(self):
         # The iterate's smallest eigenvalue drifts to ~1e-10, where S_M's
         # smallest eigenvalues fall under the relative support cutoff; a
-        # per-state leak scan raised at about the 73rd omega call.
-        obj = ChannelObjective(d4_pair())
+        # per-state leak scan raised at about the 73rd omega call.  Each
+        # iterate's value is the divergence objective_value scores there,
+        # wherever that score is finite; at six of these 101 iterates, the
+        # last one among them, its relative support cut reads S_N as leaking
+        # out of S_M (+inf).
+        pair = d4_pair()
+        obj = ChannelObjective(pair)
         traj = qab_run(obj, QabOptions(np.eye(4) / 4, gamma=1, max_iters=100))
         assert len(traj.states) == 101
         assert np.isfinite(traj.values).all() and np.isfinite(traj.step_domega).all()
-        assert obj.divergence(traj) == pytest.approx(2.851, abs=1e-3)
+        scored = -objective_value(np.stack(traj.states), pair)
+        finite = np.isfinite(scored)
+        reported = np.array([obj.channel_scale(v) for v in traj.values])
+        np.testing.assert_allclose(reported[finite], scored[finite], rtol=1e-12)
+        assert finite.sum() > 90
+
+    def test_chois_are_stacked_once(self):
+        pair = paper_pair()
+        assert pair.chois.shape == (2, 4, 4)
+        assert np.array_equal(pair.chois[0], pair.choi_n.mat)
+        assert np.array_equal(pair.chois[1], pair.choi_m.mat)
+        assert "chois" not in repr(pair)
+
+    def test_pair_stack(self):
+        pairs = [paper_pair(), ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.0))]
+        stack = PairStack(pairs)
+        assert (stack.dim_a, stack.dim_b) == (2, 2)
+        assert np.array_equal(stack.chois, np.stack([pair.chois for pair in pairs]))
+        assert stack.leaked_mass == pairs[1].leaked_mass > OUTSIDE_MASS_TOL
+        assert stack[1:].pairs[0] is pairs[1] and len(stack[1:].pairs) == 1
+        with pytest.raises(ValueError, match="share"):
+            PairStack([paper_pair(), random_kraus_pair(2, 3, 31)])
+        with pytest.raises(ValueError):
+            PairStack([])
 
     def test_dimension_mismatch(self):
         qutrit = choi_from_kraus([np.eye(3)])

@@ -10,9 +10,10 @@ import pytest
 
 import qabcert
 from qabcert.cli import COMMANDS, RunConfig, main
+from qabcert.linalg import hermitize
 from qabcert.mixture import MixtureFamily
 from qabcert.qab_core import Trajectory
-from qabcert.quantum import PAULI_Z, choi_from_kraus, depolarizing_choi
+from qabcert.quantum import PAULI_Z, choi_from_kraus, depolarizing_choi, random_density
 from qabcert.serialize import (
     complex_matrix_to_pairs,
     load_report,
@@ -95,6 +96,36 @@ class TestSweep:
         )
         # Ratio columns are unit free.
         assert rows_2[0]["a1_max"] == rows_e[0]["a1_max"]
+
+    @pytest.mark.parametrize(
+        "command, extra", [("sweep", ()), ("oracle-compare", ("--grid-resolution", "8"))]
+    )
+    def test_lockstep_rows_equal_each_point_solved_alone(
+        self, command, extra, tmp_path, monkeypatch
+    ):
+        # p = 0 is infinite and stays out of the lockstep run; the other four
+        # points run in one qab_run_many call.  Refusing that call makes
+        # every point run alone, as solve runs its one point.
+        args = (command, "--p-min", "0", "--p-max", "0.1", "--p-steps", "5", *FAST, *extra)
+        out = tmp_path / "rows.csv"
+        many, sizes = qabcert.cli.qab_run_many, []
+
+        def counted(obj, runs):
+            sizes.append(len(runs))
+            return many(obj, runs)
+
+        def refused(obj, runs):
+            raise ValueError("lockstep run refused")
+
+        monkeypatch.setattr(qabcert.cli, "qab_run_many", counted)
+        assert run(*args, "--out", str(out)) == 0
+        assert sizes == [4]
+        lockstep = out.read_bytes()
+        _, rows = data_rows(out)
+        assert [row["status"] for row in rows] == ["infinite"] + ["ok"] * 4
+        monkeypatch.setattr(qabcert.cli, "qab_run_many", refused)
+        assert run(*args, "--out", str(out)) == 0
+        assert out.read_bytes() == lockstep
 
     def test_requires_sweepable_channel(self, tmp_path):
         assert run("sweep", "--channel-m", "depolarizing:0.05", "--out", "-") == 2
@@ -550,15 +581,16 @@ class TestFailedRows:
         assert "NothingKeptError" in qabcert.__all__
 
     def test_lapack_failure_fails_only_its_row(self, monkeypatch, capsys):
-        eigh, calls = np.linalg.eigh, []
+        # Decomposing point 0's start fails, in a stack of starts and alone.
+        eigh = np.linalg.eigh
+        start = hermitize(random_density(2, np.random.default_rng([RunConfig().seed, 0, 0])))
 
-        def eigh_failing_on_call_40(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 40:
+        def eigh_failing_on_point_0(a, *args, **kwargs):
+            if np.shape(a)[-2:] == start.shape and np.any(np.all(a == start, axis=(-2, -1))):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(*args, **kwargs)
+            return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_call_40)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_on_point_0)
         argv = ("sweep", "--p-steps", "2", "--samples", "20", "--iters", "20", "--out", "-")
         assert run(*argv) == 1
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]

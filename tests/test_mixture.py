@@ -91,7 +91,7 @@ class TestFreeEnergy:
         fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.3,))
         base = np.zeros((2, 2), dtype=complex)
         for tau in (-3.0, -0.5, 0.0, 0.7, 4.0):
-            hess = _evaluate(base, fam, np.array([tau]))[2]
+            hess = _evaluate(base, fam, np.array([tau]))[2]()
             assert hess[0, 0] == pytest.approx(1 / np.cosh(tau) ** 2, rel=1e-12)
 
     def test_hessian_matches_gradient_differences(self, rng):
@@ -104,7 +104,7 @@ class TestFreeEnergy:
             cases.append((matrix_log(random_state(rng, dim)), random_family(rng, dim, k)))
         for base, fam in cases:
             tau = rng.standard_normal(fam.size)
-            hess = _evaluate(base, fam, tau)[2]
+            hess = _evaluate(base, fam, tau)[2]()
             assert np.all(np.isfinite(hess))
             h = 1e-5
             for j in range(fam.size):

@@ -14,12 +14,14 @@ from qabcert import (
     f3_map,
     floor_state,
     j_function,
+    PairStack,
     qab_run,
+    qab_run_many,
     relative_entropy,
 )
-from qabcert.quantum import PAULI_X, PAULI_Z, random_density
+from qabcert.quantum import PAULI_X, PAULI_Z, choi_from_kraus, random_density
 
-from conftest import ConstantObjective, LinearTraceObjective, random_state
+from conftest import ConstantObjective, LinearTraceObjective, random_kraus, random_state
 
 
 def paper_pair(p=0.05):
@@ -137,7 +139,8 @@ class TestQabRun:
         pair = paper_pair()
         obj = ChannelObjective(pair)
         traj = qab_run(obj, QabOptions(initial=random_density(2, 11), max_iters=100))
-        assert obj.divergence(traj) == pytest.approx(bell_diagonal_oracle(pair), abs=1e-3)
+        value = obj.channel_scale(traj.values[-1])
+        assert value == pytest.approx(bell_diagonal_oracle(pair), abs=1e-3)
 
     def test_divergence_stop(self, rng):
         obj = ChannelObjective(paper_pair())
@@ -255,6 +258,83 @@ class TestQabRun:
         assert QabOptions(initial=random_state(rng, 2)).family.size == 0
         with pytest.raises(TypeError, match="MixtureFamily"):
             QabOptions(initial=random_state(rng, 2), family=None)
+
+
+def lockstep_runs(n, max_iters, divergence_stop=1e-10):
+    """``n`` paper pairs over p in [0.004, 0.1] with seeded starts, as ``sweep`` runs them."""
+    pairs = [paper_pair(float(p)) for p in np.linspace(0.004, 0.1, n)]
+    runs = [
+        QabOptions(
+            random_density(2, np.random.default_rng([7, i, 0])),
+            max_iters=max_iters,
+            divergence_stop=divergence_stop,
+        )
+        for i in range(n)
+    ]
+    return pairs, runs
+
+
+def same_trajectory(a, b) -> bool:
+    return (
+        len(a.states) == len(b.states)
+        and all(np.array_equal(x, y) for x, y in zip(a.states, b.states))
+        and (a.values, a.step_kl, a.step_domega, a.gamma)
+        == (b.values, b.step_kl, b.step_domega, b.gamma)
+    )
+
+
+class TestQabRunMany:
+    def test_each_run_is_its_qab_run_bit_for_bit(self):
+        # Runs stop at different steps and one reaches max_iters; stopped
+        # runs are held while the rest go on.
+        pairs, runs = lockstep_runs(7, max_iters=28)
+        trajs = qab_run_many(ChannelObjective(PairStack(pairs)), runs)
+        steps = [len(traj.states) - 1 for traj in trajs]
+        assert 28 in steps and len(set(steps)) >= 3
+        for pair, opts, traj in zip(pairs, runs, trajs):
+            assert same_trajectory(traj, qab_run(ChannelObjective(pair), opts))
+            if len(traj.states) <= 28:
+                assert traj.step_kl[-1] < 1e-10
+
+    def test_non_bell_qutrit_runs_without_a_stop(self):
+        pairs = [
+            ChannelPair(
+                choi_from_kraus(random_kraus(seed, 3, 3, 2)),
+                choi_from_kraus(random_kraus(seed + 1, 3, 3, 9)),
+            )
+            for seed in (21, 41, 61)
+        ]
+        runs = [QabOptions(random_density(3, i), max_iters=15) for i in range(3)]
+        trajs = qab_run_many(ChannelObjective(PairStack(pairs)), runs)
+        for pair, opts, traj in zip(pairs, runs, trajs):
+            assert len(traj.states) == 16
+            assert same_trajectory(traj, qab_run(ChannelObjective(pair), opts))
+
+    def test_runs_must_share_settings_and_the_empty_family(self):
+        pairs, runs = lockstep_runs(2, max_iters=5)
+        obj = ChannelObjective(PairStack(pairs))
+        other = QabOptions(runs[1].initial, gamma=2.0, max_iters=5, divergence_stop=1e-10)
+        with pytest.raises(ValueError, match="share"):
+            qab_run_many(obj, [runs[0], other])
+        _, fam = constrained_setup(1)
+        constrained = QabOptions(runs[1].initial, max_iters=5, family=fam, divergence_stop=1e-10)
+        with pytest.raises(ValueError, match="family"):
+            qab_run_many(obj, [runs[0], constrained])
+        with pytest.raises(ValueError, match="family"):
+            qab_run_many(obj, [constrained])
+
+    @pytest.mark.parametrize("n_runs", [1, 5])
+    def test_a_step_is_two_lapack_calls_whatever_the_number_of_runs(self, eig_calls, n_runs):
+        calls, matrices = {}, {}
+        for n in (10, 30):
+            pairs, runs = lockstep_runs(n_runs, max_iters=n, divergence_stop=None)
+            obj = ChannelObjective(PairStack(pairs))
+            eig_calls.clear()
+            trajs = qab_run_many(obj, runs)
+            assert [len(traj.states) for traj in trajs] == [n + 1] * n_runs
+            calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
+        assert calls[30] - calls[10] == 2 * 20
+        assert matrices[30] - matrices[10] == 3 * n_runs * 20
 
 
 @pytest.fixture(scope="module")

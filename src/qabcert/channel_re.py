@@ -7,10 +7,11 @@ provides the omega map realizing that objective, one solver with a
 posteriori certification (:func:`solve`; constraints reach a run only
 through its ``QabOptions.family``), and two independent oracles
 (closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray
-without decomposing any grid state).  Finiteness is the pair's alone
-(:class:`ChannelPair`): omega raises on an infinite pair before any work
-and scans no state for a leak.  A :class:`PairStack` stands in for a pair
-so that lockstep runs over several pairs take one omega call per step.
+without decomposing any grid state).  Finiteness is one verdict of the
+pair's, ``ChannelPair.finite``: omega raises on an infinite pair before any
+work, the Bell oracle reads +inf exactly there, and no state is scanned for
+a leak.  A :class:`PairStack` stands in for a pair so that lockstep runs
+over several pairs take one omega call per step.
 
 Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
@@ -86,7 +87,7 @@ class ChannelPair:
 
     ``leaked_mass`` is Gamma_N's mass outside supp Gamma_M.  At full-rank rho,
     S_X is a congruence of Gamma_X, so the divergence is +inf at every state
-    exactly when ``leaked_mass > OUTSIDE_MASS_TOL``.
+    exactly when ``finite`` is false (``leaked_mass > OUTSIDE_MASS_TOL``).
     """
 
     choi_n: ChoiMatrix
@@ -103,6 +104,7 @@ class ChannelPair:
 
     dim_a = property(lambda self: self.choi_n.dim_a)
     dim_b = property(lambda self: self.choi_n.dim_b)
+    finite = property(lambda self: self.leaked_mass <= OUTSIDE_MASS_TOL)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,7 @@ class PairStack:
     chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
     dim_a = property(lambda self: self.pairs[0].dim_a)
     dim_b = property(lambda self: self.pairs[0].dim_b)
+    finite = property(lambda self: self.leaked_mass <= OUTSIDE_MASS_TOL)  # every pair's
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
@@ -160,14 +163,14 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
     Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
     -D(S_N || S_M).  Stack-aware in ``rho_a`` and, as a :class:`PairStack`, ``pair``.  Raises
     :class:`SupportViolationError` before any work when the pair is
-    infinite (``ChannelPair.leaked_mass``); no state is scanned for a leak.
+    infinite (``ChannelPair.finite``); no state is scanned for a leak.
 
     Evaluated in rho's eigenbasis W (descending, see ``_rotated_chois``): with
     S' and d from ``_eigenbasis_sandwiches``, omega1 = -W Tr_B[(Gamma'_N o
     1d^T) (log S'_N - log S'_M) o 1d^-T] W^dag, where d^- inverts d on its
     support.  One stacked decomposition gives both S'_N and S'_M.
     """
-    if pair.leaked_mass > OUTSIDE_MASS_TOL:
+    if not pair.finite:
         raise SupportViolationError(
             "support of Gamma_N is not contained in the support of Gamma_M; "
             f"the objective is -inf (leaked mass {pair.leaked_mass:.3e})"
@@ -283,17 +286,16 @@ def bell_weights(choi: ChoiMatrix) -> np.ndarray:
 def bell_diagonal_oracle(pair: ChannelPair) -> float:
     """Closed-form divergence for Bell-diagonal pairs (teleportation covariant).
 
-    Equals sum_i p_i log(p_i / q_i) over the Bell weights with p_i > 1e-15,
-    the channel divergence attained at the maximally entangled input;
-    ``+inf`` when one of those p_i meets q_i <= 1e-15.
+    ``+inf`` exactly when the pair is not ``finite``; otherwise sum_i p_i
+    log(p_i / q_i) over the Bell weights both channels carry (p_i and q_i
+    > 1e-15), the channel divergence attained at the maximally entangled input.
     """
     p = bell_weights(pair.choi_n)
     q = bell_weights(pair.choi_m)
-    kept = p > 1e-15
-    p, q = p[kept], q[kept]
-    if np.any(q <= 1e-15):
+    if not pair.finite:
         return np.inf
-    return float(np.sum(p * np.log(p / q)))
+    kept = (p > 1e-15) & (q > 1e-15)
+    return float(np.sum(p[kept] * np.log(p[kept] / q[kept])))
 
 
 def _bloch_eigenvectors(theta, phi) -> np.ndarray:

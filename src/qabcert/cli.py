@@ -4,9 +4,10 @@ Commands: ``sweep`` (divergence vs. depolarizing parameter with per-point
 certification), ``solve`` (one channel pair, the one-point path of
 ``sweep``), ``certify`` (certification of a stored or freshly computed
 trajectory), ``energy`` (energy-constrained run, per-iteration trace) and
-``oracle-compare`` (solver vs. the two independent oracles).  Two or more
-finite points are iterated in lockstep (``qab_run_many``), each trajectory
-certified as ``certify --trajectory`` does; rows are as if run one by one.
+``oracle-compare`` (the ``sweep`` rows plus the brute-force oracle's
+columns).  Two or more finite points are iterated in lockstep
+(``qab_run_many``), each trajectory certified as ``certify --trajectory``
+does; rows are as if run one by one.
 
 Each command takes only the settings it reads (``COMMANDS`` lists them),
 as flags or as ``--config`` JSON keys; flags win.  Outputs echo the whole
@@ -43,7 +44,7 @@ from .channel_re import (
     brute_force_oracle,
     solve,
 )
-from .linalg import OUTSIDE_MASS_TOL, hermitize
+from .linalg import hermitize
 from .mixture import MixtureFamily
 from .qab_core import IterationError, QabOptions, qab_run_many
 from .quantum import (
@@ -324,7 +325,7 @@ def _solve(cfg: RunConfig, pair: ChannelPair, index: int, family=MixtureFamily()
 
 def _solve_points(cfg: RunConfig, points: list) -> list:
     """``_solve`` of each (p, pair) point; if their lockstep run fails, each runs alone."""
-    finite = [i for i, (_, pair) in enumerate(points) if pair.leaked_mass <= OUTSIDE_MASS_TOL]
+    finite = [i for i, (_, pair) in enumerate(points) if pair.finite]
     trajs = {}
     if len(finite) > 1:
         try:
@@ -336,9 +337,9 @@ def _solve_points(cfg: RunConfig, points: list) -> list:
     return [_solve(cfg, pair, i, traj=trajs.get(i)) for i, (_, pair) in enumerate(points)]
 
 
-def _row(columns, p: float, status: str, **fields) -> dict:
-    """A result row: NaN columns but for ``p``, ``status`` and ``fields``."""
-    row = dict.fromkeys(columns, math.nan)
+def _row(p: float, status: str, **fields) -> dict:
+    """A result row: NaN cells but for ``p``, ``status`` and ``fields``."""
+    row = dict.fromkeys(SWEEP_COLUMNS + ORACLE_COLUMNS, math.nan)
     row.update(fields, p=p, status=status)
     if status == "infinite":
         row["value"] = math.inf
@@ -346,16 +347,24 @@ def _row(columns, p: float, status: str, **fields) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple:
-    """``sweep`` over the p grid, and ``solve`` as its one-point path."""
+    """The rows of ``sweep``, ``solve`` (its one-point path) and ``oracle-compare``.
+
+    The Bell oracles come before any solve and stand or fall together (a
+    grid's channel-m is a Bell-diagonal builtin); a gap needs a finite oracle.
+    """
+    compare = "grid_resolution" in COMMANDS[cfg.command].fields
+    bell, bell_gap = ("bell_oracle", "gap_bell") if compare else ("oracle", "gap")
     scale = cfg.log_scale
-    rows = []
     points = _pairs(cfg)
-    for (p, pair), (result, status, _) in zip(points, _solve_points(cfg, points)):
-        row = _row(SWEEP_COLUMNS, p, status, certified=False, iterations=0)
-        try:
-            row["oracle"] = bell_diagonal_oracle(pair) / scale
-        except OracleInapplicableError:
-            pass
+    try:
+        oracles = [bell_diagonal_oracle(pair) / scale for _, pair in points]
+    except OracleInapplicableError as exc:
+        if compare:
+            raise UsageError(f"oracle-compare requires a Bell-diagonal pair: {exc}") from exc
+        oracles = [math.nan] * len(points)
+    rows = []
+    for (p, pair), oracle, (result, status, _) in zip(points, oracles, _solve_points(cfg, points)):
+        row = _row(p, status, certified=False, iterations=0, **{bell: oracle})
         rows.append(row)
         if result is None:
             continue
@@ -374,9 +383,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
             xme_bound=pair.dim_a * report.bound_value / scale,
             iterations=len(result.trajectory.states) - 1,
         )
-        if math.isfinite(row["oracle"]):
-            row["gap"] = abs(row["value"] - row["oracle"])
-    return _table(cfg, SWEEP_COLUMNS, rows)
+        if compare:
+            row["brute_oracle"] = -brute_force_oracle(pair, cfg.grid_resolution)[0] / scale
+        for gap, reference in ((bell_gap, bell), ("gap_brute", "brute_oracle")):
+            if math.isfinite(row[reference]):
+                row[gap] = abs(row["value"] - row[reference])
+    return _table(cfg, ORACLE_COLUMNS if compare else SWEEP_COLUMNS, rows)
 
 
 def cmd_certify(cfg: RunConfig) -> tuple:
@@ -431,26 +443,6 @@ def cmd_energy(cfg: RunConfig) -> tuple:
     return _table(cfg, columns, rows)
 
 
-def cmd_oracle_compare(cfg: RunConfig) -> tuple:
-    points = _pairs(cfg)
-    try:
-        bell = [bell_diagonal_oracle(pair) for _, pair in points]
-    except OracleInapplicableError as exc:
-        raise UsageError(f"oracle-compare requires a Bell-diagonal pair: {exc}") from exc
-    scale = cfg.log_scale
-    rows = []
-    for (p, pair), oracle, (result, status, _) in zip(points, bell, _solve_points(cfg, points)):
-        row = _row(ORACLE_COLUMNS, p, status, bell_oracle=oracle / scale)
-        rows.append(row)
-        if result is None:
-            continue
-        row["value"] = result.value / scale
-        row["brute_oracle"] = -brute_force_oracle(pair, cfg.grid_resolution)[0] / scale
-        row["gap_bell"] = abs(row["value"] - row["bell_oracle"])
-        row["gap_brute"] = abs(row["value"] - row["brute_oracle"])
-    return _table(cfg, ORACLE_COLUMNS, rows)
-
-
 @dataclasses.dataclass(frozen=True)
 class Command:
     """A subcommand: its function, the RunConfig fields it reads, its defaults."""
@@ -473,8 +465,7 @@ COMMANDS = {
         cmd_energy, (*_PAIR, "log_base", "out", "constraints", "constraints_file"), "energy.csv"
     ),
     "oracle-compare": Command(
-        cmd_oracle_compare, (*_SWEEP, "grid_resolution"), "oracle_compare.csv",
-        channel_m="depolarizing",
+        cmd_sweep, (*_SWEEP, "grid_resolution"), "oracle_compare.csv", channel_m="depolarizing"
     ),
 }
 

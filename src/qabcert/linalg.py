@@ -27,9 +27,8 @@ override it (the relative support rule itself is ``_support``):
 ===============================  =====  ==============================================
 ``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so
                                         ``omega``), ``relative_entropy``, ``support_overlap``
-``STATIONARITY_CUTOFF``          1e-8   support in ``certify.stationarity_residual``
-``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's verdict
-                                        (``ChannelPair.leaked_mass``), on which ``omega`` raises
+``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's one verdict
+                                        (``ChannelPair.finite``), on which ``omega`` raises
 ``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and
                                         ``quantum.ChoiMatrix`` admit
 ``STATE_FLOOR``                  1e-14  eigenvalue floor of iterates (``qab_run``)
@@ -59,7 +58,6 @@ __all__ = [
     "floor_spectrum",
     "frobenius_norm",
     "gibbs_spectrum",
-    "gibbs_state",
     "hermitize",
     "kron",
     "matrix_exp",
@@ -72,7 +70,6 @@ __all__ = [
 ]
 
 SUPPORT_CUTOFF = 1e-12
-STATIONARITY_CUTOFF = 1e-8
 OUTSIDE_MASS_TOL = 1e-10
 PSD_TOL = 1e-10
 STATE_FLOOR = 1e-14
@@ -128,14 +125,14 @@ def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:
     return m if isinstance(m, Spectrum) else eigh(m)
 
 
-def _support(w: np.ndarray, cutoff: float, f: Callable | None = None):
-    """The support rule: ascending eigenvalue ``w_i`` is in when ``w_i > cutoff * max(w_max, 0)``.
+def _support(w: np.ndarray, f: Callable | None = None):
+    """The support rule: ascending ``w_i`` is in when ``w_i > SUPPORT_CUTOFF * max(w_max, 0)``.
 
     Returns ``(cut, inside, fw)``: that threshold, the mask and ``f`` on the
     support with zeros off it (``None`` without ``f``).  Stack-aware.  A full
     support applies ``f`` to ``w`` directly, which gives the same values.
     """
-    cut = cutoff * np.maximum(w[..., -1:], 0.0)
+    cut = SUPPORT_CUTOFF * np.maximum(w[..., -1:], 0.0)
     inside = w > cut
     if f is None:
         fw = None
@@ -147,12 +144,12 @@ def _support(w: np.ndarray, cutoff: float, f: Callable | None = None):
 
 
 def _on_support(w: np.ndarray, f: Callable) -> np.ndarray:
-    """``f`` on the support of ``w`` (``_support`` at ``SUPPORT_CUTOFF``), exact zeros off it.
+    """``f`` on the support of ``w`` (``_support``), exact zeros off it.
 
     Raises :class:`MatrixDomainError` for eigenvalues below the negated
     threshold.  Stack-aware.
     """
-    cut, _, fw = _support(w, SUPPORT_CUTOFF, f)
+    cut, _, fw = _support(w, f)
     if (w < -cut).any():
         raise MatrixDomainError(
             "matrix has negative eigenvalues beyond the support cutoff "
@@ -197,11 +194,6 @@ def gibbs_spectrum(m: np.ndarray) -> Spectrum:
     w = spec.eigenvalues
     e = np.exp(w - w[..., -1:])
     return Spectrum(e / e.sum(axis=-1, keepdims=True), spec.eigenvectors)
-
-
-def gibbs_state(m: np.ndarray) -> np.ndarray:
-    """exp(m) / Tr exp(m), evaluated stably via an eigenvalue shift."""
-    return gibbs_spectrum(m).matrix()
 
 
 def floor_spectrum(m: np.ndarray | Spectrum, floor: float) -> Spectrum:

@@ -74,6 +74,12 @@ class MixtureFamily:
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "targets", targets)
 
+    def __eq__(self, other):
+        if not isinstance(other, MixtureFamily):
+            return NotImplemented
+        same = zip(self.observables, other.observables)
+        return self.targets == other.targets and all(np.array_equal(a, b) for a, b in same)
+
     @property
     def size(self) -> int:
         return len(self.observables)

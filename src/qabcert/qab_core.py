@@ -20,7 +20,7 @@ from .linalg import (
     Spectrum,
     eigh,
     floor_spectrum,
-    gibbs_state,
+    gibbs_spectrum,
     hermitize,
     matrix_fn,
     matrix_log,
@@ -143,7 +143,7 @@ def f3_map(rho: np.ndarray, obj: Objective, gamma: float) -> np.ndarray:
         )
     # Plain spectral log (no support cutoff): floored eigenvalues sit below
     # the relative support cutoff and must not be zeroed out.
-    return gibbs_state(matrix_fn(spec, np.log) - obj.omega(spec) / gamma)
+    return gibbs_spectrum(matrix_fn(spec, np.log) - obj.omega(spec) / gamma).matrix()
 
 
 def d_omega(rho: np.ndarray, sigma: np.ndarray | Spectrum, obj: Objective):

@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import (
     OUTSIDE_MASS_TOL,
     PSD_TOL,
-    SUPPORT_CUTOFF,
     Spectrum,
     _support,
     eigh,
@@ -69,7 +68,8 @@ class ChoiMatrix:
     """Choi matrix of a channel A -> B, with ``Tr_B mat = I_A``.
 
     Construction checks that ``mat`` is PSD to ``PSD_TOL`` and trace
-    preserving to ``KRAUS_TOL``, so every instance is a channel.
+    preserving to ``KRAUS_TOL``, so every instance is a channel.  Equality
+    is by value (dims and ``mat``).
     """
 
     mat: np.ndarray
@@ -91,6 +91,12 @@ class ChoiMatrix:
         if np.max(np.abs(marg - np.eye(self.dim_a))) > KRAUS_TOL:
             raise ValueError("channel is not trace-preserving: Tr_B Gamma != I_A")
         object.__setattr__(self, "mat", mat)
+
+    def __eq__(self, other):
+        if not isinstance(other, ChoiMatrix):
+            return NotImplemented
+        dims = (self.dim_a, self.dim_b) == (other.dim_a, other.dim_b)
+        return dims and np.array_equal(self.mat, other.mat)
 
 
 def _bell_diagonal_choi(weights) -> ChoiMatrix:
@@ -172,7 +178,7 @@ def support_overlap(rho: np.ndarray | Spectrum, sigma: Spectrum):
     """``(outside_mass, Tr rho log sigma)`` from the weights <u_k| rho |u_k>.
 
     The u_k are the eigenvectors of ``sigma``; those outside its support
-    (``linalg._support`` at ``SUPPORT_CUTOFF``) carry the outside mass.
+    (``linalg._support``) carry the outside mass.
     ``rho`` need not be a state: ``ChannelPair`` passes Gamma_N.
     """
     u = sigma.eigenvectors
@@ -182,7 +188,7 @@ def support_overlap(rho: np.ndarray | Spectrum, sigma: Spectrum):
         diag = np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
     else:
         diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
-    _, inside, log_s = _support(sigma.eigenvalues, SUPPORT_CUTOFF, np.log)
+    _, inside, log_s = _support(sigma.eigenvalues, np.log)
     outside_mass = np.where(inside, 0.0, diag).sum(axis=-1)
     tr_log = (diag * log_s).sum(axis=-1)
     return outside_mass, tr_log
@@ -208,7 +214,7 @@ def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):
         if w.min() < -PSD_TOL:
             raise ValueError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
 
-    tr_rlogr = _support(wr, SUPPORT_CUTOFF, lambda x: x * np.log(x))[2].sum(axis=-1)
+    tr_rlogr = _support(wr, lambda x: x * np.log(x))[2].sum(axis=-1)
     outside_mass, tr_rlogs = support_overlap(rho, spec_s)
     out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
     return float(out) if np.ndim(out) == 0 else out

@@ -9,7 +9,6 @@ import pytest
 from qabcert import (
     ChannelObjective,
     ChannelPair,
-    MixtureFamily,
     Objective,
     QabOptions,
     Spectrum,
@@ -24,15 +23,14 @@ from qabcert import (
     matrix_log,
     qab_run,
     relative_entropy,
-    stationarity_residual,
     xme_bound,
 )
-from qabcert.linalg import SUPPORT_CUTOFF, _support
+from qabcert.linalg import _support
 from qabcert.quantum import PAULI_Z, random_density
 from qabcert.certify import A1_MARGIN, _draw_perturbations, _repair_candidates, _scan
 from qabcert.serialize import report_to_dict
 
-from conftest import ConstantObjective, as_matrix, random_state
+from conftest import ConstantObjective, random_state
 
 
 def constant_run(rng, k=None, iters=10):
@@ -195,7 +193,7 @@ class TestCheckA1:
         final = np.diag([1 - 1e-14, 1e-14]).astype(complex)
         streams = [np.random.default_rng([0, k]) for k in (0, 1)]
         repaired, _ = _repair_candidates(_draw_perturbations(final, *streams, 0.1, 2000))
-        assert _support(repaired.eigenvalues, SUPPORT_CUTOFF)[1].all()
+        assert _support(repaired.eigenvalues)[1].all()
 
 
 class ScaledLogObjective(Objective):
@@ -278,60 +276,6 @@ class TestXmeBound:
         d1 = relative_entropy(rho_star, traj.states[0])
         for t0 in range(1, len(traj.states)):
             assert traj.values[t0] - g_star <= d1 / t0 + 1e-6
-
-
-class TestStationarityResidual:
-    def test_scalar_omega_zero(self, rng):
-        obj = ConstantObjective(2.7 * np.eye(2))
-        assert stationarity_residual(random_state(rng, 2), obj) == pytest.approx(0.0, abs=1e-12)
-
-    def test_boundary_fixed_point_under_trace_family(self, rng):
-        # sigma_z objective under the trivial family {I}: converges to the
-        # diagonal boundary state, whose 1-d support admits no feasible
-        # direction, so the residual vanishes.
-        fam = MixtureFamily(observables=(np.eye(2),), targets=(1.0,))
-        obj = ConstantObjective(PAULI_Z)
-        traj = qab_run(obj, QabOptions(initial=np.eye(2) / 2, family=fam, max_iters=60))
-        assert stationarity_residual(traj.states[-1], obj, fam) <= 1e-8
-
-    def test_interior_gibbs_state_of_matching_objective(self):
-        # omega(rho) = -log rho - I has exact fixed point I/2 where
-        # omega = (log 2 - 1) I: residual 0.
-        class MatchingObjective(ConstantObjective):
-            def omega(self, rho):
-                from qabcert import matrix_log
-
-                return -matrix_log(rho) - np.broadcast_to(np.eye(2), as_matrix(rho).shape).copy()
-
-        obj = MatchingObjective(np.eye(2))
-        assert stationarity_residual(np.eye(2) / 2, obj) <= 1e-12
-
-    def test_sweep_convergent_small_residual(self, channel_run):
-        obj, traj = channel_run
-        assert stationarity_residual(traj.states[-1], obj) <= 1e-4
-
-    def test_constant_objective_attains_projection_norm(self):
-        # The sup over unit tangent directions at I/4 is ||K - (Tr K / 4) I||_F;
-        # a maximum over a fixed matrix basis gave 1.570 here instead of 2.476.
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        k = (g + np.conj(g.T)) / 2
-        expected = np.linalg.norm(k - np.trace(k).real / 4 * np.eye(4))
-        assert expected == pytest.approx(2.476, abs=1e-3)
-        residual = stationarity_residual(np.eye(4) / 4, ConstantObjective(k))
-        assert residual == pytest.approx(expected, abs=1e-12)
-
-    def test_constraint_directions_projected_out(self):
-        # Omega inside span{I, H} has no feasible component; adding a
-        # direction orthogonal to both is seen at full norm.
-        h = np.diag([1.0, 0.0, -1.0]).astype(complex)
-        t = np.zeros((3, 3), dtype=complex)
-        t[0, 1] = t[1, 0] = 1.0
-        fam = MixtureFamily(observables=(h,), targets=(0.0,))
-        rho = np.eye(3) / 3
-        assert stationarity_residual(rho, ConstantObjective(2 * np.eye(3) + 0.5 * h), fam) <= 1e-12
-        residual = stationarity_residual(rho, ConstantObjective(0.5 * h + 3 * t), fam)
-        assert residual == pytest.approx(3 * np.sqrt(2), abs=1e-12)
 
 
 class TestCertify:

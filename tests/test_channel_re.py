@@ -254,6 +254,23 @@ class TestBellDiagonalOracle:
     def test_non_bell_diagonal_rejected(self):
         with pytest.raises(OracleInapplicableError):
             bell_diagonal_oracle(amplitude_damping_pair())
+        infinite = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
+        assert not infinite.finite
+        with pytest.raises(OracleInapplicableError):
+            bell_diagonal_oracle(infinite)
+
+    def test_infinite_exactly_when_the_pair_is_not_finite(self):
+        # depolarizing(1e-12) leaks 1e-12 of its mass outside supp
+        # dephasing(0.4), below OUTSIDE_MASS_TOL: the pair is finite, and the
+        # oracle sums over the weights both channels carry.
+        edge = ChannelPair(depolarizing_choi(1e-12), dephasing_choi(0.4))
+        assert 0 < edge.leaked_mass <= OUTSIDE_MASS_TOL and edge.finite
+        p, q = bell_weights(edge.choi_n)[:2], bell_weights(edge.choi_m)[:2]
+        assert bell_diagonal_oracle(edge) == float(np.sum(p * np.log(p / q)))
+        assert bell_diagonal_oracle(edge) == pytest.approx(-np.log(0.4), abs=1e-9)
+        for pair in (paper_pair(0.0), ChannelPair(depolarizing_choi(0.5), dephasing_choi(0.4))):
+            assert not pair.finite
+            assert bell_diagonal_oracle(pair) == np.inf
 
     def test_matches_the_weight_loop(self, rng):
         # The vector form keeps the loop's skip and +inf rules and its
@@ -497,6 +514,28 @@ class TestChannelPair:
             PairStack([paper_pair(), random_kraus_pair(2, 3, 31)])
         with pytest.raises(ValueError):
             PairStack([])
+
+    def test_finite_is_the_leak_verdict(self):
+        ad = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
+        pairs = [paper_pair(), d4_pair(), amplitude_damping_pair(), paper_pair(0.0), ad]
+        assert [pair.finite for pair in pairs] == [True, True, True, False, False]
+        for pair in pairs:
+            assert pair.finite == (pair.leaked_mass <= OUTSIDE_MASS_TOL)
+        assert PairStack([paper_pair(0.05), paper_pair(0.1)]).finite
+        assert not PairStack([paper_pair(0.05), paper_pair(0.0)]).finite
+
+    def test_pairs_compare_by_value(self):
+        # Equal but distinct Choi matrices; the generated __eq__ compared
+        # their arrays with ==, which raised.
+        assert paper_pair(0.05) is not paper_pair(0.05)
+        assert paper_pair(0.05) == paper_pair(0.05)
+        assert paper_pair(0.05) != paper_pair(0.06)
+        assert paper_pair(0.05).choi_m == depolarizing_choi(0.05) != dephasing_choi(0.05)
+        assert depolarizing_choi(0.05) != "depolarizing:0.05"
+        assert PairStack([paper_pair(0.05), paper_pair(0.1)]) == PairStack(
+            [paper_pair(0.05), paper_pair(0.1)]
+        )
+        assert PairStack([paper_pair(0.05)]) != PairStack([paper_pair(0.1)])
 
     def test_dimension_mismatch(self):
         qutrit = choi_from_kraus([np.eye(3)])

@@ -389,6 +389,45 @@ class TestOracleCompare:
         )
 
 
+class TestOneRowBuilder:
+    EDGE = ("--channel-n", "depolarizing:1e-12", "--channel-m", "dephasing",
+            "--p-min", "0", "--p-max", "0.4", "--p-steps", "2", *FAST)
+
+    @pytest.mark.parametrize(
+        "command, extra, oracle, gap",
+        [("sweep", (), "oracle", "gap"),
+         ("oracle-compare", ("--grid-resolution", "8"), "bell_oracle", "gap_bell")],
+    )
+    def test_pair_leaking_below_the_tolerance_has_a_finite_oracle(
+        self, command, extra, oracle, gap, tmp_path
+    ):
+        # At p = 0.4 channel-n leaks 1e-12 of its mass outside channel-m's
+        # support, below OUTSIDE_MASS_TOL, so the pair is finite; the oracle
+        # printed inf there while the solver certified a finite value.
+        out = tmp_path / "edge.csv"
+        assert run(command, *self.EDGE, *extra, "--out", str(out)) == 0
+        _, [zero, edge] = data_rows(out)
+        assert zero["status"] == "infinite"
+        assert float(zero["value"]) == float(zero[oracle]) == math.inf
+        assert math.isnan(float(zero[gap]))
+        assert edge["status"] == "ok"
+        assert abs(float(edge[oracle]) - float(edge["value"])) <= 1e-9
+        assert float(edge[gap]) <= 1e-9
+
+    def test_oracle_compare_rows_are_sweep_rows(self, tmp_path):
+        grid = ("--p-min", "0", "--p-max", "0.1", "--p-steps", "3", *FAST)
+        sweep_out, compare_out = tmp_path / "sweep.csv", tmp_path / "compare.csv"
+        assert run("sweep", *grid, "--out", str(sweep_out)) == 0
+        assert run("oracle-compare", *grid, "--grid-resolution", "8",
+                   "--out", str(compare_out)) == 0
+        _, sweep_rows = data_rows(sweep_out)
+        _, compare_rows = data_rows(compare_out)
+        assert [row["status"] for row in sweep_rows] == ["infinite", "ok", "ok"]
+        assert [(r["value"], r["bell_oracle"], r["gap_bell"]) for r in compare_rows] == [
+            (r["value"], r["oracle"], r["gap"]) for r in sweep_rows
+        ]
+
+
 class TestIdentityChannel:
     def test_solve_fills_the_oracle_column(self, tmp_path):
         out = tmp_path / "row.csv"

@@ -87,5 +87,5 @@ def test_constants_table_names_every_tolerance():
         for const in re.findall(pattern, inspect.getsource(module), re.M):
             key = const if module is linalg else f"{name.split('.')[1]}.{const}"
             constants[key] = getattr(module, const)
-    assert len(constants) >= 12
+    assert len(constants) >= 11
     assert {key: float(table[key]) if key in table else None for key in constants} == constants

@@ -21,7 +21,6 @@ from qabcert.linalg import (
     floor_spectrum,
     frobenius_norm,
     gibbs_spectrum,
-    gibbs_state,
 )
 from qabcert.quantum import PAULI_X, maximally_entangled, support_overlap
 
@@ -136,9 +135,8 @@ class TestSpectrumHelpers:
         h = random_hermitian_scaled(rng, 3, 5.0)
         spec = gibbs_spectrum(h)
         assert np.sum(spec.eigenvalues) == pytest.approx(1.0, abs=1e-15)
-        assert np.array_equal(spec.matrix(), gibbs_state(h))
         expected = matrix_exp(h) / np.trace(matrix_exp(h)).real
-        assert np.allclose(gibbs_state(h), expected, atol=1e-12)
+        assert np.allclose(spec.matrix(), expected, atol=1e-12)
 
     def test_floor_spectrum_floors_and_renormalizes(self):
         spec = floor_spectrum(np.diag([2.0, 0.0, -1e-17]), 1e-3)
@@ -266,11 +264,11 @@ class TestRandomHermitian:
 
 
 class TestSupportRule:
-    """The one relative support rule: w_i > cutoff * max(w_max, 0)."""
+    """The one relative support rule: w_i > SUPPORT_CUTOFF * max(w_max, 0)."""
 
     def test_eigenvalue_at_the_cutoff_lies_outside(self):
         w = np.array([SUPPORT_CUTOFF, 1.0])
-        assert _support(w, SUPPORT_CUTOFF)[1].tolist() == [False, True]
+        assert _support(w)[1].tolist() == [False, True]
         at_cutoff = Spectrum(w, np.eye(2))
         assert np.array_equal(matrix_sqrt(at_cutoff), np.diag([0.0, 1.0]))
         outside, _ = support_overlap(np.eye(2) / 2, at_cutoff)
@@ -280,7 +278,7 @@ class TestSupportRule:
 
     def test_non_positive_largest_eigenvalue_gives_empty_support(self):
         for w in ([-1e-30, 0.0], [0.0, 0.0], [-2.0, -1.0]):
-            cut, inside, fw = _support(np.array(w), SUPPORT_CUTOFF, np.log)
+            cut, inside, fw = _support(np.array(w), np.log)
             assert not inside.any()
             assert np.array_equal(fw, [0.0, 0.0])
         assert np.array_equal(matrix_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
@@ -296,4 +294,4 @@ class TestSupportRule:
 
     def test_stacked_spectra_use_their_own_largest_eigenvalue(self):
         w = np.array([[1e-13, 1.0], [1e-13, 1e-2]])
-        assert _support(w, SUPPORT_CUTOFF)[1].tolist() == [[False, True], [True, True]]
+        assert _support(w)[1].tolist() == [[False, True], [True, True]]

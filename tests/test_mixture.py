@@ -42,6 +42,14 @@ class TestMixtureFamily:
         with pytest.raises(ValueError, match="Hermitian"):
             MixtureFamily(observables=(np.array([[0, 1], [0, 0]]),), targets=(0.0,))
 
+    def test_compares_by_value(self):
+        fam = MixtureFamily((np.eye(2),), (1.0,))
+        assert fam == MixtureFamily((np.eye(2),), (1.0,))
+        assert fam != MixtureFamily((np.eye(2),), (0.5,))
+        assert fam != MixtureFamily((PAULI_Z,), (1.0,))
+        assert fam != MixtureFamily() and MixtureFamily() == EMPTY
+        assert fam != (np.eye(2),)
+
     def test_residuals(self, rng):
         fam = random_family(rng, 2, 2)
         witnessed = e_project(matrix_log(random_state(rng, 2)), fam)[0].matrix()

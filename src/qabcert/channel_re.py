@@ -27,7 +27,7 @@ divergence per Choi *state*, i.e. the full-scale objective divided by
 ``gamma -> gamma * dim_a``, but only the per-state scale converges across
 the full experimental parameter range at the protocol's ``gamma = 1``;
 reported channel divergences are rescaled back, so ``SolveResult.value``,
-the final iterate's, is in the channel's nats.
+the final iterate's, and ``SolveResult.bound`` are in the channel's nats.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class PairStack:
     chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
     dim_a = property(lambda self: self.pairs[0].dim_a)
     dim_b = property(lambda self: self.pairs[0].dim_b)
-    finite = property(lambda self: self.leaked_mass <= OUTSIDE_MASS_TOL)  # every pair's
+    finite = property(lambda self: all(pair.finite for pair in self.pairs))
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
@@ -226,7 +226,6 @@ class ChannelObjective(Objective):
 
     def __init__(self, pair: ChannelPair | PairStack):
         self.pair = pair
-        self.dim = pair.dim_a
 
     def omega(self, rho: np.ndarray | Spectrum) -> np.ndarray:
         return omega(rho, self.pair) / self.pair.dim_a
@@ -238,9 +237,10 @@ class ChannelObjective(Objective):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Channel divergence (nats) at the final state, the trajectory, and its certificate."""
+    """Divergence and bound (channel nats) at the final state, the trajectory, its certificate."""
 
     value: float
+    bound: float
     trajectory: Trajectory
     report: CertificationReport
 
@@ -260,7 +260,8 @@ def solve(
     obj = ChannelObjective(pair)
     traj = qab_run(obj, run) if isinstance(run, QabOptions) else run
     report = certify(traj, obj, n_samples=n_samples, eps_max=eps_max, seed=cert_seed)
-    return SolveResult(obj.channel_scale(traj.values[-1]), trajectory=traj, report=report)
+    value = obj.channel_scale(traj.values[-1])
+    return SolveResult(value, pair.dim_a * report.bound_value, trajectory=traj, report=report)
 
 
 def bell_weights(choi: ChoiMatrix) -> np.ndarray:

@@ -44,7 +44,6 @@ from .channel_re import (
     brute_force_oracle,
     solve,
 )
-from .linalg import hermitize
 from .mixture import MixtureFamily
 from .qab_core import IterationError, QabOptions, qab_run_many
 from .quantum import (
@@ -183,7 +182,7 @@ def _read(kind: str, path: str, load: Callable):
 
 def _load_matrix(path: str) -> np.ndarray:
     doc = json.loads(Path(path).read_text())
-    return hermitize(pairs_to_complex_matrix(doc["matrix"] if isinstance(doc, dict) else doc))
+    return pairs_to_complex_matrix(doc["matrix"] if isinstance(doc, dict) else doc)
 
 
 def _channel(spec: str, p: float = math.nan) -> tuple:
@@ -380,7 +379,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
             a3_min=report.a3.min,
             a3_max=report.a3.max,
             certified=report.certified,
-            xme_bound=pair.dim_a * report.bound_value / scale,
+            xme_bound=result.bound / scale,
             iterations=len(result.trajectory.states) - 1,
         )
         if compare:

@@ -105,6 +105,11 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    @property
+    def shape(self) -> tuple:
+        """The shape of the matrix (stack) it stands for, which ``np.shape`` reads."""
+        return self.eigenvectors.shape
+
     def matrix(self) -> np.ndarray:
         """The matrix V diag(w) V^dag, re-symmetrized."""
         v = self.eigenvectors
@@ -243,7 +248,7 @@ def random_hermitian(dim: int, seed, size: int | None = None) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((1 if size is None else size, 2, dim, dim))
     h = hermitize(g[:, 0] + 1j * g[:, 1])
     h /= frobenius_norm(h)[:, None, None]

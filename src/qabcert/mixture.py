@@ -49,7 +49,11 @@ class EProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MixtureFamily:
-    """Linear expectation constraints Tr(rho H_j) = c_j; ``MixtureFamily()`` has none."""
+    """Linear expectation constraints Tr(rho H_j) = c_j; ``MixtureFamily()`` has none.
+
+    The one gate for constraint inputs: finite, Hermitian to 1e-10 (stored
+    hermitized), of one dimension and linearly independent observables; finite targets.
+    """
 
     observables: tuple = ()
     targets: tuple = ()
@@ -59,6 +63,8 @@ class MixtureFamily:
         targets = tuple(float(c) for c in self.targets)
         if len(obs) != len(targets):
             raise ValueError("observables and targets must have equal length")
+        if not (all(np.isfinite(h).all() for h in obs) and np.isfinite(targets).all()):
+            raise ValueError("constraint observables and targets must be finite")
         if obs:
             dim = obs[0].shape[-1]
             for h in obs:
@@ -66,6 +72,7 @@ class MixtureFamily:
                     raise ValueError("all constraint observables must share one dimension")
                 if np.max(np.abs(h - np.conj(h.T))) > 1e-10:
                     raise ValueError("constraint observables must be Hermitian")
+            obs = tuple(hermitize(h) for h in obs)
             gram = np.array(
                 [[np.trace(a @ b).real for b in obs] for a in obs]
             )
@@ -168,7 +175,7 @@ def _spectral_feasibility(fam: MixtureFamily) -> None:
     # Necessary condition: each target must lie within the spectral range of
     # its observable, since Tr(rho H) is a convex combination of eigenvalues.
     for h, c in zip(fam.observables, fam.targets):
-        w = np.linalg.eigvalsh(hermitize(h))
+        w = np.linalg.eigvalsh(h)
         if c < w[0] - 1e-12 or c > w[-1] + 1e-12:
             raise InfeasibleFamilyError(
                 f"target {c} lies outside the spectral range "

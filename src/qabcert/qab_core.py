@@ -5,7 +5,8 @@ matrix; the iteration minimizes ``G(rho) = Tr rho omega(rho)`` over density
 matrices (restricted to a :class:`~qabcert.mixture.MixtureFamily`, empty by
 default) by repeatedly applying ``rho -> exp(log rho - omega(rho)/gamma)``,
 trace normalized, through the e-projection onto the family.
-:func:`qab_run` is the lockstep loop of :func:`qab_run_many` with one run.
+:func:`qab_run_many` is the one loop, over runs in lockstep (a constrained
+run alone), and :func:`qab_run` is that loop with one run.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ class Objective(abc.ABC):
     a :class:`~qabcert.linalg.Spectrum`, and return Hermitian matrices of
     that shape; certification sampling relies on the batched form.
     """
-
-    dim: int
 
     @abc.abstractmethod
     def omega(self, rho: np.ndarray | Spectrum) -> np.ndarray:
@@ -121,11 +120,6 @@ class Trajectory:
     tau_history: list[TauSolution] = field(default_factory=list)
     gamma: float | None = None
 
-    def check_consistent(self) -> None:
-        n = len(self.states)
-        if len(self.values) != n or len(self.step_kl) != n - 1 or len(self.step_domega) != n - 1:
-            raise ValueError("trajectory sequences have inconsistent lengths")
-
 
 def floor_state(rho: np.ndarray) -> np.ndarray:
     """Raise eigenvalues below ``STATE_FLOOR`` and renormalize, keeping log rho finite."""
@@ -175,25 +169,21 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     finite.  Each iterate is carried with its spectrum, so omega, log rho and
     the per-step divergence need no further decomposition of it.
     """
-    return _lockstep(obj, [opts])[0]
+    return qab_run_many(obj, [opts])[0]
 
 
 def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
     """Advance runs in lockstep, each to the trajectory :func:`qab_run` gives it.
 
     ``obj.omega`` pairs state i with run i (``ChannelObjective`` of a ``PairStack``).
-    The runs share gamma, max_iters, divergence_stop and the empty family.  A
-    stopped run is frozen, its row held; a failure in any run raises for all.
+    The runs share gamma, max_iters, divergence_stop and family, and a non-empty
+    family runs alone.  A stopped run records no more steps, though its row is
+    still computed; a failure in any run raises for all.
     """
-    settings = {(o.gamma, o.max_iters, o.divergence_stop, o.family.size) for o in runs}
-    if len(settings) > 1 or runs[0].family.size:
-        raise ValueError("lockstep runs share gamma, max_iters, divergence_stop, empty family")
-    return _lockstep(obj, runs)
-
-
-def _lockstep(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
-    """The one iteration loop, over a stack of runs that share their settings."""
     opts, family, stop = runs[0], runs[0].family, runs[0].divergence_stop
+    settings = [(o.gamma, o.max_iters, o.divergence_stop, o.family) for o in runs]
+    if any(s != settings[0] for s in settings) or (family.size and len(runs) > 1):
+        raise ValueError("lockstep runs share their settings and family; a family runs alone")
     start = np.stack([run.initial for run in runs])
     if np.max(np.abs(family.residuals(start[0])), initial=0.0) > CONSTRAINT_TOL:
         try:
@@ -234,13 +224,5 @@ def _lockstep(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
         running = [i for i in running if stop is None or not kl[i] < stop]
         if not running:
             break
-        if len(running) < len(runs):  # a stopped run's row repeats its last step
-            held = ~np.isin(np.arange(len(runs)), running)[:, None, None]
-            w = np.where(held[..., 0], spec.eigenvalues, spec_nxt.eigenvalues)
-            spec_nxt = Spectrum(w, np.where(held, spec.eigenvectors, spec_nxt.eigenvectors))
-            omega_nxt = np.where(held, omega_cur, omega_nxt)
         spec, omega_cur = spec_nxt, omega_nxt
-
-    for traj in trajs:
-        traj.check_consistent()
     return trajs

@@ -166,7 +166,7 @@ def random_density(dim: int, seed) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ np.conj(g.T)
     rho = rho / np.trace(rho).real

@@ -4,10 +4,13 @@ Complex matrices are encoded as nested arrays of ``[re, im]`` pairs.  A
 trajectory or report document is its dataclass: one key per field, in field
 order, with every 2-D array (a state) written as pairs whatever its dtype.
 It is read back by walking the same dataclass's field type hints, so a new
-field needs no reader of its own.  All documents are strict JSON; floats
-survive a dump/load round trip bit-exactly (Python renders them with
-shortest-repr), and a non-finite float is written as the string ``"NaN"``,
-``"Infinity"`` or ``"-Infinity"``.  Identical inputs produce identical bytes.
+field needs no reader of its own.  A trajectory file is its document; the
+one report file is the ``certify --out`` document, whose ``report`` member
+is the report's (``qabcert certify`` writes it, :func:`load_report` reads
+it).  All documents are strict JSON; floats survive a dump/load round trip
+bit-exactly (Python renders them with shortest-repr), and a non-finite
+float is written as the string ``"NaN"``, ``"Infinity"`` or
+``"-Infinity"``.  Identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "report_to_dict",
     "save_channel",
     "save_constraints",
-    "save_report",
     "save_trajectory",
 ]
 
@@ -160,7 +162,9 @@ def save_trajectory(path, traj: Trajectory) -> None:
 
 def load_trajectory(path) -> Trajectory:
     traj = _decode(Trajectory, json.loads(Path(path).read_text()))
-    traj.check_consistent()
+    n = len(traj.states)
+    if len(traj.values) != n or len(traj.step_kl) != n - 1 or len(traj.step_domega) != n - 1:
+        raise ValueError("trajectory sequences have inconsistent lengths")
     return traj
 
 
@@ -169,15 +173,11 @@ def report_to_dict(report: CertificationReport) -> dict:
     return _encode(report)
 
 
-def save_report(path, report: CertificationReport) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=1, allow_nan=False))
-
-
 def load_report(path) -> CertificationReport:
-    """Read a ``save_report`` file, or the ``report`` member of a ``certify --out`` document.
+    """Read the ``report`` member of a ``certify --out`` document.
 
     The verdicts and recorded constants are not read: the report derives
     them from its stats, so a file cannot pass what its stats fail.
     """
     doc = json.loads(Path(path).read_text())
-    return _decode(CertificationReport, doc.get("report", doc))
+    return _decode(CertificationReport, doc["report"])

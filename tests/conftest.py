@@ -16,7 +16,6 @@ class ConstantObjective(Objective):
 
     def __init__(self, k):
         self.k = np.asarray(k, dtype=complex)
-        self.dim = self.k.shape[-1]
 
     def omega(self, rho):
         return np.broadcast_to(self.k, as_matrix(rho).shape).copy()
@@ -27,7 +26,6 @@ class LinearTraceObjective(Objective):
 
     def __init__(self, k):
         self.k = np.asarray(k, dtype=complex)
-        self.dim = self.k.shape[-1]
 
     def omega(self, rho):
         tr = np.trace(as_matrix(rho), axis1=-2, axis2=-1).real

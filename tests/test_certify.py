@@ -123,9 +123,10 @@ class TestCheckA1:
         np_random = importlib.import_module("qabcert.certify").np.random
         default_rng, built = np_random.default_rng, []
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return default_rng(*args, **kwargs)
+        def counting(seed=None, *args, **kwargs):
+            if not isinstance(seed, np.random.Generator):  # a Generator is returned, not built
+                built.append(seed)
+            return default_rng(seed, *args, **kwargs)
 
         monkeypatch.setattr(np_random, "default_rng", counting)
         return built

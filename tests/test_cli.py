@@ -551,6 +551,11 @@ BAD_INPUTS = {
         {"c.json": json.dumps({"format": "stinespring", "dim_a": 2, "dim_b": 2})},
         ["solve", "--channel-n", "{tmp}/c.json"],
     ),
+    "constraint-matrix-not-hermitian": (
+        {"h.json": json.dumps({"matrix": complex_matrix_to_pairs(np.array([[1, 1], [0, -1]]))})},
+        ["energy", "--constraint", "{tmp}/h.json=-0.25"],
+    ),
+    "constraint-target-nan": ({}, ["energy", "--constraint", "sigma-z=nan"]),
     "config-int-beyond-float-range": (
         {"cfg.json": '{"p_min": 1' + "0" * 400 + "}"},
         ["sweep", "--config", "{tmp}/cfg.json"],

@@ -131,6 +131,13 @@ class TestMatrixFn:
 
 
 class TestSpectrumHelpers:
+    def test_shape_is_the_shape_of_the_matrix_stack(self, rng):
+        stack = np.stack([matrix_exp(random_hermitian_scaled(rng, 3)) for _ in range(4)])
+        for m in (stack[0], stack, stack.reshape(2, 2, 3, 3)):
+            spec = eigh(m)
+            assert spec.shape == np.shape(spec) == m.shape
+            assert np.shape(spec.matrix()) == m.shape
+
     def test_gibbs_spectrum_reconstructs_gibbs_state(self, rng):
         h = random_hermitian_scaled(rng, 3, 5.0)
         spec = gibbs_spectrum(h)

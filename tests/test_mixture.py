@@ -42,6 +42,19 @@ class TestMixtureFamily:
         with pytest.raises(ValueError, match="Hermitian"):
             MixtureFamily(observables=(np.array([[0, 1], [0, 0]]),), targets=(0.0,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_observables_and_targets(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MixtureFamily(observables=(PAULI_Z,), targets=(bad,))
+        with pytest.raises(ValueError, match="finite"):
+            MixtureFamily(observables=(np.diag([bad, -1.0]),), targets=(0.0,))
+
+    def test_stores_observables_hermitized(self):
+        h = PAULI_Z + np.array([[0, 4e-11], [0, 0]])
+        fam = MixtureFamily(observables=(h,), targets=(0.0,))
+        assert np.array_equal(fam.observables[0], hermitize(h))
+        assert np.array_equal(MixtureFamily((PAULI_Z,), (0.0,)).observables[0], PAULI_Z)
+
     def test_compares_by_value(self):
         fam = MixtureFamily((np.eye(2),), (1.0,))
         assert fam == MixtureFamily((np.eye(2),), (1.0,))

@@ -19,6 +19,7 @@ from qabcert import (
     qab_run_many,
     relative_entropy,
 )
+from qabcert.mixture import CONSTRAINT_TOL
 from qabcert.quantum import PAULI_X, PAULI_Z, choi_from_kraus, random_density
 
 from conftest import ConstantObjective, LinearTraceObjective, random_kraus, random_state
@@ -285,8 +286,8 @@ def same_trajectory(a, b) -> bool:
 
 class TestQabRunMany:
     def test_each_run_is_its_qab_run_bit_for_bit(self):
-        # Runs stop at different steps and one reaches max_iters; stopped
-        # runs are held while the rest go on.
+        # Runs stop at different steps and one reaches max_iters; a stopped
+        # run records nothing more while the rest go on.
         pairs, runs = lockstep_runs(7, max_iters=28)
         trajs = qab_run_many(ChannelObjective(PairStack(pairs)), runs)
         steps = [len(traj.states) - 1 for traj in trajs]
@@ -310,18 +311,35 @@ class TestQabRunMany:
             assert len(traj.states) == 16
             assert same_trajectory(traj, qab_run(ChannelObjective(pair), opts))
 
-    def test_runs_must_share_settings_and_the_empty_family(self):
+    def test_runs_must_share_settings_and_a_family_runs_alone(self):
         pairs, runs = lockstep_runs(2, max_iters=5)
         obj = ChannelObjective(PairStack(pairs))
         other = QabOptions(runs[1].initial, gamma=2.0, max_iters=5, divergence_stop=1e-10)
         with pytest.raises(ValueError, match="share"):
             qab_run_many(obj, [runs[0], other])
         _, fam = constrained_setup(1)
-        constrained = QabOptions(runs[1].initial, max_iters=5, family=fam, divergence_stop=1e-10)
+        constrained = [
+            QabOptions(run.initial, max_iters=5, family=fam, divergence_stop=1e-10) for run in runs
+        ]
         with pytest.raises(ValueError, match="family"):
-            qab_run_many(obj, [runs[0], constrained])
-        with pytest.raises(ValueError, match="family"):
-            qab_run_many(obj, [constrained])
+            qab_run_many(obj, [runs[0], constrained[1]])
+        with pytest.raises(ValueError, match="runs alone"):
+            qab_run_many(obj, constrained)
+
+    def test_a_lone_constrained_run_is_its_qab_run_bit_for_bit(self):
+        # The start is off the family, so iteration 0 is its e-projection.
+        pairs, runs = lockstep_runs(1, max_iters=6, divergence_stop=None)
+        _, fam = constrained_setup(2)
+        opts = QabOptions(runs[0].initial, max_iters=6, family=fam)
+        assert np.max(np.abs(fam.residuals(opts.initial))) > CONSTRAINT_TOL
+        obj = ChannelObjective(pairs[0])
+        [traj] = qab_run_many(obj, [opts])
+        alone = qab_run(obj, opts)
+        assert same_trajectory(traj, alone)
+        assert len(traj.tau_history) == len(alone.tau_history) == 6
+        for a, b in zip(traj.tau_history, alone.tau_history):
+            assert np.array_equal(a.tau, b.tau)
+            assert (a.gradient_norm, a.iterations) == (b.gradient_norm, b.iterations)
 
     @pytest.mark.parametrize("n_runs", [1, 5])
     def test_a_step_is_two_lapack_calls_whatever_the_number_of_runs(self, eig_calls, n_runs):

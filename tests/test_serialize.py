@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qabcert
 from qabcert import (
     ChannelObjective,
     ChannelPair,
@@ -27,7 +29,6 @@ from qabcert.serialize import (
     report_to_dict,
     save_channel,
     save_constraints,
-    save_report,
     save_trajectory,
 )
 
@@ -104,13 +105,19 @@ def test_trajectory_round_trip(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def save_certify_document(path, report):
+    """Write ``report`` as the ``report`` member of a ``certify --out`` document."""
+    doc = {"version": qabcert.__version__, "config": {}, "report": report_to_dict(report)}
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+
+
 def test_report_round_trip(tmp_path):
     pair = ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.05))
     obj = ChannelObjective(pair)
     traj = qab_run(obj, QabOptions(initial=random_density(2, 3), max_iters=20))
     report = certify(traj, obj, n_samples=50, seed=13)
     path = tmp_path / "report.json"
-    save_report(path, report)
+    save_certify_document(path, report)
     back = load_report(path)
     assert back == report
     assert json.dumps(report_to_dict(back)) == json.dumps(report_to_dict(report))
@@ -196,10 +203,10 @@ def test_non_finite_values_are_strict_json_and_round_trip(tmp_path):
 
     traj_path, report_path = tmp_path / "traj.json", tmp_path / "report.json"
     save_trajectory(traj_path, traj)
-    save_report(report_path, report)
+    save_certify_document(report_path, report)
     doc = strict_loads(traj_path.read_text())
     assert doc["step_kl"][2] == "Infinity" and doc["values"][0] == "-Infinity"
-    assert strict_loads(report_path.read_text())["a3"]["min"] == "NaN"
+    assert strict_loads(report_path.read_text())["report"]["a3"]["min"] == "NaN"
     strict_loads(json.dumps(report_to_dict(report)))
 
     back = load_trajectory(traj_path)
@@ -227,7 +234,7 @@ def test_decoded_scalars_have_their_field_types(tmp_path):
     traj = qab_run(obj, QabOptions(initial=np.diag([0.375, 0.625]), max_iters=6, family=fam))
     traj_path, report_path = tmp_path / "traj.json", tmp_path / "report.json"
     save_trajectory(traj_path, traj)
-    save_report(report_path, certify(traj, obj, n_samples=50, seed=13))
+    save_certify_document(report_path, certify(traj, obj, n_samples=50, seed=13))
 
     doc = json.loads(traj_path.read_text())
     doc["values"][1], doc["tau_history"][0]["tau"][0] = "Infinity", "-Infinity"
@@ -238,14 +245,14 @@ def test_decoded_scalars_have_their_field_types(tmp_path):
     assert all(type(t.iterations) is int for t in back.tau_history)
 
     doc = json.loads(report_path.read_text())
-    doc["a2"]["min"], doc["a3"]["max"] = "NaN", "Infinity"
+    doc["report"]["a2"]["min"], doc["report"]["a3"]["max"] = "NaN", "Infinity"
     report_path.write_text(json.dumps(doc))
     report = load_report(report_path)
     assert math.isnan(report.a2.min) and report.a3.max == math.inf
     assert not (report.a2_pass or report.a3_pass or report.certified)
     ints = (report.seed, report.bound_t0, report.a1.count, report.a2.count, report.a3.count)
     assert all(type(v) is int for v in ints)
-    del doc["bound_t0"]  # a required field
+    del doc["report"]["bound_t0"]  # a required field
     report_path.write_text(json.dumps(doc))
     with pytest.raises(TypeError):
         load_report(report_path)

@@ -7,11 +7,11 @@ provides the omega map realizing that objective, one solver with a
 posteriori certification (:func:`solve`; constraints reach a run only
 through its ``QabOptions.family``), and two independent oracles
 (closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray
-without decomposing any grid state).  Finiteness is one verdict of the
-pair's, ``ChannelPair.finite``: omega raises on an infinite pair before any
-work, the Bell oracle reads +inf exactly there, and no state is scanned for
-a leak.  A :class:`PairStack` stands in for a pair so that lockstep runs
-over several pairs take one omega call per step.
+through a Kraus factor of Gamma_N).  Finiteness is one verdict of the pair's,
+``ChannelPair.finite``: omega raises on an infinite pair before any work, the
+Bell oracle reads +inf exactly there, and no state is scanned for a leak.
+A :class:`PairStack` stands in for a pair so that lockstep runs over several
+pairs take one omega call per step.
 
 Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
@@ -19,7 +19,9 @@ and scaled elementwise, S' = Gamma' o dd^T with d = sqrt(lambda) x 1_B, which
 is S_X rotated by V x I.  S'_N and S'_M are decomposed by one stacked
 ``eigh`` call, and omega is rotated back by V at the end; a long stack of
 states goes through in chunks of ``OMEGA_CHUNK_ENTRIES``.  The oracle rotates
-once per Bloch direction and scales once per radius with the same helpers.
+Gamma_M and the factor K of Gamma_N = K K^dag once per Bloch direction and
+scales once per radius with the same helpers; per grid state it decomposes
+S'_M and, in place of S'_N, an r_N x r_N Gram (r_N = rank Gamma_N).
 
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
 divergence per Choi *state*, i.e. the full-scale objective divided by
@@ -42,13 +44,14 @@ from .linalg import (
     Spectrum,
     _on_support,
     _spectrum,
+    _support,
     eigh,
     hermitize,
     kron,
     partial_trace,
 )
 from .qab_core import Objective, QabOptions, Trajectory, qab_run
-from .quantum import BELL_STATES, ChoiMatrix, relative_entropy, support_overlap
+from .quantum import BELL_STATES, ChoiMatrix, _divergence, relative_entropy, support_overlap
 
 __all__ = [
     "ChannelObjective",
@@ -130,17 +133,22 @@ class PairStack:
         return PairStack(self.pairs[rows])
 
 
-def _rotated_chois(pair: ChannelPair | PairStack, v: np.ndarray) -> np.ndarray:
-    """Gamma' = (W^dag x I) [Gamma_N; Gamma_M] (W x I), shape (..., 2, n, n).
+def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
+    """W x I_B, where W is ``v`` with its columns reversed.
 
     ``v`` holds eigenvectors of states on A in ascending eigenvalue order
-    (a ``Spectrum``'s); W is ``v`` with its columns reversed, so the largest
-    eigenvalue comes first.  That puts the large block of the graded S' of
-    ``_eigenbasis_sandwiches`` where LAPACK's tridiagonal reduction keeps
-    its small eigenvalues accurate: ascending order loses an order of
-    magnitude on states with a 1e-4 eigenvalue.
+    (a ``Spectrum``'s), so the largest eigenvalue comes first in W.  That
+    puts the large block of the graded S' of ``_eigenbasis_sandwiches``
+    where LAPACK's tridiagonal reduction keeps its small eigenvalues
+    accurate: ascending order loses an order of magnitude on states with a
+    1e-4 eigenvalue.
     """
-    wx = kron(v[..., ::-1], np.eye(pair.dim_b))[..., None, :, :]
+    return kron(v[..., ::-1], np.eye(dim_b))
+
+
+def _rotated_chois(pair: ChannelPair | PairStack, v: np.ndarray) -> np.ndarray:
+    """Gamma' = (W^dag x I) [Gamma_N; Gamma_M] (W x I), shape (..., 2, n, n) (``_rotation``)."""
+    wx = _rotation(v, pair.dim_b)[..., None, :, :]
     return np.conj(np.swapaxes(wx, -1, -2)) @ pair.chois @ wx
 
 
@@ -148,7 +156,8 @@ def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
     """``(S', d)``: S' = Gamma' o dd^T with d = sqrt(lam) x 1_B, zero off lam's support.
 
     ``lam`` holds ascending eigenvalues of rho and ``rotated`` comes from
-    ``_rotated_chois`` at its eigenvectors; d follows the rotated (descending)
+    ``_rotated_chois`` at its eigenvectors (or is one of its two Choi
+    matrices); d follows the rotated (descending)
     order.  Then S'_X = (W^dag x I) S_X (W x I) for both sandwiches
     S_X = (sqrt(rho) x I) Gamma_X (sqrt(rho) x I).  Raises
     :class:`~qabcert.linalg.MatrixDomainError` on negative ``lam``.
@@ -317,10 +326,17 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     minimizer with radius outermost.  Every state on the ray through
     n(theta, phi) has the eigenvectors U = (|-n>, |+n>) and eigenvalues
     lambda(r) = ((1-r)/2, (1+r)/2), and D(S_N || S_M) is invariant under the
-    joint rotation by U x I.  So each Choi matrix is rotated once per
-    direction, Gamma' = (U^dag x I) Gamma (U x I), and each radius scores one
-    batch D(Gamma'_N o dd^T || Gamma'_M o dd^T) with d = sqrt(lambda) x 1_B:
-    no grid state is built or decomposed.
+    joint rotation by U x I, so no grid state is built or decomposed.
+
+    Gamma_N is factored once per call, Gamma_N = K K^dag with K of shape
+    n x r_N (its spectrum cut by ``linalg._support``), and each direction
+    rotates K' = (U^dag x I) K and Gamma'_M = (U^dag x I) Gamma_M (U x I).
+    At a radius, with d = sqrt(lambda) x 1_B, S'_N = A A^dag for
+    A = diag(d) K', so the nonzero spectrum of S'_N is that of the
+    r_N x r_N Gram A^dag A = sum_j lambda_j G_j, where G_j = K'_j^dag K'_j
+    over row block j of K' is formed once per direction.  Tr S_N log S_M
+    weighs log mu_k by ||u_k^dag A||^2, with (mu_k, u_k) from the one n x n
+    decomposition per grid state, of S'_M = Gamma'_M o dd^T.
     """
     if pair.dim_a != 2:
         raise OracleInapplicableError("brute-force oracle requires a qubit input space")
@@ -331,14 +347,23 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     phis = np.linspace(0.0, 2 * np.pi, grid_resolution, endpoint=False)
     grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
     u = _bloch_eigenvectors(grid_t.ravel(), grid_p.ravel())
-    rotated = _rotated_chois(pair, u)
+    wx = _rotation(u, pair.dim_b)
+    rotated_m = np.conj(np.swapaxes(wx, -1, -2)) @ pair.choi_m.mat @ wx
+    gamma_n = eigh(pair.choi_n.mat)
+    _, inside, root = _support(gamma_n.eigenvalues, np.sqrt)
+    k_dag = np.conj(gamma_n.eigenvectors * root)[:, inside].T @ wx  # K'^dag, (dirs, r_N, n)
+    blocks = k_dag.reshape(len(u), -1, pair.dim_a, pair.dim_b)
+    grams = np.einsum("...kjb,...ljb->j...kl", blocks, np.conj(blocks))  # G_j, j first
 
     best = np.inf
     best_state = None
     for r in rs:
         lam = np.array([(1 - r) / 2, (1 + r) / 2])
-        sand = _eigenbasis_sandwiches(rotated, lam, pair.dim_b)[0]
-        vals = -relative_entropy(sand[:, 0], sand[:, 1])
+        s_m, d = _eigenbasis_sandwiches(rotated_m, lam, pair.dim_b)
+        spec_m = eigh(s_m)
+        gram = sum(lam_j * gram_j for lam_j, gram_j in zip(lam[::-1], grams))
+        weights = np.sum(np.abs((k_dag * d) @ spec_m.eigenvectors) ** 2, axis=-2)
+        vals = -_divergence(np.linalg.eigvalsh(gram), weights, spec_m.eigenvalues)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])

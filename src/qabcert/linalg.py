@@ -19,14 +19,17 @@ one stack, scales them by sqrt(lambda) elementwise instead of building
 sqrt(rho), and decomposes the sandwiches S_N and S_M with one stacked
 :func:`eigh` call, so an omega evaluation costs one LAPACK call beyond the
 state's own spectrum (one per chunk of a long stack).  The brute-force oracle
-shares the rotation and scaling.
+shares the rotation and scaling, but scores S_N from a Kraus factor of Gamma_N
+cut by ``_support``: it decomposes an r_N x r_N Gram per grid state, with
+r_N = rank Gamma_N, and S_M at full size.
 
 Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):
 
 ===============================  =====  ==============================================
 ``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so
-                                        ``omega``), ``relative_entropy``, ``support_overlap``
+                                        ``omega``), ``relative_entropy``, ``support_overlap``,
+                                        the brute-force oracle's Kraus factor of Gamma_N
 ``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's one verdict
                                         (``ChannelPair.finite``), on which ``omega`` raises
 ``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and

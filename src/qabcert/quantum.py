@@ -174,6 +174,25 @@ def random_density(dim: int, seed) -> np.ndarray:
     return hermitize(rho)
 
 
+def _weights(rho: np.ndarray | Spectrum, u: np.ndarray) -> np.ndarray:
+    """The weights <u_k| rho |u_k> of ``rho`` on the columns u_k of ``u``."""
+    udag = np.conj(np.swapaxes(u, -1, -2))
+    if isinstance(rho, Spectrum):
+        overlap = np.abs(udag @ rho.eigenvectors) ** 2
+        return np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
+    return np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
+
+
+def _split_weights(weights: np.ndarray, sigma_w: np.ndarray):
+    """``(outside_mass, Tr rho log sigma)`` from rho's weights on sigma's eigenvectors.
+
+    Eigenvectors outside sigma's support (``linalg._support``) carry the
+    outside mass.
+    """
+    _, inside, log_s = _support(sigma_w, np.log)
+    return np.where(inside, 0.0, weights).sum(axis=-1), (weights * log_s).sum(axis=-1)
+
+
 def support_overlap(rho: np.ndarray | Spectrum, sigma: Spectrum):
     """``(outside_mass, Tr rho log sigma)`` from the weights <u_k| rho |u_k>.
 
@@ -181,17 +200,23 @@ def support_overlap(rho: np.ndarray | Spectrum, sigma: Spectrum):
     (``linalg._support``) carry the outside mass.
     ``rho`` need not be a state: ``ChannelPair`` passes Gamma_N.
     """
-    u = sigma.eigenvectors
-    udag = np.conj(np.swapaxes(u, -1, -2))
-    if isinstance(rho, Spectrum):
-        overlap = np.abs(udag @ rho.eigenvectors) ** 2
-        diag = np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
-    else:
-        diag = np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
-    _, inside, log_s = _support(sigma.eigenvalues, np.log)
-    outside_mass = np.where(inside, 0.0, diag).sum(axis=-1)
-    tr_log = (diag * log_s).sum(axis=-1)
-    return outside_mass, tr_log
+    return _split_weights(_weights(rho, sigma.eigenvectors), sigma.eigenvalues)
+
+
+def _divergence(wr: np.ndarray, weights: np.ndarray, sigma_w: np.ndarray):
+    """Tr rho (log rho - log sigma) from spectra and weights (rules of :func:`relative_entropy`).
+
+    ``wr`` is rho's spectrum (its nonzero part suffices: x log x vanishes at
+    0), ``weights`` are rho's weights on sigma's eigenvectors (``_weights``)
+    and ``sigma_w`` is sigma's spectrum.  Stack-aware.
+    """
+    for name, w in (("rho", wr), ("sigma", sigma_w)):
+        if w.min() < -PSD_TOL:
+            raise ValueError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
+    tr_rlogr = _support(wr, lambda x: x * np.log(x))[2].sum(axis=-1)
+    outside_mass, tr_rlogs = _split_weights(weights, sigma_w)
+    out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):
@@ -210,11 +235,4 @@ def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):
         rho = hermitize(rho)
         wr = np.linalg.eigvalsh(rho)
     spec_s = sigma if isinstance(sigma, Spectrum) else eigh(sigma)
-    for name, w in (("rho", wr), ("sigma", spec_s.eigenvalues)):
-        if w.min() < -PSD_TOL:
-            raise ValueError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
-
-    tr_rlogr = _support(wr, lambda x: x * np.log(x))[2].sum(axis=-1)
-    outside_mass, tr_rlogs = support_overlap(rho, spec_s)
-    out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
-    return float(out) if np.ndim(out) == 0 else out
+    return _divergence(wr, _weights(rho, spec_s.eigenvectors), spec_s.eigenvalues)

@@ -32,22 +32,33 @@ class LinearTraceObjective(Objective):
         return np.asarray(tr)[..., None, None] * self.k
 
 
+def _record_eig(monkeypatch, record):
+    """List that gains ``record(shape)`` per np.linalg.eigh / eigvalsh call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(record(np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """List that gains one entry per np.linalg.eigh / eigvalsh call: its batch size.
 
     ``len`` counts calls and ``sum`` counts the matrices decomposed.
     """
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
+    return _record_eig(monkeypatch, lambda shape: math.prod(shape[:-2]))
 
-        def counted(a, *args, _original=original, **kwargs):
-            calls.append(math.prod(np.shape(a)[:-2]))
-            return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+@pytest.fixture
+def eig_shapes(monkeypatch):
+    """List that gains one entry per np.linalg.eigh / eigvalsh call: the shape decomposed."""
+    return _record_eig(monkeypatch, tuple)
 
 
 @pytest.fixture

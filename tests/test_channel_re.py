@@ -331,6 +331,17 @@ class TestBruteForceOracle:
         with pytest.raises(OracleInapplicableError):
             brute_force_oracle(ChannelPair(qutrit, qutrit), 5)
 
+    def test_scores_s_n_through_its_rank_2_gram(self, eig_shapes):
+        # Gamma_N = dephasing(0.4) has rank 2: one 4x4 decomposition factors
+        # it, and each of the 11 radii decomposes the 121 directions' S'_M at
+        # 4x4 and their S_N Grams at 2x2.
+        pair = paper_pair()
+        eig_shapes.clear()
+        brute_force_oracle(pair, 11)
+        assert sorted(eig_shapes) == sorted(
+            [(4, 4)] + [(121, 4, 4)] * 11 + [(121, 2, 2)] * 11
+        )
+
 
 def _bloch_states(r, theta, phi) -> np.ndarray:
     nx = r * np.sin(theta) * np.cos(phi)
@@ -362,6 +373,8 @@ def qubit_to_qutrit_pair():
     return ChannelPair(iso, noisy)
 
 
+# Gamma_N has rank 2 except where the name says otherwise: the oracle scores
+# every rank through one Kraus factor of Gamma_N.
 GRID_PAIRS = {
     "bell": lambda: paper_pair(0.05),
     "ad-dep": amplitude_damping_pair,
@@ -370,6 +383,10 @@ GRID_PAIRS = {
     ),
     "ad-ad-infinite": lambda: ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5)),
     "qubit-to-qutrit": qubit_to_qutrit_pair,
+    "rank-1": lambda: ChannelPair(choi_from_kraus([np.eye(2)]), depolarizing_choi(0.05)),
+    "full-rank": lambda: ChannelPair(
+        _bell_diagonal_choi((0.1, 0.2, 0.3, 0.4)), depolarizing_choi(0.3)
+    ),
 }
 
 

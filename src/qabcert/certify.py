@@ -154,15 +154,11 @@ def _scan(nums, dens, kept=None) -> RatioStats:
 
 def check_a3(traj: Trajectory) -> RatioStats:
     """Per-step ratios D_Omega / D over consecutive iterates."""
-    if len(traj.states) < 2:
-        raise ValueError("trajectory must hold at least two states")
     return _scan(traj.step_domega, traj.step_kl)
 
 
 def check_a2(traj: Trajectory, obj: Objective) -> RatioStats:
     """Ratios D_Omega(rho_T || rho_j) / D(rho_T || rho_j) for j < T."""
-    if len(traj.states) < 2:
-        raise ValueError("trajectory must hold at least two states")
     final = traj.states[-1]
     others = eigh(np.stack(traj.states[:-1]))  # decomposed once for both divergences
     return _scan(d_omega(final, others, obj), relative_entropy(final, others))

@@ -17,8 +17,8 @@ Every evaluation works in the eigenbasis of rho: both Choi matrices are
 rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
 and scaled elementwise, S' = Gamma' o dd^T with d = sqrt(lambda) x 1_B, which
 is S_X rotated by V x I.  S'_N and S'_M are decomposed by one stacked
-``eigh`` call, and omega is rotated back by V at the end; a long stack of
-states goes through in chunks of ``OMEGA_CHUNK_ENTRIES``.  The oracle rotates
+``eigh`` call, and omega is rotated back by V at the end; a stack of states
+goes through one loop of ``OMEGA_CHUNK_ENTRIES`` chunks.  The oracle rotates
 Gamma_M and the factor K of Gamma_N = K K^dag once per Bloch direction and
 scales once per radius with the same helpers; per grid state it decomposes
 S'_M and, in place of S'_N, an r_N x r_N Gram (r_N = rank Gamma_N).
@@ -129,9 +129,6 @@ class PairStack:
         object.__setattr__(self, "leaked_mass", max(pair.leaked_mass for pair in pairs))
         object.__setattr__(self, "chois", np.stack([pair.chois for pair in pairs]))
 
-    def __getitem__(self, rows: slice) -> PairStack:
-        return PairStack(self.pairs[rows])
-
 
 def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
     """W x I_B, where W is ``v`` with its columns reversed.
@@ -146,10 +143,10 @@ def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
     return kron(v[..., ::-1], np.eye(dim_b))
 
 
-def _rotated_chois(pair: ChannelPair | PairStack, v: np.ndarray) -> np.ndarray:
-    """Gamma' = (W^dag x I) [Gamma_N; Gamma_M] (W x I), shape (..., 2, n, n) (``_rotation``)."""
-    wx = _rotation(v, pair.dim_b)[..., None, :, :]
-    return np.conj(np.swapaxes(wx, -1, -2)) @ pair.chois @ wx
+def _rotated_chois(chois: np.ndarray, v: np.ndarray, dim_b: int) -> np.ndarray:
+    """Gamma' = (W^dag x I) chois (W x I) for chois = [Gamma_N; Gamma_M] (``_rotation``)."""
+    wx = _rotation(v, dim_b)[..., None, :, :]
+    return np.conj(np.swapaxes(wx, -1, -2)) @ chois @ wx
 
 
 def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
@@ -177,7 +174,8 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
     Evaluated in rho's eigenbasis W (descending, see ``_rotated_chois``): with
     S' and d from ``_eigenbasis_sandwiches``, omega1 = -W Tr_B[(Gamma'_N o
     1d^T) (log S'_N - log S'_M) o 1d^-T] W^dag, where d^- inverts d on its
-    support.  One stacked decomposition gives both S'_N and S'_M.
+    support.  One stacked decomposition gives both S'_N and S'_M, and one loop
+    walks the flat stack (a :class:`PairStack`'s ``chois`` with it) in row slices.
     """
     if not pair.finite:
         raise SupportViolationError(
@@ -185,23 +183,25 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
             f"the objective is -inf (leaked mass {pair.leaked_mass:.3e})"
         )
     spec = _spectrum(rho_a)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    n = v.shape[-1] * pair.dim_b
-    chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
-    if w[..., 0].size > chunk:
-        w, v = w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:])
-        rows = [slice(i, i + chunk) for i in range(0, len(w), chunk)]
-        stacked = isinstance(pair, PairStack)
-        parts = [omega1(Spectrum(w[r], v[r]), pair[r] if stacked else pair) for r in rows]
-        return np.concatenate(parts).reshape(spec.eigenvectors.shape)
-    rotated = _rotated_chois(pair, v)
+    dim = spec.eigenvectors.shape[-1]
+    w, v = spec.eigenvalues.reshape(-1, dim), spec.eigenvectors.reshape(-1, dim, dim)
+    chois = pair.chois.reshape(-1, *pair.chois.shape[-3:])  # a row per pair; one row is shared
+    chunk = max(1, OMEGA_CHUNK_ENTRIES // chois[0].size)
+    out = np.empty(v.shape, dtype=complex)
+    for start in range(0, len(v), chunk):
+        rows = slice(start, start + chunk)
+        out[rows] = _omega1_rows(w[rows], v[rows], chois[rows] if len(chois) > 1 else chois, pair)
+    return out.reshape(spec.eigenvectors.shape)
+
+
+def _omega1_rows(w, v, chois: np.ndarray, pair: ChannelPair | PairStack) -> np.ndarray:
+    """:func:`omega1` of a row slice of states (w, v), paired with ``chois`` (its rows or one)."""
+    rotated = _rotated_chois(chois, v, pair.dim_b)
     sand, d = _eigenbasis_sandwiches(rotated, w, pair.dim_b)
-    gamma_nd = rotated[..., 0, :, :] * d[..., None, :]
     both = eigh(sand)
-    log_w = _on_support(both.eigenvalues, np.log)
-    logs = Spectrum(log_w, both.eigenvectors).matrix()
+    logs = Spectrum(_on_support(both.eigenvalues, np.log), both.eigenvectors).matrix()
     d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    inner = gamma_nd @ (logs[..., 0, :, :] - logs[..., 1, :, :]) * d_inv[..., None, :]
+    inner = rotated[:, 0] * d[:, None, :] @ (logs[:, 0] - logs[:, 1]) * d_inv[:, None, :]
     traced = partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
     basis = v[..., ::-1]
     return -(basis @ traced @ np.conj(np.swapaxes(basis, -1, -2)))
@@ -219,7 +219,7 @@ def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack)
     the solver's objective is Tr rho omega instead (:class:`ChannelObjective`).
     """
     spec = _spectrum(rho_a)
-    rotated = _rotated_chois(pair, spec.eigenvectors)
+    rotated = _rotated_chois(pair.chois, spec.eigenvectors, pair.dim_b)
     sand = _eigenbasis_sandwiches(rotated, spec.eigenvalues, pair.dim_b)[0]
     out = -relative_entropy(sand[..., 0, :, :], sand[..., 1, :, :])
     return float(out) if np.ndim(out) == 0 else out

@@ -395,24 +395,19 @@ def cmd_certify(cfg: RunConfig) -> tuple:
     traj = None
     if cfg.trajectory:
         traj = _read("trajectory", cfg.trajectory, load_trajectory)
-        if len(traj.states) < 2:
-            raise UsageError("trajectory file holds fewer than two state dumps")
         if traj.gamma != cfg.gamma:
             made_with = "no recorded gamma" if traj.gamma is None else f"gamma={traj.gamma}"
             raise UsageError(
                 f"trajectory file was made with {made_with}, but --gamma is {cfg.gamma}"
             )
-        if any(state.shape != (pair.dim_a, pair.dim_a) for state in traj.states):
+        if traj.states[0].shape != (pair.dim_a, pair.dim_a):  # one shape (load_trajectory)
             raise UsageError(f"trajectory states do not match the input dimension {pair.dim_a}")
     result, _, error = _solve(cfg, pair, 0, traj=traj)
     if result is None:
         return _failed(cfg, error)
-    doc = {
-        "version": __version__,
-        "config": _config_values(cfg),
-        "report": report_to_dict(result.report),
-    }
-    return json.dumps(doc, indent=1, allow_nan=False) + "\n", result.report.certified
+    report = result.report
+    doc = {"version": __version__, "config": _config_values(cfg), "report": report_to_dict(report)}
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n", report.certified
 
 
 def cmd_energy(cfg: RunConfig) -> tuple:
@@ -425,21 +420,13 @@ def cmd_energy(cfg: RunConfig) -> tuple:
         return _failed(cfg, error)
     traj, obj = result.trajectory, ChannelObjective(pair)
     scale = cfg.log_scale
-    columns = ["t", "objective", "divergence_estimate"] + [
-        f"residual_{j}" for j in range(family.size)
-    ]
     rows = []
-    for t, state in enumerate(traj.states):
-        resid = family.residuals(state)
-        row = {
-            "t": t,
-            "objective": traj.values[t] / scale,
-            "divergence_estimate": obj.channel_scale(traj.values[t]) / scale,
-        }
-        for j, r in enumerate(resid):
-            row[f"residual_{j}"] = float(r)
-        rows.append(row)
-    return _table(cfg, columns, rows)
+    for t, (state, value) in enumerate(zip(traj.states, traj.values)):
+        residuals = {f"residual_{j}": float(r) for j, r in enumerate(family.residuals(state))}
+        row = {"t": t, "objective": value / scale}
+        row["divergence_estimate"] = obj.channel_scale(value) / scale
+        rows.append(row | residuals)
+    return _table(cfg, list(rows[0]), rows)  # a trajectory holds at least one state
 
 
 @dataclasses.dataclass(frozen=True)

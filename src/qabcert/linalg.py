@@ -33,7 +33,7 @@ override it (the relative support rule itself is ``_support``):
 ``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's one verdict
                                         (``ChannelPair.finite``), on which ``omega`` raises
 ``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and
-                                        ``quantum.ChoiMatrix`` admit
+                                        ``quantum.ChoiMatrix`` admit; gates trajectory file states
 ``STATE_FLOOR``                  1e-14  eigenvalue floor of iterates (``qab_run``)
 ``REPAIR_FLOOR``                 1e-11  floor of repaired (a1) samples, inside the support
 ``mixture.TAU_TOL``              1e-10  gradient norm at which ``e_project`` stops

@@ -24,7 +24,6 @@ from .linalg import (
     gibbs_spectrum,
     hermitize,
     matrix_fn,
-    matrix_log,
 )
 from .mixture import CONSTRAINT_TOL, EProjectionError, MixtureFamily, TauSolution, e_project
 from .quantum import relative_entropy
@@ -187,7 +186,7 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
     start = np.stack([run.initial for run in runs])
     if np.max(np.abs(family.residuals(start[0])), initial=0.0) > CONSTRAINT_TOL:
         try:
-            start = hermitize(e_project(matrix_log(start[0]), family)[0].matrix())[None]
+            start = hermitize(e_project(matrix_fn(start[0], np.log), family)[0].matrix())[None]
         except EProjectionError as exc:
             raise IterationError(0, exc) from exc
     spec = floor_spectrum(start, STATE_FLOOR)

@@ -18,8 +18,8 @@ from .linalg import (
     OUTSIDE_MASS_TOL,
     PSD_TOL,
     Spectrum,
+    _spectrum,
     _support,
-    eigh,
     hermitize,
     kron,
     matrix_sqrt,
@@ -234,5 +234,5 @@ def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):
     else:
         rho = hermitize(rho)
         wr = np.linalg.eigvalsh(rho)
-    spec_s = sigma if isinstance(sigma, Spectrum) else eigh(sigma)
+    spec_s = _spectrum(sigma)
     return _divergence(wr, _weights(rho, spec_s.eigenvectors), spec_s.eigenvalues)

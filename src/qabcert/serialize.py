@@ -11,6 +11,9 @@ it).  All documents are strict JSON; floats survive a dump/load round trip
 bit-exactly (Python renders them with shortest-repr), and a non-finite
 float is written as the string ``"NaN"``, ``"Infinity"`` or
 ``"-Infinity"``.  Identical inputs produce identical bytes.
+:func:`load_trajectory` is a trajectory's one gate: two or more states, one
+step record per step, and density matrices of one shape to ``linalg.PSD_TOL``
+(Hermitian, eigenvalues >= -PSD_TOL, unit trace; NaN fails each test).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertificationReport
+from .linalg import PSD_TOL
 from .mixture import MixtureFamily
 from .qab_core import Trajectory
 from .quantum import ChoiMatrix, choi_from_kraus
@@ -163,8 +167,18 @@ def save_trajectory(path, traj: Trajectory) -> None:
 def load_trajectory(path) -> Trajectory:
     traj = _decode(Trajectory, json.loads(Path(path).read_text()))
     n = len(traj.states)
-    if len(traj.values) != n or len(traj.step_kl) != n - 1 or len(traj.step_domega) != n - 1:
-        raise ValueError("trajectory sequences have inconsistent lengths")
+    if n < 2 or len(traj.values) != n or {len(traj.step_kl), len(traj.step_domega)} != {n - 1}:
+        raise ValueError("trajectory needs two or more states, a value each, a record per step")
+    states = np.stack(traj.states)  # raises ValueError unless the states share one shape
+    if states.ndim != 3 or states.shape[1] != states.shape[2]:
+        raise ValueError(f"trajectory states must be square matrices, not {states.shape[1:]}")
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry fails the tests
+        asymmetry = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))), axis=(1, 2))
+        ok = (asymmetry <= PSD_TOL) & (np.abs(np.trace(states, axis1=1, axis2=2) - 1) <= PSD_TOL)
+    ok[ok] = np.linalg.eigvalsh(states[ok])[:, 0] >= -PSD_TOL  # finite Hermitian states only
+    if not ok.all():
+        raise ValueError(f"trajectory state {int(np.argmin(ok))} is not a density matrix to "
+                         f"{PSD_TOL} (Hermitian, eigenvalues >= -{PSD_TOL}, unit trace)")
     return traj
 
 

@@ -1,9 +1,16 @@
+import functools
+import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qabcert import Objective, Spectrum
+from qabcert.cli import main
+from qabcert.serialize import complex_matrix_to_pairs, pairs_to_complex_matrix
 
 
 def as_matrix(rho):
@@ -84,3 +91,37 @@ def random_kraus(seed, dim_a, dim_b, n_ops):
 def isometry_kraus_2to3():
     """Two 3x2 Kraus operators of a channel from a qubit to a qutrit."""
     return random_kraus(7, 2, 3, 2)
+
+
+@functools.cache
+def _solve_trajectory_text() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        argv = ["solve", "--channel-m", "depolarizing:0.05", "--samples", "20", "--iters", "20"]
+        assert main([*argv, "--save-trajectory", str(path), "--out", os.devnull]) == 0
+        return path.read_text()
+
+
+# Edits of one state of a solve's trajectory file, each leaving that state no
+# density matrix: (state index, edit).
+BAD_STATE_EDITS = {
+    "one-sided-off-diagonal": (-1, lambda s: s + np.array([[0, 0.3], [0, 0]])),
+    "trace-1.8": (-1, lambda s: np.diag([0.9, 0.9])),
+    "complex-symmetric": (2, lambda s: s + np.array([[0, 0.05j], [0.05j, 0]])),
+    "negative-eigenvalue": (3, lambda s: np.diag([2.0, -1.0])),
+    "nan-entry": (1, lambda s: s + np.array([[math.nan, 0], [0, 0]])),
+}
+
+
+def solve_trajectory(edit: str | None = None) -> str:
+    """A solve's trajectory file, with the state edit ``BAD_STATE_EDITS[edit]`` when given.
+
+    The file is the one ``qabcert solve --channel-m depolarizing:0.05 --samples 20
+    --iters 20 --save-trajectory`` writes.
+    """
+    text = _solve_trajectory_text()
+    if edit is None:
+        return text
+    doc, (i, change) = json.loads(text), BAD_STATE_EDITS[edit]
+    doc["states"][i] = complex_matrix_to_pairs(change(pairs_to_complex_matrix(doc["states"][i])))
+    return json.dumps(doc)

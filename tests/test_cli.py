@@ -22,7 +22,7 @@ from qabcert.serialize import (
     save_trajectory,
 )
 
-from conftest import isometry_kraus_2to3, random_kraus
+from conftest import BAD_STATE_EDITS, isometry_kraus_2to3, random_kraus, solve_trajectory
 
 
 def run(*argv):
@@ -527,6 +527,13 @@ BAD_INPUTS = {
                                "step_domega": [0.0], "tau_history": []})},
         ["certify", "--trajectory", "{tmp}/t.json"],
     ),
+    **{
+        f"trajectory-state-{edit}": (
+            {"t.json": solve_trajectory(edit)},
+            ["certify", "--trajectory", "{tmp}/t.json"],
+        )
+        for edit in BAD_STATE_EDITS
+    },
     "channel-parameter-not-a-number": ({}, ["solve", "--channel-m", "depolarizing:abc"]),
     "config-int-as-string": (
         {"cfg.json": '{"samples": "100"}'},

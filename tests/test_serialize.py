@@ -32,6 +32,8 @@ from qabcert.serialize import (
     save_trajectory,
 )
 
+from conftest import BAD_STATE_EDITS, solve_trajectory
+
 
 def test_pair_encoding_round_trip(rng):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -103,6 +105,47 @@ def test_trajectory_round_trip(tmp_path):
     path2 = tmp_path / "traj2.json"
     save_trajectory(path2, back)
     assert path.read_text() == path2.read_text()
+
+
+def test_a_solve_trajectory_passes_the_gate_byte_for_byte(tmp_path):
+    path, path2 = tmp_path / "t.json", tmp_path / "t2.json"
+    path.write_text(solve_trajectory())
+    save_trajectory(path2, load_trajectory(path))
+    assert path2.read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("edit", BAD_STATE_EDITS)
+def test_the_gate_rejects_a_state_that_is_no_density_matrix(tmp_path, edit):
+    path = tmp_path / "t.json"
+    path.write_text(solve_trajectory(edit))
+    n_states = len(json.loads(solve_trajectory())["states"])
+    index = BAD_STATE_EDITS[edit][0] % n_states
+    with pytest.raises(ValueError, match=f"trajectory state {index} is not a density matrix"):
+        load_trajectory(path)
+
+
+def _malformed_documents() -> dict:
+    """Edits of a solve's trajectory document that the gate rejects: (document, error text)."""
+    doc = json.loads(solve_trajectory())
+    states, qutrit = doc["states"], complex_matrix_to_pairs(np.eye(3) / 3)
+    one_state = {"states": states[:1], "values": doc["values"][:1], "step_kl": [], "step_domega": []}
+    return {
+        "one-state": ({**doc, **one_state}, "two or more states"),
+        "short-step-record": ({**doc, "step_domega": doc["step_domega"][:-1]}, "a record per step"),
+        "ragged": ({**doc, "states": [*states[:-1], qutrit]}, "same shape"),
+        "not-square": ({**doc, "states": [state[:1] for state in states]}, "square matrices"),
+    }
+
+
+MALFORMED = _malformed_documents()
+
+
+@pytest.mark.parametrize("doc, match", MALFORMED.values(), ids=MALFORMED.keys())
+def test_the_gate_rejects_a_malformed_document(tmp_path, doc, match):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_trajectory(path)
 
 
 def save_certify_document(path, report):

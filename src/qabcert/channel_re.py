@@ -21,7 +21,8 @@ is S_X rotated by V x I.  S'_N and S'_M are decomposed by one stacked
 goes through one loop of ``OMEGA_CHUNK_ENTRIES`` chunks.  The oracle rotates
 Gamma_M and the factor K of Gamma_N = K K^dag once per Bloch direction and
 scales once per radius with the same helpers; per grid state it decomposes
-S'_M and, in place of S'_N, an r_N x r_N Gram (r_N = rank Gamma_N).
+S'_M and, in place of S'_N, takes the spectrum of an r_N x r_N Gram
+(r_N = rank Gamma_N): in closed form for r_N = 2, by LAPACK otherwise.
 
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
 divergence per Choi *state*, i.e. the full-scale objective divided by
@@ -42,6 +43,7 @@ from .certify import CertificationReport, certify
 from .linalg import (
     OUTSIDE_MASS_TOL,
     Spectrum,
+    _eigvalsh,
     _on_support,
     _spectrum,
     _support,
@@ -336,7 +338,9 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     r_N x r_N Gram A^dag A = sum_j lambda_j G_j, where G_j = K'_j^dag K'_j
     over row block j of K' is formed once per direction.  Tr S_N log S_M
     weighs log mu_k by ||u_k^dag A||^2, with (mu_k, u_k) from the one n x n
-    decomposition per grid state, of S'_M = Gamma'_M o dd^T.
+    decomposition per grid state, of S'_M = Gamma'_M o dd^T.  The Grams'
+    spectra come from ``linalg._eigvalsh``: in closed form for r_N = 2, by
+    LAPACK otherwise.
     """
     if pair.dim_a != 2:
         raise OracleInapplicableError("brute-force oracle requires a qubit input space")
@@ -363,7 +367,7 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
         spec_m = eigh(s_m)
         gram = sum(lam_j * gram_j for lam_j, gram_j in zip(lam[::-1], grams))
         weights = np.sum(np.abs((k_dag * d) @ spec_m.eigenvectors) ** 2, axis=-2)
-        vals = -_divergence(np.linalg.eigvalsh(gram), weights, spec_m.eigenvalues)
+        vals = -_divergence(_eigvalsh(gram), weights, spec_m.eigenvalues)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])

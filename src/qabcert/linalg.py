@@ -20,8 +20,9 @@ sqrt(rho), and decomposes the sandwiches S_N and S_M with one stacked
 :func:`eigh` call, so an omega evaluation costs one LAPACK call beyond the
 state's own spectrum (one per chunk of a long stack).  The brute-force oracle
 shares the rotation and scaling, but scores S_N from a Kraus factor of Gamma_N
-cut by ``_support``: it decomposes an r_N x r_N Gram per grid state, with
-r_N = rank Gamma_N, and S_M at full size.
+cut by ``_support``: per grid state it decomposes S_M at full size and takes
+an r_N x r_N Gram's spectrum (r_N = rank Gamma_N) from ``_eigvalsh``: in
+closed form for r_N = 2 (nothing else uses that form), by LAPACK otherwise.
 
 Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):
@@ -123,10 +124,32 @@ def eigh(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (or stack of them).
 
     Raises numpy's ``LinAlgError``, a ``ValueError``, when LAPACK does not
-    converge, as it may not for a matrix with NaN entries.
+    converge.  LAPACK need not raise on NaN entries, and this hot path does not
+    check for them, so callers gate inputs that may hold NaN.
     """
     w, v = np.linalg.eigh(hermitize(m))
     return Spectrum(eigenvalues=w, eigenvectors=v)
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian stack, read from its lower triangle.
+
+    2x2 stacks are taken in closed form, all others by ``np.linalg.eigvalsh``.
+    The root of larger magnitude is (a + c)/2 +- hypot(a - c, 2|b|)/2, and the
+    other root is LAPACK ``dlaev2``'s (acmx / big) acmn - (|b| / big) |b|, so
+    small eigenvalues keep an absolute error of order eps * max |eigenvalue|,
+    as LAPACK's do.
+    """
+    if m.shape[-1] != 2:
+        return np.linalg.eigvalsh(m)
+    a, c, b = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0])
+    total = a + c
+    big = 0.5 * (total + np.copysign(np.hypot(a - c, 2.0 * b), total))
+    a_big = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(a_big, a, c), np.where(a_big, c, a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        small = np.where(big == 0.0, 0.0, (acmx / big) * acmn - (b / big) * b)
+    return np.stack([np.minimum(big, small), np.maximum(big, small)], axis=-1)
 
 
 def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:

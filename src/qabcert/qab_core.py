@@ -19,9 +19,7 @@ import numpy as np
 from .linalg import (
     STATE_FLOOR,
     Spectrum,
-    eigh,
     floor_spectrum,
-    gibbs_spectrum,
     hermitize,
     matrix_fn,
 )
@@ -34,9 +32,6 @@ __all__ = [
     "QabOptions",
     "Trajectory",
     "d_omega",
-    "f3_map",
-    "floor_state",
-    "j_function",
     "qab_run",
     "qab_run_many",
 ]
@@ -95,7 +90,7 @@ class QabOptions:
             raise TypeError("family must be a MixtureFamily; MixtureFamily() has no constraints")
         self.initial = hermitize(self.initial)
         w = np.linalg.eigvalsh(self.initial)
-        if w.min() < 1e-10:
+        if not w.min() >= 1e-10:  # written so that a NaN spectrum fails
             raise ValueError(
                 f"initial state must be full rank (min eigenvalue {w.min():.3e})"
             )
@@ -120,25 +115,6 @@ class Trajectory:
     gamma: float | None = None
 
 
-def floor_state(rho: np.ndarray) -> np.ndarray:
-    """Raise eigenvalues below ``STATE_FLOOR`` and renormalize, keeping log rho finite."""
-    return floor_spectrum(rho, STATE_FLOOR).matrix()
-
-
-def f3_map(rho: np.ndarray, obj: Objective, gamma: float) -> np.ndarray:
-    """Trace-normalized exp(log rho - omega(rho)/gamma)."""
-    spec = eigh(rho)
-    w = spec.eigenvalues
-    if w.min() <= 1e-15 * w.max():
-        raise ValueError(
-            "rho is rank deficient beyond the support cutoff; floor its "
-            "eigenvalues first (see floor_state)"
-        )
-    # Plain spectral log (no support cutoff): floored eigenvalues sit below
-    # the relative support cutoff and must not be zeroed out.
-    return gibbs_spectrum(matrix_fn(spec, np.log) - obj.omega(spec) / gamma).matrix()
-
-
 def d_omega(rho: np.ndarray, sigma: np.ndarray | Spectrum, obj: Objective):
     """D_Omega(rho || sigma) = Tr rho (omega(rho) - omega(sigma)).
 
@@ -147,12 +123,6 @@ def d_omega(rho: np.ndarray, sigma: np.ndarray | Spectrum, obj: Objective):
     diff = obj.omega(rho) - obj.omega(sigma)
     out = np.einsum("...ij,...ji->...", rho, diff).real
     return float(out) if np.ndim(out) == 0 else out
-
-
-def j_function(rho: np.ndarray, sigma: np.ndarray, obj: Objective, gamma: float) -> float:
-    """gamma D(rho || sigma) + Tr rho omega(sigma); equals G(rho) at sigma = rho."""
-    cross = float(np.einsum("ij,ji->", rho, obj.omega(sigma)).real)
-    return gamma * relative_entropy(rho, sigma) + cross
 
 
 def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:

@@ -350,13 +350,30 @@ class TestBruteForceOracle:
     def test_scores_s_n_through_its_rank_2_gram(self, eig_shapes):
         # Gamma_N = dephasing(0.4) has rank 2: one 4x4 decomposition factors
         # it, and each of the 11 radii decomposes the 121 directions' S'_M at
-        # 4x4 and their S_N Grams at 2x2.
+        # 4x4; their S_N Grams are 2x2, whose spectra take no LAPACK call.
         pair = paper_pair()
         eig_shapes.clear()
         brute_force_oracle(pair, 11)
-        assert sorted(eig_shapes) == sorted(
-            [(4, 4)] + [(121, 4, 4)] * 11 + [(121, 2, 2)] * 11
-        )
+        assert sorted(eig_shapes) == sorted([(4, 4)] + [(121, 4, 4)] * 11)
+
+    @pytest.mark.parametrize(
+        "choi_n, lapack_grams",
+        [
+            (choi_from_kraus([np.eye(2)]), [(121, 1, 1)] * 11),  # r_N = 1
+            (amplitude_damping(0.2), []),  # r_N = 2
+            (depolarizing_choi(0.3), [(121, 4, 4)] * 11),  # r_N = 4
+        ],
+        ids=["rank-1", "rank-2", "rank-4"],
+    )
+    def test_gram_spectra_take_lapack_except_at_rank_2(
+        self, eig_shapes, monkeypatch, choi_n, lapack_grams
+    ):
+        pair = ChannelPair(choi_n, depolarizing_choi(0.5))
+        eig_shapes.clear()
+        value, _ = brute_force_oracle(pair, 11)
+        assert sorted(eig_shapes) == sorted([(4, 4)] + [(121, 4, 4)] * 11 + lapack_grams)
+        monkeypatch.setattr(channel_re, "_eigvalsh", np.linalg.eigvalsh)
+        assert value == pytest.approx(brute_force_oracle(pair, 11)[0], rel=1e-15, abs=0)
 
 
 def _bloch_states(r, theta, phi) -> np.ndarray:

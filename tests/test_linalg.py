@@ -17,6 +17,7 @@ from qabcert import (
 from qabcert.linalg import (
     SUPPORT_CUTOFF,
     Spectrum,
+    _eigvalsh,
     _support,
     floor_spectrum,
     frobenius_norm,
@@ -64,6 +65,42 @@ class TestEigh:
         m[1, 2] = m[2, 1] = np.nan
         with pytest.raises(ValueError):
             eigh(m)
+
+
+def adversarial_2x2(rng, n):
+    """Hermitian 2x2 stacks of ``n`` each at scales 1e-16 to 1e3, with complex off-diagonals."""
+    scale = 10.0 ** rng.uniform(-16, 3, (n, 1, 1))
+    u = np.linalg.qr(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))[0]
+    v = u[..., :1]
+    a = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    tiny = 10.0 ** rng.uniform(-20, -16, n)  # eigenvalue ratios of the fourth stack
+    stacks = [
+        np.broadcast_to(np.eye(2), (n, 2, 2)),  # exactly degenerate
+        rng.standard_normal((n, 2, 1)) * np.eye(2),  # diagonal, either sign
+        v @ np.conj(np.swapaxes(v, -1, -2)),  # rank 1
+        (u * np.stack([tiny, np.ones(n)], axis=-1)[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2)),
+        a @ np.conj(np.swapaxes(a, -1, -2)),  # PSD Grams
+        hermitize(a),  # indefinite
+    ]
+    return np.concatenate([scale * m for m in stacks])
+
+
+class TestEigvalsh:
+    def test_matches_lapack_on_adversarial_2x2_stacks(self, rng):
+        m = adversarial_2x2(rng, 20_000)
+        ref = np.linalg.eigvalsh(m)
+        got = _eigvalsh(m)
+        assert got.shape == ref.shape
+        assert np.all(got[:, 0] <= got[:, 1])
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref).max(axis=-1, keepdims=True))
+
+    def test_zero_matrices(self):
+        assert np.array_equal(_eigvalsh(np.zeros((3, 2, 2))), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_other_sizes_are_lapacks(self, rng, n):
+        m = np.stack([random_hermitian_scaled(rng, n) for _ in range(4)])
+        assert np.array_equal(_eigvalsh(m), np.linalg.eigvalsh(m))
 
 
 class TestMatrixFn:

@@ -11,18 +11,38 @@ from qabcert import (
     d_omega,
     dephasing_choi,
     depolarizing_choi,
-    f3_map,
-    floor_state,
-    j_function,
     PairStack,
     qab_run,
     qab_run_many,
     relative_entropy,
 )
+from qabcert.linalg import STATE_FLOOR, eigh, floor_spectrum, gibbs_spectrum, matrix_fn
 from qabcert.mixture import CONSTRAINT_TOL
 from qabcert.quantum import PAULI_X, PAULI_Z, choi_from_kraus, random_density
 
 from conftest import ConstantObjective, LinearTraceObjective, random_kraus, random_state
+
+
+def floor_state(rho: np.ndarray) -> np.ndarray:
+    """Raise eigenvalues below ``STATE_FLOOR`` and renormalize, keeping log rho finite."""
+    return floor_spectrum(rho, STATE_FLOOR).matrix()
+
+
+def f3_map(rho: np.ndarray, obj, gamma: float) -> np.ndarray:
+    """Trace-normalized exp(log rho - omega(rho)/gamma): one step of the iteration, unfloored."""
+    spec = eigh(rho)
+    w = spec.eigenvalues
+    if w.min() <= 1e-15 * w.max():
+        raise ValueError("rho is rank deficient beyond the support cutoff; floor it first")
+    # Plain spectral log (no support cutoff): floored eigenvalues sit below
+    # the relative support cutoff and must not be zeroed out.
+    return gibbs_spectrum(matrix_fn(spec, np.log) - obj.omega(spec) / gamma).matrix()
+
+
+def j_function(rho: np.ndarray, sigma: np.ndarray, obj, gamma: float) -> float:
+    """gamma D(rho || sigma) + Tr rho omega(sigma); equals G(rho) at sigma = rho."""
+    cross = float(np.einsum("ij,ji->", rho, obj.omega(sigma)).real)
+    return gamma * relative_entropy(rho, sigma) + cross
 
 
 def paper_pair(p=0.05):
@@ -249,6 +269,11 @@ class TestQabRun:
             QabOptions(initial=random_state(rng, 2), gamma=0.0)
         with pytest.raises(ValueError):
             QabOptions(initial=np.diag([1.0, 0.0]))
+
+    def test_nan_initial_state_rejected(self):
+        # LAPACK may return a NaN spectrum here without raising.
+        with pytest.raises(ValueError):
+            QabOptions(initial=np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_rejected(self, rng, gamma):

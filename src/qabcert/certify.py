@@ -174,7 +174,7 @@ def _draw_perturbations(final: np.ndarray, rng_h, rng_eps, eps_max: float, n: in
     h = random_hermitian(final.shape[-1], rng_h, n)
     eps = rng_eps.uniform(0.0, eps_max, n)
     eps[eps == 0.0] = eps_max
-    return hermitize(final + eps[:, None, None] * h)
+    return final + eps[:, None, None] * h
 
 
 def _repair_candidates(raw: np.ndarray):

@@ -58,8 +58,8 @@ from .quantum import (
 from .serialize import (
     load_channel,
     load_constraints,
+    load_matrix,
     load_trajectory,
-    pairs_to_complex_matrix,
     report_to_dict,
     save_trajectory,
 )
@@ -180,11 +180,6 @@ def _read(kind: str, path: str, load: Callable):
         raise UsageError(f"{kind} file {path!r} is malformed: {exc!r}") from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    doc = json.loads(Path(path).read_text())
-    return pairs_to_complex_matrix(doc["matrix"] if isinstance(doc, dict) else doc)
-
-
 def _channel(spec: str, p: float = math.nan) -> tuple:
     """(p, Choi matrix) of a channel source.
 
@@ -243,7 +238,7 @@ def _build_family(cfg: RunConfig, dim_a: int) -> MixtureFamily:
         except ValueError as exc:
             raise UsageError(f"constraint target {target!r} is not a number") from exc
         matrix = _BUILTIN_MATRICES.get(source)
-        obs.append(_read("constraint matrix", source, _load_matrix) if matrix is None else matrix)
+        obs.append(_read("constraint matrix", source, load_matrix) if matrix is None else matrix)
     try:
         family = MixtureFamily(observables=tuple(obs), targets=tuple(targets))
     except ValueError as exc:

@@ -34,7 +34,7 @@ override it (the relative support rule itself is ``_support``):
 ``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's one verdict
                                         (``ChannelPair.finite``), on which ``omega`` raises
 ``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and
-                                        ``quantum.ChoiMatrix`` admit; gates trajectory file states
+                                        ``quantum.ChoiMatrix`` admit; |m - m^dag| of every input
 ``STATE_FLOOR``                  1e-14  eigenvalue floor of iterates (``qab_run``)
 ``REPAIR_FLOOR``                 1e-11  floor of repaired (a1) samples, inside the support
 ``mixture.TAU_TOL``              1e-10  gradient norm at which ``e_project`` stops
@@ -60,7 +60,6 @@ __all__ = [
     "Spectrum",
     "eigh",
     "floor_spectrum",
-    "frobenius_norm",
     "gibbs_spectrum",
     "hermitize",
     "kron",
@@ -93,8 +92,11 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def frobenius_norm(m: np.ndarray) -> np.ndarray | float:
-    return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+def _finite_hermitian(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: finite, and Hermitian to ``PSD_TOL`` (NaN and inf fail)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or huge entries
+        asymmetry = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), axis=(-2, -1))
+    return np.isfinite(m).all(axis=(-2, -1)) & (asymmetry <= PSD_TOL)
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,8 @@ def eigh(m: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix (or stack of them).
 
     Raises numpy's ``LinAlgError``, a ``ValueError``, when LAPACK does not
-    converge.  LAPACK need not raise on NaN entries, and this hot path does not
-    check for them, so callers gate inputs that may hold NaN.
+    converge.  LAPACK need not raise on NaN, and this hot path does not check:
+    ``_finite_hermitian`` gates each input matrix, ``e_project`` its log domain.
     """
     w, v = np.linalg.eigh(hermitize(m))
     return Spectrum(eigenvalues=w, eigenvectors=v)
@@ -156,18 +158,16 @@ def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:
     return m if isinstance(m, Spectrum) else eigh(m)
 
 
-def _support(w: np.ndarray, f: Callable | None = None):
+def _support(w: np.ndarray, f: Callable):
     """The support rule: ascending ``w_i`` is in when ``w_i > SUPPORT_CUTOFF * max(w_max, 0)``.
 
     Returns ``(cut, inside, fw)``: that threshold, the mask and ``f`` on the
-    support with zeros off it (``None`` without ``f``).  Stack-aware.  A full
-    support applies ``f`` to ``w`` directly, which gives the same values.
+    support with zeros off it.  Stack-aware.  A full support (most iterates)
+    applies ``f`` to ``w`` directly: the same values without masked copies.
     """
     cut = SUPPORT_CUTOFF * np.maximum(w[..., -1:], 0.0)
     inside = w > cut
-    if f is None:
-        fw = None
-    elif inside.all():
+    if inside.all():
         fw = f(w)
     else:
         fw = np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
@@ -277,5 +277,5 @@ def random_hermitian(dim: int, seed, size: int | None = None) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((1 if size is None else size, 2, dim, dim))
     h = hermitize(g[:, 0] + 1j * g[:, 1])
-    h /= frobenius_norm(h)[:, None, None]
+    h /= np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)))[:, None, None]
     return h[0] if size is None else h

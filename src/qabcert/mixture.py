@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eigh, gibbs_spectrum, hermitize
+from .linalg import Spectrum, _finite_hermitian, eigh, gibbs_spectrum, hermitize
 
 __all__ = [
     "EProjectionError",
@@ -51,8 +51,8 @@ class EProjectionError(RuntimeError):
 class MixtureFamily:
     """Linear expectation constraints Tr(rho H_j) = c_j; ``MixtureFamily()`` has none.
 
-    The one gate for constraint inputs: finite, Hermitian to 1e-10 (stored
-    hermitized), of one dimension and linearly independent observables; finite targets.
+    The one gate for constraint inputs: finite observables, Hermitian to ``PSD_TOL`` (stored
+    hermitized), of one dimension and linearly independent; finite targets.
     """
 
     observables: tuple = ()
@@ -63,15 +63,15 @@ class MixtureFamily:
         targets = tuple(float(c) for c in self.targets)
         if len(obs) != len(targets):
             raise ValueError("observables and targets must have equal length")
-        if not (all(np.isfinite(h).all() for h in obs) and np.isfinite(targets).all()):
-            raise ValueError("constraint observables and targets must be finite")
+        if not np.isfinite(targets).all():
+            raise ValueError("constraint targets must be finite")
         if obs:
             dim = obs[0].shape[-1]
             for h in obs:
                 if h.shape != (dim, dim):
                     raise ValueError("all constraint observables must share one dimension")
-                if np.max(np.abs(h - np.conj(h.T))) > 1e-10:
-                    raise ValueError("constraint observables must be Hermitian")
+                if not _finite_hermitian(h):
+                    raise ValueError("constraint observables must be finite and Hermitian")
             obs = tuple(hermitize(h) for h in obs)
             gram = np.array(
                 [[np.trace(a @ b).real for b in obs] for a in obs]
@@ -207,7 +207,6 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, tau0=None):
         _spectral_feasibility(fam)
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)
     f0, g, hess, gibbs = _evaluate(base, fam, tau)
-    grad_norm = np.inf
     for it in range(MAX_NEWTON_STEPS + 1):
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= TAU_TOL:

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     STATE_FLOOR,
     Spectrum,
+    _finite_hermitian,
     floor_spectrum,
     hermitize,
     matrix_fn,
@@ -88,6 +89,8 @@ class QabOptions:
             raise ValueError("max_iters must be >= 1")
         if not isinstance(self.family, MixtureFamily):
             raise TypeError("family must be a MixtureFamily; MixtureFamily() has no constraints")
+        if not _finite_hermitian(self.initial):
+            raise ValueError("initial state must be finite and Hermitian")
         self.initial = hermitize(self.initial)
         w = np.linalg.eigvalsh(self.initial)
         if not w.min() >= 1e-10:  # written so that a NaN spectrum fails
@@ -156,7 +159,7 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
     start = np.stack([run.initial for run in runs])
     if np.max(np.abs(family.residuals(start[0])), initial=0.0) > CONSTRAINT_TOL:
         try:
-            start = hermitize(e_project(matrix_fn(start[0], np.log), family)[0].matrix())[None]
+            start = e_project(matrix_fn(start[0], np.log), family)[0].matrix()[None]
         except EProjectionError as exc:
             raise IterationError(0, exc) from exc
     spec = floor_spectrum(start, STATE_FLOOR)

@@ -18,6 +18,7 @@ from .linalg import (
     OUTSIDE_MASS_TOL,
     PSD_TOL,
     Spectrum,
+    _finite_hermitian,
     _spectrum,
     _support,
     hermitize,
@@ -67,9 +68,9 @@ def _projector(ket: np.ndarray) -> np.ndarray:
 class ChoiMatrix:
     """Choi matrix of a channel A -> B, with ``Tr_B mat = I_A``.
 
-    Construction checks that ``mat`` is PSD to ``PSD_TOL`` and trace
-    preserving to ``KRAUS_TOL``, so every instance is a channel.  Equality
-    is by value (dims and ``mat``).
+    Construction checks that ``mat`` is finite, Hermitian and PSD to
+    ``PSD_TOL`` and trace preserving to ``KRAUS_TOL``, so every instance is
+    a channel.  Equality is by value (dims and ``mat``).
     """
 
     mat: np.ndarray
@@ -83,12 +84,14 @@ class ChoiMatrix:
                 f"Choi matrix shape {mat.shape} does not match dims "
                 f"({self.dim_a}, {self.dim_b})"
             )
+        if not _finite_hermitian(mat):
+            raise ValueError(f"Choi matrix must be finite and Hermitian to {PSD_TOL}")
         mat = hermitize(mat)
         w = np.linalg.eigvalsh(mat)
-        if w.min() < -PSD_TOL:
+        if not w.min() >= -PSD_TOL:  # each test written so that NaN fails
             raise ValueError(f"Choi matrix has negative eigenvalue {w.min():.3e}")
         marg = partial_trace(mat, self.dim_a, self.dim_b, keep="A")
-        if np.max(np.abs(marg - np.eye(self.dim_a))) > KRAUS_TOL:
+        if not np.max(np.abs(marg - np.eye(self.dim_a))) <= KRAUS_TOL:
             raise ValueError("channel is not trace-preserving: Tr_B Gamma != I_A")
         object.__setattr__(self, "mat", mat)
 

@@ -1,19 +1,19 @@
-"""File formats: channels, constraint families, trajectories and reports.
+"""File formats: channels, constraint matrices and families, trajectories and reports.
 
-Complex matrices are encoded as nested arrays of ``[re, im]`` pairs.  A
-trajectory or report document is its dataclass: one key per field, in field
-order, with every 2-D array (a state) written as pairs whatever its dtype.
-It is read back by walking the same dataclass's field type hints, so a new
-field needs no reader of its own.  A trajectory file is its document; the
-one report file is the ``certify --out`` document, whose ``report`` member
-is the report's (``qabcert certify`` writes it, :func:`load_report` reads
-it).  All documents are strict JSON; floats survive a dump/load round trip
-bit-exactly (Python renders them with shortest-repr), and a non-finite
-float is written as the string ``"NaN"``, ``"Infinity"`` or
+Every file the program reads is parsed here; it writes channels and
+trajectories.  Complex matrices are nested arrays of ``[re, im]`` pairs; a
+constraint-matrix file is ``{"matrix": pairs}``.  A trajectory or report
+document is its dataclass: one key per field, in field order, every 2-D array
+(a state) as pairs, read back by walking the dataclass's field type hints, so a
+new field needs no reader of its own.  A trajectory file is its document; the
+one report file is the ``certify --out`` document (``report_to_dict`` builds
+it), whose ``report`` member :func:`load_report` reads.  All documents are
+strict JSON; floats survive a dump/load round trip bit-exactly (shortest-repr),
+and a non-finite float is written as ``"NaN"``, ``"Infinity"`` or
 ``"-Infinity"``.  Identical inputs produce identical bytes.
 :func:`load_trajectory` is a trajectory's one gate: two or more states, one
 step record per step, and density matrices of one shape to ``linalg.PSD_TOL``
-(Hermitian, eigenvalues >= -PSD_TOL, unit trace; NaN fails each test).
+(finite, Hermitian, eigenvalues >= -PSD_TOL, unit trace; NaN fails each test).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertificationReport
-from .linalg import PSD_TOL
+from .linalg import PSD_TOL, _finite_hermitian
 from .mixture import MixtureFamily
 from .qab_core import Trajectory
 from .quantum import ChoiMatrix, choi_from_kraus
@@ -37,12 +37,12 @@ __all__ = [
     "complex_matrix_to_pairs",
     "load_channel",
     "load_constraints",
+    "load_matrix",
     "load_report",
     "load_trajectory",
     "pairs_to_complex_matrix",
     "report_to_dict",
     "save_channel",
-    "save_constraints",
     "save_trajectory",
 ]
 
@@ -141,23 +141,16 @@ def load_channel(path) -> ChoiMatrix:
     raise ValueError(f"unknown channel format {doc['format']!r}")
 
 
-def save_constraints(path, fam: MixtureFamily) -> None:
-    doc = {
-        "constraints": [
-            {"matrix": complex_matrix_to_pairs(h), "target": float(c)}
-            for h, c in zip(fam.observables, fam.targets)
-        ]
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False))
+def load_matrix(path) -> np.ndarray:
+    """The matrix of a constraint-matrix file, ``{"matrix": pairs}``."""
+    return pairs_to_complex_matrix(json.loads(Path(path).read_text())["matrix"])
 
 
 def load_constraints(path) -> MixtureFamily:
-    doc = json.loads(Path(path).read_text())
-    obs, targets = [], []
-    for entry in doc["constraints"]:
-        obs.append(pairs_to_complex_matrix(entry["matrix"]))
-        targets.append(float(entry["target"]))
-    return MixtureFamily(observables=tuple(obs), targets=tuple(targets))
+    """A constraints file, ``{"constraints": [{"matrix": pairs, "target": c}, ...]}``."""
+    entries = json.loads(Path(path).read_text())["constraints"]
+    return MixtureFamily(observables=tuple(pairs_to_complex_matrix(e["matrix"]) for e in entries),
+                         targets=tuple(float(e["target"]) for e in entries))
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
@@ -173,8 +166,7 @@ def load_trajectory(path) -> Trajectory:
     if states.ndim != 3 or states.shape[1] != states.shape[2]:
         raise ValueError(f"trajectory states must be square matrices, not {states.shape[1:]}")
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry fails the tests
-        asymmetry = np.max(np.abs(states - np.conj(np.swapaxes(states, 1, 2))), axis=(1, 2))
-        ok = (asymmetry <= PSD_TOL) & (np.abs(np.trace(states, axis1=1, axis2=2) - 1) <= PSD_TOL)
+        ok = _finite_hermitian(states) & (np.abs(np.trace(states, axis1=1, axis2=2) - 1) <= PSD_TOL)
     ok[ok] = np.linalg.eigvalsh(states[ok])[:, 0] >= -PSD_TOL  # finite Hermitian states only
     if not ok.all():
         raise ValueError(f"trajectory state {int(np.argmin(ok))} is not a density matrix to "

@@ -25,7 +25,7 @@ from qabcert import (
     relative_entropy,
     xme_bound,
 )
-from qabcert.linalg import _support
+from qabcert.linalg import _support, hermitize
 from qabcert.quantum import PAULI_Z, random_density
 from qabcert.certify import A1_MARGIN, _draw_perturbations, _repair_candidates, _scan
 from qabcert.serialize import report_to_dict
@@ -147,6 +147,14 @@ class TestCheckA1:
 
         assert np.array_equal(draw(400)[:100], draw(100))
 
+    def test_draws_of_a_hermitian_final_are_exactly_hermitian(self, channel_run):
+        # check_a1 hermitizes final, and final + eps_i H_i of exactly Hermitian
+        # operands is Hermitian bit for bit, so the draws need no hermitize.
+        for final in (channel_run[1].states[-1], random_density(3, 4)):
+            streams = (np.random.default_rng([3, 0]), np.random.default_rng([3, 1]))
+            raw = _draw_perturbations(final, *streams, 0.1, 1000)
+            assert np.array_equal(raw, hermitize(raw))
+
     def test_rejects_redraw_deterministically(self, channel_run, generators_built):
         # At a pure final state with eps_max 1, many first draws clip more
         # than 10% of trace mass; each re-draws from its own stream.
@@ -194,7 +202,7 @@ class TestCheckA1:
         final = np.diag([1 - 1e-14, 1e-14]).astype(complex)
         streams = [np.random.default_rng([0, k]) for k in (0, 1)]
         repaired, _ = _repair_candidates(_draw_perturbations(final, *streams, 0.1, 2000))
-        assert _support(repaired.eigenvalues)[1].all()
+        assert _support(repaired.eigenvalues, np.log)[1].all()
 
 
 class ScaledLogObjective(Objective):

@@ -11,14 +11,12 @@ import pytest
 import qabcert
 from qabcert.cli import COMMANDS, RunConfig, main
 from qabcert.linalg import hermitize
-from qabcert.mixture import MixtureFamily
 from qabcert.qab_core import Trajectory
 from qabcert.quantum import PAULI_Z, choi_from_kraus, depolarizing_choi, random_density
 from qabcert.serialize import (
     complex_matrix_to_pairs,
     load_report,
     save_channel,
-    save_constraints,
     save_trajectory,
 )
 
@@ -330,7 +328,8 @@ class TestEnergyCommand:
 
     def test_constraints_file_merges_with_flags(self, tmp_path):
         path = tmp_path / "f.json"
-        save_constraints(path, MixtureFamily(observables=(PAULI_Z,), targets=(-0.25,)))
+        path.write_text(json.dumps({"constraints": [
+            {"matrix": complex_matrix_to_pairs(PAULI_Z), "target": -0.25}]}))
         merged, flags = tmp_path / "merged.csv", tmp_path / "flags.csv"
         assert run("energy", "--constraints-file", str(path), "--constraint", "sigma-x=0.1",
                    *FAST, "--out", str(merged)) == 0
@@ -563,6 +562,17 @@ BAD_INPUTS = {
         ["energy", "--constraint", "{tmp}/h.json=-0.25"],
     ),
     "constraint-target-nan": ({}, ["energy", "--constraint", "sigma-z=nan"]),
+    "constraint-matrix-file-a-bare-list": (
+        {"h.json": json.dumps(complex_matrix_to_pairs(PAULI_Z))},
+        ["energy", "--constraint", "{tmp}/h.json=0.1"],
+    ),
+    "channel-file-choi-one-sided-off-diagonal": (
+        {"c.json": json.dumps({
+            "format": "choi", "dim_a": 2, "dim_b": 2,
+            "choi": complex_matrix_to_pairs(depolarizing_choi(0.3).mat + np.diag([0.2, 0, 0], 1)),
+        })},
+        ["solve", "--channel-n", "{tmp}/c.json"],
+    ),
     "config-int-beyond-float-range": (
         {"cfg.json": '{"p_min": 1' + "0" * 400 + "}"},
         ["sweep", "--config", "{tmp}/cfg.json"],

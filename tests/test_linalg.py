@@ -15,12 +15,13 @@ from qabcert import (
     random_hermitian,
 )
 from qabcert.linalg import (
+    PSD_TOL,
     SUPPORT_CUTOFF,
     Spectrum,
     _eigvalsh,
+    _finite_hermitian,
     _support,
     floor_spectrum,
-    frobenius_norm,
     gibbs_spectrum,
 )
 from qabcert.quantum import PAULI_X, maximally_entangled, support_overlap
@@ -266,10 +267,21 @@ class TestHermitize:
             assert lhs.real == pytest.approx(rhs, abs=1e-12)
 
 
+class TestFiniteHermitian:
+    def test_stack_entries_finite_and_hermitian_to_psd_tol(self):
+        stack = np.stack([np.eye(2)] * 5).astype(complex)
+        stack[1, 0, 1] = np.nan
+        stack[2, 1, 1] = np.inf
+        stack[3, 0, 1] = 2 * PSD_TOL
+        stack[4, 0, 1] = 0.5 * PSD_TOL
+        assert _finite_hermitian(stack).tolist() == [True, False, False, False, True]
+        assert _finite_hermitian([[1.0, 0.0], [0.0, 1.0]])
+
+
 class TestRandomHermitian:
     def test_unit_frobenius_norm(self):
         for seed in range(20):
-            assert frobenius_norm(random_hermitian(3, seed)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(random_hermitian(3, seed)) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
         assert np.array_equal(random_hermitian(4, 99), random_hermitian(4, 99))
@@ -291,7 +303,7 @@ class TestRandomHermitian:
         assert stack.shape == (50, 3, 3)
         assert np.array_equal(random_hermitian(3, 7, 20), stack[:20])
         assert np.array_equal(random_hermitian(3, 7), stack[0])
-        assert np.allclose(frobenius_norm(stack), 1.0, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(stack, axis=(-2, -1)), 1.0, rtol=0, atol=1e-12)
         assert np.max(np.abs(stack - np.conj(np.swapaxes(stack, -1, -2)))) < 1e-15
 
     def test_stack_second_moments_match_the_ensemble(self):
@@ -312,7 +324,7 @@ class TestSupportRule:
 
     def test_eigenvalue_at_the_cutoff_lies_outside(self):
         w = np.array([SUPPORT_CUTOFF, 1.0])
-        assert _support(w)[1].tolist() == [False, True]
+        assert _support(w, np.log)[1].tolist() == [False, True]
         at_cutoff = Spectrum(w, np.eye(2))
         assert np.array_equal(matrix_sqrt(at_cutoff), np.diag([0.0, 1.0]))
         outside, _ = support_overlap(np.eye(2) / 2, at_cutoff)
@@ -338,4 +350,4 @@ class TestSupportRule:
 
     def test_stacked_spectra_use_their_own_largest_eigenvalue(self):
         w = np.array([[1e-13, 1.0], [1e-13, 1e-2]])
-        assert _support(w)[1].tolist() == [[False, True], [True, True]]
+        assert _support(w, np.log)[1].tolist() == [[False, True], [True, True]]

@@ -275,6 +275,12 @@ class TestQabRun:
         with pytest.raises(ValueError):
             QabOptions(initial=np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
+    @pytest.mark.parametrize("initial", [[[0.5, 0], [0, np.inf]], [[0.5, 0.3], [0, 0.5]]])
+    def test_non_finite_or_non_hermitian_initial_state_rejected(self, initial):
+        # hermitize would warn on the inf, and would halve the one-sided entry.
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            QabOptions(initial=np.array(initial))
+
     @pytest.mark.parametrize("gamma", [np.nan, np.inf])
     def test_non_finite_gamma_rejected(self, rng, gamma):
         with pytest.raises(ValueError, match="gamma"):

@@ -15,6 +15,7 @@ from qabcert import (
     relative_entropy,
     sandwich,
 )
+from qabcert import quantum
 from qabcert.quantum import BELL_STATES, PAULI_X, PAULI_Y, PAULI_Z
 
 from conftest import isometry_kraus_2to3, random_state
@@ -123,6 +124,25 @@ class TestChoiConstructors:
             ChoiMatrix(mat=np.diag([1.0, 1.0, 1.0, -0.2]), dim_a=2, dim_b=2)
         with pytest.raises(ValueError):
             ChoiMatrix(mat=np.eye(4), dim_a=2, dim_b=2)  # Tr_B = 2 I != I
+
+    @pytest.mark.parametrize("entry", [0.2, np.nan, np.inf])
+    def test_non_finite_or_non_hermitian_choi_rejected(self, entry):
+        # A one-sided off-diagonal entry would be halved onto both sides.
+        mat = depolarizing_choi(0.3).mat.copy()
+        mat[0, 1] += entry
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            ChoiMatrix(mat=mat, dim_a=2, dim_b=2)
+
+    def test_nan_spectrum_or_marginal_fails_closed(self, monkeypatch):
+        # LAPACK need not raise on NaN; the PSD and TP tests are written so NaN fails.
+        mat = depolarizing_choi(0.3).mat
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda m: np.full(m.shape[-1], np.nan))
+            with pytest.raises(ValueError, match="negative eigenvalue nan"):
+                ChoiMatrix(mat=mat, dim_a=2, dim_b=2)
+        monkeypatch.setattr(quantum, "partial_trace", lambda *args, **kw: np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="trace-preserving"):
+            ChoiMatrix(mat=mat, dim_a=2, dim_b=2)
 
 
 class TestChoiFromKraus:

@@ -23,12 +23,12 @@ from qabcert.serialize import (
     complex_matrix_to_pairs,
     load_channel,
     load_constraints,
+    load_matrix,
     load_report,
     load_trajectory,
     pairs_to_complex_matrix,
     report_to_dict,
     save_channel,
-    save_constraints,
     save_trajectory,
 )
 
@@ -77,10 +77,22 @@ def test_channel_unknown_normalization_rejected(tmp_path):
         load_channel(path)
 
 
+def test_constraint_matrix_file_is_read(tmp_path):
+    h = np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]])
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"matrix": complex_matrix_to_pairs(h)}))
+    assert np.array_equal(load_matrix(path), h)
+    path.write_text(json.dumps(complex_matrix_to_pairs(h)))  # a bare list is not the format
+    with pytest.raises(TypeError):
+        load_matrix(path)
+
+
 def test_constraints_round_trip(tmp_path):
     fam = MixtureFamily(observables=(PAULI_Z, PAULI_X), targets=(-0.25, 0.125))
     path = tmp_path / "constraints.json"
-    save_constraints(path, fam)
+    path.write_text(json.dumps({"constraints": [
+        {"matrix": complex_matrix_to_pairs(h), "target": c}
+        for h, c in zip(fam.observables, fam.targets)]}))
     back = load_constraints(path)
     assert len(back.observables) == 2
     for a, b in zip(back.observables, fam.observables):

@@ -6,23 +6,16 @@ of ``D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M))``.  The module
 provides the omega map realizing that objective, one solver with a
 posteriori certification (:func:`solve`; constraints reach a run only
 through its ``QabOptions.family``), and two independent oracles
-(closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray
-through a Kraus factor of Gamma_N).  Finiteness is one verdict of the pair's,
-``ChannelPair.finite``: omega raises on an infinite pair before any work, the
-Bell oracle reads +inf exactly there, and no state is scanned for a leak.
-A :class:`PairStack` stands in for a pair so that lockstep runs over several
+(closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray).
+Finiteness is one verdict of the pair's, ``ChannelPair.finite``.  A
+:class:`PairStack` stands in for a pair so that lockstep runs over several
 pairs take one omega call per step.
 
-Every evaluation works in the eigenbasis of rho: both Choi matrices are
-rotated there as one stack, Gamma' = (V^dag x I) [Gamma_N; Gamma_M] (V x I),
-and scaled elementwise, S' = Gamma' o dd^T with d = sqrt(lambda) x 1_B, which
-is S_X rotated by V x I.  S'_N and S'_M are decomposed by one stacked
-``eigh`` call, and omega is rotated back by V at the end; a stack of states
-goes through one loop of ``OMEGA_CHUNK_ENTRIES`` chunks.  The oracle rotates
-Gamma_M and the factor K of Gamma_N = K K^dag once per Bloch direction and
-scales once per radius with the same helpers; per grid state it decomposes
-S'_M and, in place of S'_N, takes the spectrum of an r_N x r_N Gram
-(r_N = rank Gamma_N): in closed form for r_N = 2, by LAPACK otherwise.
+Every evaluation works in the eigenbasis V of rho, where S_M is
+S'_M = Gamma'_M o dd^T with d = sqrt(lambda) x 1_B, and S_N is scored through
+the pair's Kraus factor K of Gamma_N = K K^dag: its nonzero spectrum is that
+of the r_N x r_N Gram A^dag A, A = diag(d) (V^dag x I) K (r_N = rank Gamma_N).
+So the oracle, and omega at r_N <= 2, decompose one n x n matrix per state, S'_M.
 
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
 divergence per Choi *state*, i.e. the full-scale objective divided by
@@ -44,12 +37,13 @@ from .linalg import (
     OUTSIDE_MASS_TOL,
     Spectrum,
     _eigvalsh,
+    _log_psd,
     _on_support,
     _spectrum,
-    _support,
     eigh,
     hermitize,
     kron,
+    matrix_log,
     partial_trace,
 )
 from .qab_core import Objective, QabOptions, Trajectory, qab_run
@@ -72,9 +66,9 @@ __all__ = [
 ]
 
 BELL_TOL = 1e-10
-# omega1 takes a stack of states in chunks whose stacked S'_N and S'_M hold
-# at most this many entries (256 KiB), so its temporaries stay small on the
-# long stacks that (a1) and (a2) pass.
+# omega1 takes a stack of states in chunks of OMEGA_CHUNK_ENTRIES // (2 n^2)
+# states (n = dim_a dim_b), so its temporaries stay small on the long stacks
+# that (a1) and (a2) pass.
 OMEGA_CHUNK_ENTRIES = 2**14
 
 
@@ -93,19 +87,27 @@ class ChannelPair:
     ``leaked_mass`` is Gamma_N's mass outside supp Gamma_M.  At full-rank rho,
     S_X is a congruence of Gamma_X, so the divergence is +inf at every state
     exactly when ``finite`` is false (``leaked_mass > OUTSIDE_MASS_TOL``).
+    ``kraus`` is the n x r_N factor K of Gamma_N = K K^dag (``linalg._on_support``, so a
+    Gamma_N outside the log's domain raises ``MatrixDomainError``); ``equal``: N == M.
     """
 
     choi_n: ChoiMatrix
     choi_m: ChoiMatrix
     leaked_mass: float = field(init=False, compare=False)
     chois: np.ndarray = field(init=False, compare=False, repr=False)  # [Gamma_N; Gamma_M]
+    kraus: np.ndarray = field(init=False, compare=False, repr=False)
+    equal: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.choi_n.dim_a, self.choi_n.dim_b) != (self.choi_m.dim_a, self.choi_m.dim_b):
             raise ValueError("Choi matrices must share dim_a and dim_b")
+        gamma_n = eigh(self.choi_n.mat)
+        root = _on_support(gamma_n.eigenvalues, np.sqrt)
         leaked = support_overlap(self.choi_n.mat, eigh(self.choi_m.mat))[0]
         object.__setattr__(self, "leaked_mass", float(leaked))
         object.__setattr__(self, "chois", np.stack([self.choi_n.mat, self.choi_m.mat]))
+        object.__setattr__(self, "kraus", (gamma_n.eigenvectors * root)[:, root > 0])
+        object.__setattr__(self, "equal", np.array_equal(self.choi_n.mat, self.choi_m.mat))
 
     dim_a = property(lambda self: self.choi_n.dim_a)
     dim_b = property(lambda self: self.choi_n.dim_b)
@@ -114,11 +116,16 @@ class ChannelPair:
 
 @dataclass(frozen=True)
 class PairStack:
-    """Pairs of one shape: omega pairs state i of a (P, d, d) stack with pair i."""
+    """Pairs of one shape: omega pairs state i of a (P, d, d) stack with pair i.
+
+    The largest r_N picks omega's route: row i has pair i's bits if all r_N agree.
+    """
 
     pairs: tuple
     leaked_mass: float = field(init=False, compare=False)  # the largest pair's
     chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
+    kraus: np.ndarray = field(init=False, compare=False, repr=False)  # zero-padded to max r_N
+    equal = property(lambda self: np.array([pair.equal for pair in self.pairs]))
     dim_a = property(lambda self: self.pairs[0].dim_a)
     dim_b = property(lambda self: self.pairs[0].dim_b)
     finite = property(lambda self: all(pair.finite for pair in self.pairs))
@@ -127,57 +134,48 @@ class PairStack:
         pairs = tuple(self.pairs)
         if len({(pair.dim_a, pair.dim_b) for pair in pairs}) != 1:
             raise ValueError("a PairStack needs pairs that share dim_a and dim_b")
+        rank = max(pair.kraus.shape[1] for pair in pairs)
+        kraus = [np.pad(pair.kraus, ((0, 0), (0, rank - pair.kraus.shape[1]))) for pair in pairs]
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "leaked_mass", max(pair.leaked_mass for pair in pairs))
         object.__setattr__(self, "chois", np.stack([pair.chois for pair in pairs]))
+        object.__setattr__(self, "kraus", np.stack(kraus))
 
 
 def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
-    """W x I_B, where W is ``v`` with its columns reversed.
+    """W x I_B, W = ``v`` (a ``Spectrum``'s, ascending) with its columns reversed.
 
-    ``v`` holds eigenvectors of states on A in ascending eigenvalue order
-    (a ``Spectrum``'s), so the largest eigenvalue comes first in W.  That
-    puts the large block of the graded S' of ``_eigenbasis_sandwiches``
-    where LAPACK's tridiagonal reduction keeps its small eigenvalues
-    accurate: ascending order loses an order of magnitude on states with a
-    1e-4 eigenvalue.
+    The large block of the graded S' (``_eigenbasis_sandwiches``) then comes first,
+    where LAPACK's tridiagonal reduction keeps its small eigenvalues accurate;
+    ascending order loses an order of magnitude on states with a 1e-4 eigenvalue.
     """
     return kron(v[..., ::-1], np.eye(dim_b))
 
 
-def _rotated_chois(chois: np.ndarray, v: np.ndarray, dim_b: int) -> np.ndarray:
-    """Gamma' = (W^dag x I) chois (W x I) for chois = [Gamma_N; Gamma_M] (``_rotation``)."""
-    wx = _rotation(v, dim_b)[..., None, :, :]
-    return np.conj(np.swapaxes(wx, -1, -2)) @ chois @ wx
-
-
 def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
-    """``(S', d)``: S' = Gamma' o dd^T with d = sqrt(lam) x 1_B, zero off lam's support.
+    """``(S', d)``: S' = Gamma' o dd^T, d = sqrt(lam) x 1_B (descending, 0 off lam's support).
 
-    ``lam`` holds ascending eigenvalues of rho and ``rotated`` comes from
-    ``_rotated_chois`` at its eigenvectors (or is one of its two Choi
-    matrices); d follows the rotated (descending)
-    order.  Then S'_X = (W^dag x I) S_X (W x I) for both sandwiches
-    S_X = (sqrt(rho) x I) Gamma_X (sqrt(rho) x I).  Raises
-    :class:`~qabcert.linalg.MatrixDomainError` on negative ``lam``.
+    ``lam`` is rho's ascending spectrum and ``rotated`` Gamma' = (W^dag x I) Gamma (W x I)
+    (``_rotation``), so S' = (W^dag x I) S (W x I).  Raises ``MatrixDomainError`` on lam < 0.
     """
     d = np.repeat(_on_support(lam, np.sqrt)[..., ::-1], dim_b, axis=-1)
-    return rotated * (d[..., None, :, None] * d[..., None, None, :]), d
+    return rotated * (d[..., :, None] * d[..., None, :]), d
 
 
 def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.ndarray:
     """-Tr_B(Gamma_N (sqrt(rho) x I) [log S_N - log S_M] (rho^(-1/2) x I)).
 
-    Generally non-Hermitian; satisfies Tr[rho omega1(rho)] =
-    -D(S_N || S_M).  Stack-aware in ``rho_a`` and, as a :class:`PairStack`, ``pair``.  Raises
-    :class:`SupportViolationError` before any work when the pair is
-    infinite (``ChannelPair.finite``); no state is scanned for a leak.
+    Generally non-Hermitian; Tr[rho omega1(rho)] = -D(S_N || S_M), and exactly 0
+    where the pair is ``equal``.  Stack-aware in ``rho_a`` and, as a :class:`PairStack`,
+    ``pair``.  Raises :class:`SupportViolationError` before any work when the pair
+    is infinite (``ChannelPair.finite``); no state is scanned for a leak.
 
-    Evaluated in rho's eigenbasis W (descending, see ``_rotated_chois``): with
-    S' and d from ``_eigenbasis_sandwiches``, omega1 = -W Tr_B[(Gamma'_N o
-    1d^T) (log S'_N - log S'_M) o 1d^-T] W^dag, where d^- inverts d on its
-    support.  One stacked decomposition gives both S'_N and S'_M, and one loop
-    walks the flat stack (a :class:`PairStack`'s ``chois`` with it) in row slices.
+    In rho's eigenbasis W (descending, ``_rotation``), with S', d from ``_eigenbasis_sandwiches``
+    and D^+ = diag(d)^+, omega1 = -W Tr_B[(Gamma'_N o 1d^T)(log S'_N - log S'_M) D^+] W^dag.
+    As A^dag log(A A^dag) = log(A^dag A) A^dag, at r_N <= 2 that is Tr_B[K (A^dag log S'_M
+    - log G A^dag) D^+ (W^dag x I)], A^dag = K^dag (W x I) diag(d), G = A^dag A (log by
+    ``linalg._log_psd``); at larger r_N one stacked ``eigh`` decomposes S'_N and S'_M.
+    One loop walks the flat stack (a :class:`PairStack`'s rows with it) in row slices.
     """
     if not pair.finite:
         raise SupportViolationError(
@@ -187,26 +185,35 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
     spec = _spectrum(rho_a)
     dim = spec.eigenvectors.shape[-1]
     w, v = spec.eigenvalues.reshape(-1, dim), spec.eigenvectors.reshape(-1, dim, dim)
-    chois = pair.chois.reshape(-1, *pair.chois.shape[-3:])  # a row per pair; one row is shared
-    chunk = max(1, OMEGA_CHUNK_ENTRIES // chois[0].size)
+    n, rank = pair.kraus.shape[-2:]
+    chois, kraus = pair.chois.reshape(-1, 2, n, n), pair.kraus.reshape(-1, n, rank)
+    chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
     out = np.empty(v.shape, dtype=complex)
     for start in range(0, len(v), chunk):
         rows = slice(start, start + chunk)
-        out[rows] = _omega1_rows(w[rows], v[rows], chois[rows] if len(chois) > 1 else chois, pair)
+        per_pair = (chois[rows], kraus[rows]) if len(chois) > 1 else (chois, kraus)  # or broadcast
+        out[rows] = _omega1_rows(w[rows], v[rows], *per_pair, pair.dim_b)
+    if np.any(pair.equal):
+        out[np.broadcast_to(pair.equal, len(v))] = 0.0
     return out.reshape(spec.eigenvectors.shape)
 
 
-def _omega1_rows(w, v, chois: np.ndarray, pair: ChannelPair | PairStack) -> np.ndarray:
-    """:func:`omega1` of a row slice of states (w, v), paired with ``chois`` (its rows or one)."""
-    rotated = _rotated_chois(chois, v, pair.dim_b)
-    sand, d = _eigenbasis_sandwiches(rotated, w, pair.dim_b)
-    both = eigh(sand)
-    logs = Spectrum(_on_support(both.eigenvalues, np.log), both.eigenvectors).matrix()
-    d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
-    inner = rotated[:, 0] * d[:, None, :] @ (logs[:, 0] - logs[:, 1]) * d_inv[:, None, :]
-    traced = partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
-    basis = v[..., ::-1]
-    return -(basis @ traced @ np.conj(np.swapaxes(basis, -1, -2)))
+def _omega1_rows(w, v, chois: np.ndarray, kraus: np.ndarray, dim_b: int) -> np.ndarray:
+    """:func:`omega1` of a row slice (w, v) of states; [Gamma_N; Gamma_M] and K, rows or one."""
+    wx = _rotation(v, dim_b)
+    wx_dag = np.conj(np.swapaxes(wx, -1, -2))
+    if kraus.shape[-1] > 2:
+        rotated = wx_dag[:, None] @ chois @ wx[:, None]
+        sand, d = _eigenbasis_sandwiches(rotated, w[:, None], dim_b)
+        logs = matrix_log(sand)
+        inner = wx @ (rotated[:, 0] * d @ (logs[:, 1] - logs[:, 0]))
+    else:
+        s_m, d = _eigenbasis_sandwiches(wx_dag @ chois[:, 1] @ wx, w, dim_b)
+        a_dag = (np.conj(np.swapaxes(kraus, -1, -2)) @ wx) * d[:, None, :]
+        gram = a_dag @ np.conj(np.swapaxes(a_dag, -1, -2))
+        inner = kraus @ (a_dag @ matrix_log(s_m) - _log_psd(gram) @ a_dag)
+    d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0).reshape(len(w), 1, -1)
+    return partial_trace(inner * d_inv @ wx_dag, w.shape[-1], dim_b, keep="A")
 
 
 def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.ndarray:
@@ -217,12 +224,13 @@ def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nda
 def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack):
     """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss.
 
-    Scored in rho's eigenbasis, as :func:`omega1` is, by ``relative_entropy``;
-    the solver's objective is Tr rho omega instead (:class:`ChannelObjective`).
+    ``relative_entropy`` of S'_N and S'_M at full size, the independent reference
+    for omega's Kraus route; the solver's objective is Tr rho omega instead.
     """
     spec = _spectrum(rho_a)
-    rotated = _rotated_chois(pair.chois, spec.eigenvectors, pair.dim_b)
-    sand = _eigenbasis_sandwiches(rotated, spec.eigenvalues, pair.dim_b)[0]
+    wx = _rotation(spec.eigenvectors, pair.dim_b)[..., None, :, :]
+    rotated = np.conj(np.swapaxes(wx, -1, -2)) @ pair.chois @ wx
+    sand = _eigenbasis_sandwiches(rotated, spec.eigenvalues[..., None, :], pair.dim_b)[0]
     out = -relative_entropy(sand[..., 0, :, :], sand[..., 1, :, :])
     return float(out) if np.ndim(out) == 0 else out
 
@@ -330,17 +338,10 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     lambda(r) = ((1-r)/2, (1+r)/2), and D(S_N || S_M) is invariant under the
     joint rotation by U x I, so no grid state is built or decomposed.
 
-    Gamma_N is factored once per call, Gamma_N = K K^dag with K of shape
-    n x r_N (its spectrum cut by ``linalg._support``), and each direction
-    rotates K' = (U^dag x I) K and Gamma'_M = (U^dag x I) Gamma_M (U x I).
-    At a radius, with d = sqrt(lambda) x 1_B, S'_N = A A^dag for
-    A = diag(d) K', so the nonzero spectrum of S'_N is that of the
-    r_N x r_N Gram A^dag A = sum_j lambda_j G_j, where G_j = K'_j^dag K'_j
-    over row block j of K' is formed once per direction.  Tr S_N log S_M
-    weighs log mu_k by ||u_k^dag A||^2, with (mu_k, u_k) from the one n x n
-    decomposition per grid state, of S'_M = Gamma'_M o dd^T.  The Grams'
-    spectra come from ``linalg._eigvalsh``: in closed form for r_N = 2, by
-    LAPACK otherwise.
+    Each direction rotates Gamma_M and the Kraus factor, K' = (U^dag x I) K; the
+    Gram of A = diag(d) K' (module docs) is sum_j lambda_j G_j over row blocks
+    K'_j, G_j = K'_j^dag K'_j, and Tr S_N log S_M weighs log mu_k by
+    ||u_k^dag A||^2 over the spectrum (mu_k, u_k) of S'_M.
     """
     if pair.dim_a != 2:
         raise OracleInapplicableError("brute-force oracle requires a qubit input space")
@@ -353,9 +354,7 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     u = _bloch_eigenvectors(grid_t.ravel(), grid_p.ravel())
     wx = _rotation(u, pair.dim_b)
     rotated_m = np.conj(np.swapaxes(wx, -1, -2)) @ pair.choi_m.mat @ wx
-    gamma_n = eigh(pair.choi_n.mat)
-    _, inside, root = _support(gamma_n.eigenvalues, np.sqrt)
-    k_dag = np.conj(gamma_n.eigenvectors * root)[:, inside].T @ wx  # K'^dag, (dirs, r_N, n)
+    k_dag = np.conj(pair.kraus).T @ wx  # K'^dag, (dirs, r_N, n)
     blocks = k_dag.reshape(len(u), -1, pair.dim_a, pair.dim_b)
     grams = np.einsum("...kjb,...ljb->j...kl", blocks, np.conj(blocks))  # G_j, j first
 

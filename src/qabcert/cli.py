@@ -220,7 +220,7 @@ def _pairs(cfg: RunConfig) -> list:
     try:
         return [(p, ChannelPair(choi_n=choi_n, choi_m=choi_m)) for p, choi_m in points]
     except ValueError as exc:
-        raise UsageError(f"channel-n and channel-m do not match: {exc}") from exc
+        raise UsageError(f"channel-n and channel-m do not form a pair: {exc}") from exc
 
 
 def _build_family(cfg: RunConfig, dim_a: int) -> MixtureFamily:

@@ -13,16 +13,7 @@ decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`, :func:`matrix_exp`
 ``qab_core.Objective.omega`` (so ``d_omega``'s sigma, ``channel_re.omega``,
 ``omega1`` and ``objective_value``) accept one in place of a matrix, and
 :func:`gibbs_spectrum` returns one; log, sqrt and x^(-1/2) act on the support
-only (``_on_support``), plain :func:`matrix_fn` on all of it.  ``channel_re``
-works in that spectrum's eigenbasis: it rotates both Choi matrices there as
-one stack, scales them by sqrt(lambda) elementwise instead of building
-sqrt(rho), and decomposes the sandwiches S_N and S_M with one stacked
-:func:`eigh` call, so an omega evaluation costs one LAPACK call beyond the
-state's own spectrum (one per chunk of a long stack).  The brute-force oracle
-shares the rotation and scaling, but scores S_N from a Kraus factor of Gamma_N
-cut by ``_support``: per grid state it decomposes S_M at full size and takes
-an r_N x r_N Gram's spectrum (r_N = rank Gamma_N) from ``_eigvalsh``: in
-closed form for r_N = 2 (nothing else uses that form), by LAPACK otherwise.
+only (``_on_support``), plain :func:`matrix_fn` on all of it.
 
 Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):
@@ -30,7 +21,7 @@ override it (the relative support rule itself is ``_support``):
 ===============================  =====  ==============================================
 ``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so
                                         ``omega``), ``relative_entropy``, ``support_overlap``,
-                                        the brute-force oracle's Kraus factor of Gamma_N
+                                        ``ChannelPair.kraus`` (Gamma_N's Kraus factor)
 ``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's one verdict
                                         (``ChannelPair.finite``), on which ``omega`` raises
 ``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and
@@ -133,25 +124,45 @@ def eigh(m: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian stack, read from its lower triangle.
+def _roots2(m: np.ndarray):
+    """``(mu, gap)`` of a 2x2 Hermitian stack, read from its lower triangle.
 
-    2x2 stacks are taken in closed form, all others by ``np.linalg.eigvalsh``.
-    The root of larger magnitude is (a + c)/2 +- hypot(a - c, 2|b|)/2, and the
-    other root is LAPACK ``dlaev2``'s (acmx / big) acmn - (|b| / big) |b|, so
-    small eigenvalues keep an absolute error of order eps * max |eigenvalue|,
-    as LAPACK's do.
+    mu = [det / big, big] holds the roots, ascending for PSD input (zeros for m = 0):
+    big = (a + c)/2 +- gap/2, gap = hypot(a - c, 2|b|) = |mu_2 - mu_1|, is the root of
+    larger magnitude, so neither sum cancels, and |ac|, |b|^2 <= big^2 give
+    det / big = (ac - |b|^2) / big an absolute error of order eps * |big|, as LAPACK's.
     """
-    if m.shape[-1] != 2:
-        return np.linalg.eigvalsh(m)
     a, c, b = m[..., 0, 0].real, m[..., 1, 1].real, np.abs(m[..., 1, 0])
-    total = a + c
-    big = 0.5 * (total + np.copysign(np.hypot(a - c, 2.0 * b), total))
-    a_big = np.abs(a) > np.abs(c)
-    acmx, acmn = np.where(a_big, a, c), np.where(a_big, c, a)
+    total, gap = a + c, np.hypot(a - c, 2.0 * b)
+    mu = np.empty(total.shape + (2,))
+    mu[..., 1] = 0.5 * (total + np.copysign(gap, total))
+    mu[..., 0] = (a * c - b * b) / (mu[..., 1] + (mu[..., 1] == 0.0))  # 0 / 1 at m = 0
+    return mu, gap
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian stack: 2x2 by ``_roots2``, others by LAPACK."""
+    return np.sort(_roots2(m)[0], axis=-1) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)
+
+
+def _log_psd(m: np.ndarray) -> np.ndarray:
+    """:func:`matrix_log` of a PSD stack; 1x1 and 2x2 in closed form, without LAPACK.
+
+    A 2x2 log is f_1 I + q (m - mu_1 I), f = log on the support (``_support``) of the
+    roots mu (``_roots2``).  q = log1p(gap / mu_1) / gap stays accurate at near-equal
+    roots; q = f_2 / gap with mu_1 off the support, and 0 at gap = 0.
+    """
+    if m.shape[-1] == 1:
+        return _support(m.real, np.log)[2]
+    if m.shape[-1] != 2:
+        return matrix_log(m)
+    m = hermitize(m)  # as ``eigh`` does
+    mu, gap = _roots2(m)
+    _, inside, f = _support(mu, np.log)
     with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.where(big == 0.0, 0.0, (acmx / big) * acmn - (b / big) * b)
-    return np.stack([np.minimum(big, small), np.maximum(big, small)], axis=-1)
+        q = np.where(inside[..., 0], np.log1p(gap / mu[..., 0]), f[..., 1]) / gap
+    q = np.where(gap > 0.0, q, 0.0)
+    return q[..., None, None] * m + (f[..., 0] - q * mu[..., 0])[..., None, None] * np.eye(2)
 
 
 def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:
@@ -198,13 +209,8 @@ def matrix_fn(m: np.ndarray | Spectrum, f: Callable) -> np.ndarray:
     return Spectrum(f(spec.eigenvalues), spec.eigenvectors).matrix()
 
 
-def _matrix_fn_on_support(m: np.ndarray | Spectrum, f: Callable) -> np.ndarray:
-    """:func:`matrix_fn` with ``f`` on the support only (``_on_support``)."""
-    return matrix_fn(m, lambda w: _on_support(w, f))
-
-
 def matrix_log(m: np.ndarray | Spectrum) -> np.ndarray:
-    return _matrix_fn_on_support(m, np.log)
+    return matrix_fn(m, lambda w: _on_support(w, np.log))
 
 
 def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
@@ -212,11 +218,11 @@ def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
 
 
 def matrix_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:
-    return _matrix_fn_on_support(m, np.sqrt)
+    return matrix_fn(m, lambda w: _on_support(w, np.sqrt))
 
 
 def matrix_inv_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:
-    return _matrix_fn_on_support(m, lambda x: 1.0 / np.sqrt(x))
+    return matrix_fn(m, lambda w: _on_support(w, lambda x: 1.0 / np.sqrt(x)))
 
 
 def gibbs_spectrum(m: np.ndarray) -> Spectrum:

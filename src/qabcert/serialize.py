@@ -142,8 +142,14 @@ def load_channel(path) -> ChoiMatrix:
 
 
 def load_matrix(path) -> np.ndarray:
-    """The matrix of a constraint-matrix file, ``{"matrix": pairs}``."""
-    return pairs_to_complex_matrix(json.loads(Path(path).read_text())["matrix"])
+    """The matrix of a constraint-matrix file, ``{"matrix": pairs}``: square and non-empty."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise ValueError('a constraint-matrix file is {"matrix": [[[re, im], ...], ...]}')
+    m = pairs_to_complex_matrix(doc["matrix"])
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"constraint matrix must be square and non-empty, not of shape {m.shape}")
+    return m
 
 
 def load_constraints(path) -> MixtureFamily:

@@ -29,7 +29,9 @@ from qabcert import (
 from qabcert.linalg import (
     OUTSIDE_MASS_TOL,
     STATE_FLOOR,
+    MatrixDomainError,
     Spectrum,
+    eigh,
     floor_spectrum,
     hermitize,
     kron,
@@ -148,6 +150,8 @@ REFERENCE_CASES = {
     "kraus-d3": (lambda: random_kraus_pair(3, 3, 21), 3, 20),
     "dim-b-3": (lambda: random_kraus_pair(2, 3, 31), 2, 20),
     "stack-1000": (paper_pair, 2, 1000),
+    "rank-1": (lambda: ChannelPair(choi_from_kraus([np.eye(2)]), depolarizing_choi(0.3)), 2, 20),
+    "full-rank": (lambda: ChannelPair(depolarizing_choi(0.3), depolarizing_choi(0.05)), 2, 20),
 }
 
 
@@ -179,6 +183,30 @@ class TestOmegaMatchesReference:
         for i in (0, 511, 512, 1299):
             assert np.array_equal(omega1(states[i], pair), flat[i])
 
+    @pytest.mark.parametrize("case", ["rank-1", "full-rank"])
+    def test_stack_rows_keep_their_bits_at_other_ranks(self, rng, case):
+        # The closed-form 1x1 Gram log and the stacked eigh of S'_N and S'_M
+        # give each state of a chunked stack the bits it gets alone, as the
+        # rank-2 route does above.
+        pair = REFERENCE_CASES[case][0]()
+        states = np.stack([random_state(rng, 2) for _ in range(600)])
+        flat = omega1(states, pair)
+        for i in (0, 511, 512, 599):
+            assert np.array_equal(omega1(states[i], pair), flat[i])
+
+    @pytest.mark.parametrize(
+        "case, shape",
+        [("rank-1", (5, 4, 4)), ("paper", (5, 4, 4)), ("full-rank", (5, 2, 4, 4))],
+    )
+    def test_omega_decomposes_s_m_alone_up_to_rank_2(self, eig_shapes, rng, case, shape):
+        # r_N <= 2: S_N's Gram log is closed-form; larger r_N: S'_N joins S'_M
+        # in one stacked call.  One LAPACK call per chunk either way.
+        pair = REFERENCE_CASES[case][0]()
+        spec = eigh(np.stack([random_state(rng, 2) for _ in range(5)]))
+        eig_shapes.clear()
+        omega1(spec, pair)
+        assert eig_shapes == [shape]
+
     def test_a_long_stack_enters_omega1_once(self, rng, monkeypatch):
         # The chunk loop walks the 1300 states of the test above in row slices
         # without calling omega1 again on each chunk.
@@ -207,6 +235,25 @@ class TestOmegaMatchesReference:
         values = objective_value(states, PairStack(pairs))
         for state, pair, value in zip(states, pairs, values):
             assert objective_value(state, pair) == value
+
+    def test_mixed_rank_pair_stack_matches_each_pair(self, rng):
+        # Kraus ranks 1, 2 and 4 are zero-padded to rank 4 in the stack, so
+        # every row takes the stacked S'_N route there; the equal pair's row is
+        # exactly zero.
+        pairs = [
+            REFERENCE_CASES["rank-1"][0](),
+            paper_pair(),
+            REFERENCE_CASES["full-rank"][0](),
+            ChannelPair(depolarizing_choi(0.2), depolarizing_choi(0.2)),
+        ]
+        assert [pair.kraus.shape[1] for pair in pairs] == [1, 2, 4, 4]
+        states = np.stack([random_state(rng, 2) for _ in pairs])
+        stacked = omega1(states, PairStack(pairs))
+        for state, pair, om in zip(states[:3], pairs[:3], stacked[:3]):
+            alone = omega1(state, pair)
+            assert np.max(np.abs(om - alone)) <= 1e-12 * np.max(np.abs(alone))
+        assert np.array_equal(stacked[3], np.zeros((2, 2)))
+        assert np.array_equal(omega1(states, pairs[3]), np.zeros((4, 2, 2)))
 
     def test_leaking_stack_raises(self, rng):
         pair = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
@@ -348,13 +395,13 @@ class TestBruteForceOracle:
             brute_force_oracle(ChannelPair(qutrit, qutrit), 5)
 
     def test_scores_s_n_through_its_rank_2_gram(self, eig_shapes):
-        # Gamma_N = dephasing(0.4) has rank 2: one 4x4 decomposition factors
-        # it, and each of the 11 radii decomposes the 121 directions' S'_M at
-        # 4x4; their S_N Grams are 2x2, whose spectra take no LAPACK call.
+        # Gamma_N = dephasing(0.4) has rank 2 and the pair holds its Kraus
+        # factor, so each of the 11 radii decomposes the 121 directions' S'_M
+        # at 4x4; their S_N Grams are 2x2, whose spectra take no LAPACK call.
         pair = paper_pair()
         eig_shapes.clear()
         brute_force_oracle(pair, 11)
-        assert sorted(eig_shapes) == sorted([(4, 4)] + [(121, 4, 4)] * 11)
+        assert sorted(eig_shapes) == sorted([(121, 4, 4)] * 11)
 
     @pytest.mark.parametrize(
         "choi_n, lapack_grams",
@@ -371,7 +418,7 @@ class TestBruteForceOracle:
         pair = ChannelPair(choi_n, depolarizing_choi(0.5))
         eig_shapes.clear()
         value, _ = brute_force_oracle(pair, 11)
-        assert sorted(eig_shapes) == sorted([(4, 4)] + [(121, 4, 4)] * 11 + lapack_grams)
+        assert sorted(eig_shapes) == sorted([(121, 4, 4)] * 11 + lapack_grams)
         monkeypatch.setattr(channel_re, "_eigvalsh", np.linalg.eigvalsh)
         assert value == pytest.approx(brute_force_oracle(pair, 11)[0], rel=1e-15, abs=0)
 
@@ -516,7 +563,32 @@ def d4_pair():
     return ChannelPair(low, full)
 
 
+def below_the_cut(choi: ChoiMatrix, direction) -> ChoiMatrix:
+    """``choi`` less 5e-11 along a kernel ``direction``: a ``ChoiMatrix`` still (PSD_TOL is
+    1e-10), but outside the log's domain (SUPPORT_CUTOFF is 1e-12 of the largest eigenvalue)."""
+    return ChoiMatrix(choi.mat - 5e-11 * np.outer(direction, np.conj(direction)), 2, 2)
+
+
+def kernel_vector(choi: ChoiMatrix) -> np.ndarray:
+    return np.linalg.eigh(choi.mat)[1][:, 0]
+
+
 class TestChannelPair:
+    def test_gamma_n_outside_the_log_domain_raises(self):
+        choi_n = below_the_cut(dephasing_choi(0.4), np.eye(4)[1])
+        with pytest.raises(MatrixDomainError, match="negative eigenvalues"):
+            ChannelPair(choi_n, depolarizing_choi(0.3))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_gamma_m_outside_the_log_domain_raises_in_omega(self, rng, rank):
+        # Both omega routes take S'_M's log on its domain (the pair is finite).
+        choi_n = dephasing_choi(0.4) if rank == 2 else choi_from_kraus(random_kraus(5, 2, 2, 3))
+        choi_m = below_the_cut(dephasing_choi(0.3) if rank == 2 else choi_n, kernel_vector(choi_n))
+        pair = ChannelPair(choi_n, choi_m)
+        assert pair.finite and pair.kraus.shape[1] == rank
+        with pytest.raises(MatrixDomainError, match="negative eigenvalues"):
+            omega1(random_state(rng, 2), pair)
+
     def test_leaked_mass_decides_finiteness(self):
         assert d4_pair().leaked_mass == 0.0
         assert paper_pair().leaked_mass == 0.0
@@ -552,6 +624,29 @@ class TestChannelPair:
         assert np.array_equal(pair.chois[0], pair.choi_n.mat)
         assert np.array_equal(pair.chois[1], pair.choi_m.mat)
         assert "chois" not in repr(pair)
+
+    @pytest.mark.parametrize(
+        "make_pair, rank", [(REFERENCE_CASES["rank-1"][0], 1), (paper_pair, 2), (d4_pair, 4)]
+    )
+    def test_kraus_factors_gamma_n(self, make_pair, rank):
+        pair = make_pair()
+        n = pair.dim_a * pair.dim_b
+        assert pair.kraus.shape == (n, rank)
+        np.testing.assert_allclose(pair.kraus @ np.conj(pair.kraus.T), pair.choi_n.mat, atol=1e-13)
+        assert not pair.equal and "kraus" not in repr(pair)
+
+    def test_equal_is_the_choi_matrices_equality(self):
+        assert ChannelPair(dephasing_choi(0.4), dephasing_choi(0.4)).equal
+        assert not paper_pair().equal
+        stack = PairStack([paper_pair(), ChannelPair(dephasing_choi(0.4), dephasing_choi(0.4))])
+        assert stack.equal.tolist() == [False, True]
+
+    def test_pair_stack_pads_its_factors(self):
+        pairs = [REFERENCE_CASES["rank-1"][0](), paper_pair()]
+        stack = PairStack(pairs)
+        assert stack.kraus.shape == (2, 4, 2)
+        assert np.array_equal(stack.kraus[0], np.pad(pairs[0].kraus, ((0, 0), (0, 1))))
+        assert np.array_equal(stack.kraus[1], pairs[1].kraus)
 
     def test_pair_stack(self):
         pairs = [paper_pair(), ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.0))]

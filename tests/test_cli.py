@@ -500,6 +500,10 @@ def one_error_line(err: str, prefix: str = "error:") -> bool:
 
 # Each case: files to write into tmp_path, then argv with "{tmp}" standing
 # for tmp_path.
+# dephasing(0.4) less 5e-11 along the kernel direction |01>: a Choi matrix to
+# PSD_TOL, but outside the log's domain (SUPPORT_CUTOFF of its top eigenvalue).
+DEPHASING_BELOW_THE_CUT = qabcert.dephasing_choi(0.4).mat - np.diag([0, 5e-11, 0, 0])
+
 BAD_INPUTS = {
     "channel-file-not-json": ({"c.json": "{not json"}, ["solve", "--channel-n", "{tmp}/c.json"]),
     "channel-file-without-dim_a": (
@@ -573,6 +577,25 @@ BAD_INPUTS = {
         })},
         ["solve", "--channel-n", "{tmp}/c.json"],
     ),
+    "channel-n-file-choi-outside-the-log-domain": (
+        {"c.json": json.dumps({
+            "format": "choi", "dim_a": 2, "dim_b": 2,
+            "choi": complex_matrix_to_pairs(DEPHASING_BELOW_THE_CUT),
+        })},
+        ["solve", "--channel-n", "{tmp}/c.json"],
+    ),
+    "constraint-matrix-file-empty": (
+        {"h.json": json.dumps({"matrix": []})},
+        ["energy", "--constraint", "{tmp}/h.json=0.1"],
+    ),
+    "constraint-matrix-file-1x3": (
+        {"h.json": json.dumps({"matrix": [[[1, 0], [0, 0], [0, 0]]]})},
+        ["energy", "--constraint", "{tmp}/h.json=0.1"],
+    ),
+    "constraint-matrix-file-a-string": (
+        {"h.json": json.dumps("sigma-z")},
+        ["energy", "--constraint", "{tmp}/h.json=0.1"],
+    ),
     "config-int-beyond-float-range": (
         {"cfg.json": '{"p_min": 1' + "0" * 400 + "}"},
         ["sweep", "--config", "{tmp}/cfg.json"],
@@ -580,7 +603,30 @@ BAD_INPUTS = {
 }
 
 
+# A malformed constraint-matrix file's error names the shape it found or the
+# document it wants, not a Python exception.
+MATRIX_FILE_FORMAT = '{"matrix": [[[re, im], ...], ...]}'
+MATRIX_FILE_MESSAGES = {
+    "constraint-matrix-file-empty": "not of shape (0,)",
+    "constraint-matrix-file-1x3": "not of shape (1, 3)",
+    "constraint-matrix-file-a-string": MATRIX_FILE_FORMAT,
+    "constraint-matrix-file-a-bare-list": MATRIX_FILE_FORMAT,
+    "matrix-file-without-matrix": MATRIX_FILE_FORMAT,
+}
+
+
 class TestInputErrors:
+    @pytest.mark.parametrize(
+        "case, message", MATRIX_FILE_MESSAGES.items(), ids=MATRIX_FILE_MESSAGES.keys()
+    )
+    def test_malformed_matrix_file_names_its_format(self, case, message, tmp_path, capsys):
+        files, argv = BAD_INPUTS[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run(*[arg.format(tmp=tmp_path) for arg in argv], *FAST) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err) and message in err and "TypeError" not in err
+
     @pytest.mark.parametrize("case", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exits_two_with_one_error_line(self, case, tmp_path, capsys):
         files, argv = case
@@ -658,6 +704,15 @@ class TestFailedRows:
         header = lines[0].split(",")
         statuses = [dict(zip(header, line.split(",")))["status"] for line in lines[1:]]
         assert statuses == ["failed:LinAlgError", "ok"]
+
+
+    def test_gamma_m_outside_the_log_domain_fails_its_row(self, tmp_path):
+        path, out = tmp_path / "m.json", tmp_path / "row.csv"
+        save_channel(path, qabcert.ChoiMatrix(DEPHASING_BELOW_THE_CUT, 2, 2))
+        argv = ("solve", "--channel-n", "dephasing:0.4", "--channel-m", str(path), *FAST)
+        assert run(*argv, "--out", str(out)) == 1
+        _, rows = data_rows(out)
+        assert rows[0]["status"] == "failed:MatrixDomainError"
 
 
 class TestInfiniteDivergence:

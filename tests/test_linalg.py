@@ -20,6 +20,7 @@ from qabcert.linalg import (
     Spectrum,
     _eigvalsh,
     _finite_hermitian,
+    _log_psd,
     _support,
     floor_spectrum,
     gibbs_spectrum,
@@ -102,6 +103,54 @@ class TestEigvalsh:
     def test_other_sizes_are_lapacks(self, rng, n):
         m = np.stack([random_hermitian_scaled(rng, n) for _ in range(4)])
         assert np.array_equal(_eigvalsh(m), np.linalg.eigvalsh(m))
+
+
+def log_on_support_by_eigh(m):
+    w, v = np.linalg.eigh(m)
+    return (v * _support(w, np.log)[2][..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+def rotated_2x2(rng, roots):
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return hermitize((u * np.asarray(roots, dtype=float)) @ np.conj(u.T))
+
+
+class TestLogPsd:
+    # The closed-form 2x2 log against an eigh-based log on the support.
+    @pytest.mark.parametrize(
+        "roots",
+        [(0.3, 0.3), (0.3, 0.3 + 1e-14), (1e-15, 0.5), (0.0, 0.5), (1e-4, 0.7)],
+        ids=["equal", "1e-14-apart", "one-off-support", "one-zero", "distinct"],
+    )
+    def test_matches_eigh_on_the_support(self, rng, roots):
+        m = rotated_2x2(rng, roots)[None]
+        ref = log_on_support_by_eigh(m)
+        assert np.max(np.abs(_log_psd(m) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_exactly_equal_roots_give_a_multiple_of_the_identity(self):
+        out = _log_psd(0.3 * np.eye(2, dtype=complex)[None])
+        assert out[0, 0, 1] == out[0, 1, 0] == 0
+        assert out[0, 0, 0] == out[0, 1, 1] == pytest.approx(np.log(0.3), rel=1e-15)
+
+    def test_zero_matrix_logs_to_zero(self):
+        assert np.array_equal(_log_psd(np.zeros((2, 2, 2), dtype=complex)), np.zeros((2, 2, 2)))
+
+    def test_1x1_is_the_log_on_the_support(self):
+        out = _log_psd(np.array([[[0.5]], [[0.0]], [[-1e-20]]], dtype=complex))
+        assert np.array_equal(out, np.array([[[np.log(0.5)]], [[0.0]], [[0.0]]]))
+
+    def test_each_row_of_a_mixed_stack_is_its_own_log(self, rng):
+        # Rows with an equal pair of roots or a root off the support sit in a
+        # stack with ordinary rows; every row keeps the bits it gets alone.
+        rows = [(0.3, 0.3), (1e-15, 0.5), (1e-4, 0.7), (0.2, 0.6)]
+        m = np.stack([rotated_2x2(rng, r) for r in rows])
+        stacked = _log_psd(m)
+        for i in range(len(rows)):
+            assert np.array_equal(_log_psd(m[i : i + 1]), stacked[i : i + 1])
+
+    def test_other_sizes_take_eigh(self, rng):
+        m = np.stack([hermitize(random_hermitian_scaled(rng, 3) + 2 * np.eye(3)) for _ in range(3)])
+        assert np.allclose(_log_psd(m), log_on_support_by_eigh(m), atol=1e-14)
 
 
 class TestMatrixFn:

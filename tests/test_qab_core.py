@@ -214,8 +214,8 @@ class TestQabRun:
 
     def test_unconstrained_step_decomposes_at_most_four_matrices(self, eig_calls):
         # omega, log rho_t and D(rho_{t+1} || rho_t) reuse known spectra; omega
-        # decomposes S_N and S_M in one stacked call and the Gibbs update one
-        # matrix: two LAPACK calls and three matrices per step.
+        # decomposes S_M (S_N's rank-2 Gram takes no LAPACK call) and the Gibbs
+        # update one matrix: two LAPACK calls and two matrices per step.
         obj = ChannelObjective(paper_pair())
         opts = {n: QabOptions(initial=random_density(2, 9), max_iters=n) for n in (10, 30)}
         calls, matrices = {}, {}
@@ -225,8 +225,25 @@ class TestQabRun:
             assert len(traj.states) == n + 1
             calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
         assert calls[30] - calls[10] == 2 * 20
-        assert matrices[30] - matrices[10] == 3 * 20
+        assert matrices[30] - matrices[10] == 2 * 20
         assert calls[10] <= 2 * 10 + 2
+
+    @pytest.mark.parametrize(
+        "choi_n, per_step",
+        [(choi_from_kraus([np.eye(2)]), 2), (dephasing_choi(0.4), 2), (depolarizing_choi(0.3), 3)],
+        ids=["rank-1", "rank-2", "full-rank"],
+    )
+    def test_step_matrices_follow_the_kraus_rank_of_gamma_n(self, eig_calls, choi_n, per_step):
+        # Up to rank 2, S_N's Gram log takes no LAPACK call; a larger Gamma_N's
+        # S'_N joins S'_M in omega's one call.  Two calls per step either way.
+        obj = ChannelObjective(ChannelPair(choi_n, depolarizing_choi(0.05)))
+        calls, matrices = {}, {}
+        for n in (10, 30):
+            eig_calls.clear()
+            qab_run(obj, QabOptions(initial=random_density(2, 9), max_iters=n))
+            calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
+        assert calls[30] - calls[10] == 2 * 20
+        assert matrices[30] - matrices[10] == per_step * 20
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_constrained_step_decomposes_at_most_four_plus_k_matrices(self, eig_calls, k):
@@ -383,7 +400,7 @@ class TestQabRunMany:
             assert [len(traj.states) for traj in trajs] == [n + 1] * n_runs
             calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
         assert calls[30] - calls[10] == 2 * 20
-        assert matrices[30] - matrices[10] == 3 * n_runs * 20
+        assert matrices[30] - matrices[10] == 2 * n_runs * 20
 
 
 @pytest.fixture(scope="module")

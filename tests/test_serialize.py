@@ -83,8 +83,13 @@ def test_constraint_matrix_file_is_read(tmp_path):
     path.write_text(json.dumps({"matrix": complex_matrix_to_pairs(h)}))
     assert np.array_equal(load_matrix(path), h)
     path.write_text(json.dumps(complex_matrix_to_pairs(h)))  # a bare list is not the format
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="matrix"):
         load_matrix(path)
+    shapes = [([], r"\(0,\)"), ([[]], r"\(1, 0\)"), ([[[1, 0], [0, 0], [0, 0]]], r"\(1, 3\)")]
+    for rows, shape in shapes:
+        path.write_text(json.dumps({"matrix": rows}))
+        with pytest.raises(ValueError, match=f"square and non-empty, not of shape {shape}"):
+            load_matrix(path)
 
 
 def test_constraints_round_trip(tmp_path):

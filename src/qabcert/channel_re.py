@@ -15,7 +15,7 @@ Every evaluation works in the eigenbasis V of rho, where S_M is
 S'_M = Gamma'_M o dd^T with d = sqrt(lambda) x 1_B, and S_N is scored through
 the pair's Kraus factor K of Gamma_N = K K^dag: its nonzero spectrum is that
 of the r_N x r_N Gram A^dag A, A = diag(d) (V^dag x I) K (r_N = rank Gamma_N).
-So the oracle, and omega at r_N <= 2, decompose one n x n matrix per state, S'_M.
+So the oracle and omega decompose one n x n matrix per state, S'_M.
 
 The solver's working objective (:class:`ChannelObjective`) is the sandwich
 divergence per Choi *state*, i.e. the full-scale objective divided by
@@ -116,15 +116,12 @@ class ChannelPair:
 
 @dataclass(frozen=True)
 class PairStack:
-    """Pairs of one shape: omega pairs state i of a (P, d, d) stack with pair i.
-
-    The largest r_N picks omega's route: row i has pair i's bits if all r_N agree.
-    """
+    """Pairs of one shape and one r_N: omega pairs state i of a (P, d, d) stack with pair i."""
 
     pairs: tuple
     leaked_mass: float = field(init=False, compare=False)  # the largest pair's
     chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
-    kraus: np.ndarray = field(init=False, compare=False, repr=False)  # zero-padded to max r_N
+    kraus: np.ndarray = field(init=False, compare=False, repr=False)  # (P, n, r_N)
     equal = property(lambda self: np.array([pair.equal for pair in self.pairs]))
     dim_a = property(lambda self: self.pairs[0].dim_a)
     dim_b = property(lambda self: self.pairs[0].dim_b)
@@ -132,14 +129,12 @@ class PairStack:
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
-        if len({(pair.dim_a, pair.dim_b) for pair in pairs}) != 1:
-            raise ValueError("a PairStack needs pairs that share dim_a and dim_b")
-        rank = max(pair.kraus.shape[1] for pair in pairs)
-        kraus = [np.pad(pair.kraus, ((0, 0), (0, rank - pair.kraus.shape[1]))) for pair in pairs]
+        if len({(pair.dim_a, pair.dim_b, pair.kraus.shape[1]) for pair in pairs}) != 1:
+            raise ValueError("a PairStack needs pairs that share dim_a, dim_b and Kraus rank")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "leaked_mass", max(pair.leaked_mass for pair in pairs))
         object.__setattr__(self, "chois", np.stack([pair.chois for pair in pairs]))
-        object.__setattr__(self, "kraus", np.stack(kraus))
+        object.__setattr__(self, "kraus", np.stack([pair.kraus for pair in pairs]))
 
 
 def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
@@ -172,9 +167,8 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
 
     In rho's eigenbasis W (descending, ``_rotation``), with S', d from ``_eigenbasis_sandwiches``
     and D^+ = diag(d)^+, omega1 = -W Tr_B[(Gamma'_N o 1d^T)(log S'_N - log S'_M) D^+] W^dag.
-    As A^dag log(A A^dag) = log(A^dag A) A^dag, at r_N <= 2 that is Tr_B[K (A^dag log S'_M
-    - log G A^dag) D^+ (W^dag x I)], A^dag = K^dag (W x I) diag(d), G = A^dag A (log by
-    ``linalg._log_psd``); at larger r_N one stacked ``eigh`` decomposes S'_N and S'_M.
+    As A^dag log(A A^dag) = log(A^dag A) A^dag, that is Tr_B[K (A^dag log S'_M - log G A^dag)
+    D^+ (W^dag x I)], A^dag = K^dag (W x I) diag(d), G = A^dag A (log by ``linalg._log_psd``).
     One loop walks the flat stack (a :class:`PairStack`'s rows with it) in row slices.
     """
     if not pair.finite:
@@ -202,16 +196,10 @@ def _omega1_rows(w, v, chois: np.ndarray, kraus: np.ndarray, dim_b: int) -> np.n
     """:func:`omega1` of a row slice (w, v) of states; [Gamma_N; Gamma_M] and K, rows or one."""
     wx = _rotation(v, dim_b)
     wx_dag = np.conj(np.swapaxes(wx, -1, -2))
-    if kraus.shape[-1] > 2:
-        rotated = wx_dag[:, None] @ chois @ wx[:, None]
-        sand, d = _eigenbasis_sandwiches(rotated, w[:, None], dim_b)
-        logs = matrix_log(sand)
-        inner = wx @ (rotated[:, 0] * d @ (logs[:, 1] - logs[:, 0]))
-    else:
-        s_m, d = _eigenbasis_sandwiches(wx_dag @ chois[:, 1] @ wx, w, dim_b)
-        a_dag = (np.conj(np.swapaxes(kraus, -1, -2)) @ wx) * d[:, None, :]
-        gram = a_dag @ np.conj(np.swapaxes(a_dag, -1, -2))
-        inner = kraus @ (a_dag @ matrix_log(s_m) - _log_psd(gram) @ a_dag)
+    s_m, d = _eigenbasis_sandwiches(wx_dag @ chois[:, 1] @ wx, w, dim_b)
+    a_dag = (np.conj(np.swapaxes(kraus, -1, -2)) @ wx) * d[:, None, :]
+    gram = a_dag @ np.conj(np.swapaxes(a_dag, -1, -2))
+    inner = kraus @ (a_dag @ matrix_log(s_m) - _log_psd(gram) @ a_dag)
     d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0).reshape(len(w), 1, -1)
     return partial_trace(inner * d_inv @ wx_dag, w.shape[-1], dim_b, keep="A")
 

@@ -52,7 +52,9 @@ class MixtureFamily:
     """Linear expectation constraints Tr(rho H_j) = c_j; ``MixtureFamily()`` has none.
 
     The one gate for constraint inputs: finite observables, Hermitian to ``PSD_TOL`` (stored
-    hermitized), of one dimension and linearly independent; finite targets.
+    hermitized), of one dimension and linearly independent; finite targets, each in its
+    observable's spectral range (else :class:`InfeasibleFamilyError`; a family can still be
+    jointly infeasible, which ``e_project`` finds).
     """
 
     observables: tuple = ()
@@ -78,6 +80,13 @@ class MixtureFamily:
             )
             if np.linalg.eigvalsh(gram).min() <= 1e-10:
                 raise ValueError("constraint observables are linearly dependent")
+            for h, c in zip(obs, targets):
+                w = np.linalg.eigvalsh(h)
+                if c < w[0] - 1e-12 or c > w[-1] + 1e-12:
+                    raise InfeasibleFamilyError(
+                        f"target {c} lies outside the spectral range "
+                        f"[{w[0]:.6g}, {w[-1]:.6g}] of its observable"
+                    )
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "targets", targets)
 
@@ -171,26 +180,14 @@ def free_energy_gradient(base: np.ndarray, fam: MixtureFamily, tau) -> np.ndarra
     return _evaluate(np.asarray(base, dtype=complex), fam, np.asarray(tau, dtype=float))[1]
 
 
-def _spectral_feasibility(fam: MixtureFamily) -> None:
-    # Necessary condition: each target must lie within the spectral range of
-    # its observable, since Tr(rho H) is a convex combination of eigenvalues.
-    for h, c in zip(fam.observables, fam.targets):
-        w = np.linalg.eigvalsh(h)
-        if c < w[0] - 1e-12 or c > w[-1] + 1e-12:
-            raise InfeasibleFamilyError(
-                f"target {c} lies outside the spectral range "
-                f"[{w[0]:.6g}, {w[-1]:.6g}] of its observable"
-            )
-
-
 def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, tau0=None):
     """e-projection onto ``fam`` of the state with log-domain matrix ``base``.
 
     Returns ``(Spectrum, TauSolution)``, the spectrum of
     ``rho = C exp(base + sum tau_j H_j)``, which satisfies every constraint
     within ``TAU_TOL``.  ``tau0`` warm starts the solver from an earlier
-    solve on the same family, so only a cold start checks that each target
-    lies in its observable's spectral range.  The empty family returns
+    solve on the same family; each target is already in its observable's
+    spectral range (``MixtureFamily``).  The empty family returns
     ``gibbs_spectrum(base)`` and one shared empty ``TauSolution``.  Damped
     Newton with the exact Hessian, Armijo backtracking (its accepted trial is
     the next iterate's evaluation), and a gradient-descent fallback when the
@@ -203,8 +200,6 @@ def e_project(rho_log_domain: np.ndarray, fam: MixtureFamily, tau0=None):
     k = fam.size
     if k == 0:
         return gibbs_spectrum(base), _NO_TAU
-    if tau0 is None:
-        _spectral_feasibility(fam)
     tau = np.zeros(k) if tau0 is None else np.array(tau0, dtype=float)
     f0, g, hess, gibbs = _evaluate(base, fam, tau)
     for it in range(MAX_NEWTON_STEPS + 1):

@@ -123,9 +123,9 @@ def omega1_reference(rho, pair):
     return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
 
 
-def random_kraus_pair(dim_a, dim_b, seed):
-    """A rank-2 channel against a full-rank one (Kraus rank dim_a * dim_b)."""
-    low = choi_from_kraus(random_kraus(seed, dim_a, dim_b, 2))
+def random_kraus_pair(dim_a, dim_b, seed, rank=2):
+    """A channel of Kraus rank ``rank`` against a full-rank one (Kraus rank dim_a * dim_b)."""
+    low = choi_from_kraus(random_kraus(seed, dim_a, dim_b, rank))
     full = choi_from_kraus(random_kraus(seed + 1, dim_a, dim_b, dim_a * dim_b))
     return ChannelPair(low, full)
 
@@ -152,6 +152,12 @@ REFERENCE_CASES = {
     "stack-1000": (paper_pair, 2, 1000),
     "rank-1": (lambda: ChannelPair(choi_from_kraus([np.eye(2)]), depolarizing_choi(0.3)), 2, 20),
     "full-rank": (lambda: ChannelPair(depolarizing_choi(0.3), depolarizing_choi(0.05)), 2, 20),
+    "rank-3": (
+        lambda: ChannelPair(_bell_diagonal_choi((0.5, 0.3, 0.2, 0)), depolarizing_choi(0.05)),
+        2,
+        20,
+    ),
+    "kraus-d3-rank-3": (lambda: random_kraus_pair(3, 3, 21, rank=3), 3, 20),
 }
 
 
@@ -164,7 +170,9 @@ class TestOmegaMatchesReference:
         ref = omega1_reference(states, pair)
         assert np.max(np.abs(omega1(states, pair) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("dim, case", [(2, "paper"), (3, "kraus-d3")])
+    @pytest.mark.parametrize(
+        "dim, case", [(2, "paper"), (3, "kraus-d3"), (2, "rank-3"), (3, "kraus-d3-rank-3")]
+    )
     def test_iterate_floored_at_state_floor(self, dim, case):
         # The floored direction lies outside the support, so both evaluations
         # zero it, and S_M loses full support.
@@ -185,9 +193,9 @@ class TestOmegaMatchesReference:
 
     @pytest.mark.parametrize("case", ["rank-1", "full-rank"])
     def test_stack_rows_keep_their_bits_at_other_ranks(self, rng, case):
-        # The closed-form 1x1 Gram log and the stacked eigh of S'_N and S'_M
-        # give each state of a chunked stack the bits it gets alone, as the
-        # rank-2 route does above.
+        # The closed-form 1x1 Gram log and the LAPACK log of the 4x4 Gram give
+        # each state of a chunked stack the bits it gets alone, as the rank-2
+        # Gram's closed form does above.
         pair = REFERENCE_CASES[case][0]()
         states = np.stack([random_state(rng, 2) for _ in range(600)])
         flat = omega1(states, pair)
@@ -195,17 +203,24 @@ class TestOmegaMatchesReference:
             assert np.array_equal(omega1(states[i], pair), flat[i])
 
     @pytest.mark.parametrize(
-        "case, shape",
-        [("rank-1", (5, 4, 4)), ("paper", (5, 4, 4)), ("full-rank", (5, 2, 4, 4))],
+        "case, shapes",
+        [
+            ("rank-1", [(5, 4, 4)]),
+            ("paper", [(5, 4, 4)]),
+            ("full-rank", [(5, 4, 4), (5, 4, 4)]),
+            ("rank-3", [(5, 4, 4), (5, 3, 3)]),
+            ("kraus-d3-rank-3", [(5, 9, 9), (5, 3, 3)]),
+        ],
     )
-    def test_omega_decomposes_s_m_alone_up_to_rank_2(self, eig_shapes, rng, case, shape):
-        # r_N <= 2: S_N's Gram log is closed-form; larger r_N: S'_N joins S'_M
-        # in one stacked call.  One LAPACK call per chunk either way.
-        pair = REFERENCE_CASES[case][0]()
-        spec = eigh(np.stack([random_state(rng, 2) for _ in range(5)]))
+    def test_omega_decomposes_s_m_alone_up_to_rank_2(self, eig_shapes, rng, case, shapes):
+        # Each chunk decomposes S'_M (n x n) and, at r_N > 2, the r_N x r_N Gram,
+        # whose log is closed-form up to rank 2; never an n x n S'_N.
+        make_pair, dim, _ = REFERENCE_CASES[case]
+        pair = make_pair()
+        spec = eigh(np.stack([random_state(rng, dim) for _ in range(5)]))
         eig_shapes.clear()
         omega1(spec, pair)
-        assert eig_shapes == [shape]
+        assert eig_shapes == shapes
 
     def test_a_long_stack_enters_omega1_once(self, rng, monkeypatch):
         # The chunk loop walks the 1300 states of the test above in row slices
@@ -236,24 +251,22 @@ class TestOmegaMatchesReference:
         for state, pair, value in zip(states, pairs, values):
             assert objective_value(state, pair) == value
 
-    def test_mixed_rank_pair_stack_matches_each_pair(self, rng):
-        # Kraus ranks 1, 2 and 4 are zero-padded to rank 4 in the stack, so
-        # every row takes the stacked S'_N route there; the equal pair's row is
-        # exactly zero.
+    def test_same_rank_pair_stack_matches_each_pair(self, rng):
+        # Three full-rank pairs take the Gram's LAPACK log in the stack; each
+        # row keeps its pair-alone bits, and the equal pair's row is exactly zero.
+        equal = ChannelPair(depolarizing_choi(0.2), depolarizing_choi(0.2))
         pairs = [
-            REFERENCE_CASES["rank-1"][0](),
-            paper_pair(),
             REFERENCE_CASES["full-rank"][0](),
-            ChannelPair(depolarizing_choi(0.2), depolarizing_choi(0.2)),
+            ChannelPair(depolarizing_choi(0.1), depolarizing_choi(0.02)),
+            equal,
         ]
-        assert [pair.kraus.shape[1] for pair in pairs] == [1, 2, 4, 4]
+        assert [pair.kraus.shape[1] for pair in pairs] == [4, 4, 4]
         states = np.stack([random_state(rng, 2) for _ in pairs])
         stacked = omega1(states, PairStack(pairs))
-        for state, pair, om in zip(states[:3], pairs[:3], stacked[:3]):
-            alone = omega1(state, pair)
-            assert np.max(np.abs(om - alone)) <= 1e-12 * np.max(np.abs(alone))
-        assert np.array_equal(stacked[3], np.zeros((2, 2)))
-        assert np.array_equal(omega1(states, pairs[3]), np.zeros((4, 2, 2)))
+        for state, pair, om in zip(states, pairs, stacked):
+            assert np.array_equal(omega1(state, pair), om)
+        assert np.array_equal(stacked[2], np.zeros((2, 2)))
+        assert np.array_equal(omega1(states, equal), np.zeros((3, 2, 2)))
 
     def test_leaking_stack_raises(self, rng):
         pair = ChannelPair(amplitude_damping(0.3), amplitude_damping(0.5))
@@ -641,12 +654,14 @@ class TestChannelPair:
         stack = PairStack([paper_pair(), ChannelPair(dephasing_choi(0.4), dephasing_choi(0.4))])
         assert stack.equal.tolist() == [False, True]
 
-    def test_pair_stack_pads_its_factors(self):
-        pairs = [REFERENCE_CASES["rank-1"][0](), paper_pair()]
+    def test_pair_stack_takes_one_kraus_rank(self):
+        # A lockstep stack has one channel-n; mixed Kraus ranks are not padded.
+        with pytest.raises(ValueError, match="share"):
+            PairStack([REFERENCE_CASES["rank-1"][0](), paper_pair()])
+        pairs = [paper_pair(0.05), random_kraus_pair(2, 2, 11)]
         stack = PairStack(pairs)
         assert stack.kraus.shape == (2, 4, 2)
-        assert np.array_equal(stack.kraus[0], np.pad(pairs[0].kraus, ((0, 0), (0, 1))))
-        assert np.array_equal(stack.kraus[1], pairs[1].kraus)
+        assert np.array_equal(stack.kraus, np.stack([pair.kraus for pair in pairs]))
 
     def test_pair_stack(self):
         pairs = [paper_pair(), ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.0))]

@@ -301,12 +301,14 @@ class TestEnergyCommand:
         objectives = [float(r["objective"]) for r in rows]
         assert np.all(np.diff(objectives) <= 1e-9)
 
-    def test_infeasible_constraint_exits_one(self, tmp_path):
+    def test_infeasible_constraint_exits_two(self, tmp_path, capsys):
+        # A target outside its observable's spectral range is an input error.
         assert (
             run("energy", "--constraint", "sigma-z=2.0", *FAST,
                 "--out", str(tmp_path / "x.csv"))
-            == 1
+            == 2
         )
+        assert one_error_line(capsys.readouterr().err, "error: target 2.0 lies outside")
 
     def test_start_projection_failure_exits_one_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr("qabcert.mixture.MAX_NEWTON_STEPS", 0)

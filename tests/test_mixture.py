@@ -58,7 +58,7 @@ class TestMixtureFamily:
     def test_compares_by_value(self):
         fam = MixtureFamily((np.eye(2),), (1.0,))
         assert fam == MixtureFamily((np.eye(2),), (1.0,))
-        assert fam != MixtureFamily((np.eye(2),), (0.5,))
+        assert MixtureFamily((PAULI_Z,), (0.5,)) != MixtureFamily((PAULI_Z,), (1.0,))
         assert fam != MixtureFamily((PAULI_Z,), (1.0,))
         assert fam != MixtureFamily() and MixtureFamily() == EMPTY
         assert fam != (np.eye(2),)
@@ -197,9 +197,10 @@ class TestEProject:
         assert np.allclose(cold.matrix(), warm.matrix(), atol=1e-8)
 
     def test_infeasible_spectral_bound(self):
-        fam = MixtureFamily(observables=(PAULI_Z,), targets=(2.0,))
-        with pytest.raises(InfeasibleFamilyError):
-            e_project(matrix_log(np.eye(2) / 2), fam)
+        # Judged where the family is built, before any e-projection.
+        with pytest.raises(InfeasibleFamilyError, match="spectral range"):
+            MixtureFamily(observables=(PAULI_Z,), targets=(2.0,))
+        MixtureFamily(observables=(PAULI_Z,), targets=(1.0 + 1e-13,))
 
     def test_jointly_infeasible_family_diverges_in_tau(self):
         # Each target lies in its observable's spectral range, but no state

@@ -234,15 +234,15 @@ class TestQabRun:
         ids=["rank-1", "rank-2", "full-rank"],
     )
     def test_step_matrices_follow_the_kraus_rank_of_gamma_n(self, eig_calls, choi_n, per_step):
-        # Up to rank 2, S_N's Gram log takes no LAPACK call; a larger Gamma_N's
-        # S'_N joins S'_M in omega's one call.  Two calls per step either way.
+        # S'_M and the Gibbs update take one call each; up to rank 2, S_N's Gram
+        # log takes none, and a larger Gram takes a third.
         obj = ChannelObjective(ChannelPair(choi_n, depolarizing_choi(0.05)))
         calls, matrices = {}, {}
         for n in (10, 30):
             eig_calls.clear()
             qab_run(obj, QabOptions(initial=random_density(2, 9), max_iters=n))
             calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
-        assert calls[30] - calls[10] == 2 * 20
+        assert calls[30] - calls[10] == per_step * 20
         assert matrices[30] - matrices[10] == per_step * 20
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -264,22 +264,23 @@ class TestQabRun:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_feasibility_checked_once_per_constrained_run(self, monkeypatch, k):
-        # Only the cold-started first e-projection decomposes the observables
-        # to check each target's spectral range; warm starts reuse the family.
-        initial, fam = constrained_setup(k)
+        # MixtureFamily decomposes each observable once to check its target's
+        # spectral range; the run's e-projections decompose none.
         checked = []
         original = np.linalg.eigvalsh
 
         def counted(m, *args, **kwargs):
-            if any(np.array_equal(m, h) for h in fam.observables):
+            if any(np.array_equal(m, h) for h in (PAULI_Z, PAULI_X)):
                 checked.append(1)
             return original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        initial, fam = constrained_setup(k)
+        assert len(checked) == k
         opts = QabOptions(initial=initial, family=fam, max_iters=20)
         traj = qab_run(ChannelObjective(paper_pair()), opts)
         assert len(traj.tau_history) == 20
-        assert 1 <= len(checked) <= k
+        assert len(checked) == k
 
     def test_invalid_options(self, rng):
         with pytest.raises(ValueError):

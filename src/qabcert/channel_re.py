@@ -42,9 +42,7 @@ from .linalg import (
     _spectrum,
     eigh,
     hermitize,
-    kron,
     matrix_log,
-    partial_trace,
 )
 from .qab_core import Objective, QabOptions, Trajectory, qab_run
 from .quantum import BELL_STATES, ChoiMatrix, _divergence, relative_entropy, support_overlap
@@ -122,7 +120,7 @@ class PairStack:
     leaked_mass: float = field(init=False, compare=False)  # the largest pair's
     chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
     kraus: np.ndarray = field(init=False, compare=False, repr=False)  # (P, n, r_N)
-    equal = property(lambda self: np.array([pair.equal for pair in self.pairs]))
+    equal: np.ndarray = field(init=False, compare=False, repr=False)  # (P,) bool
     dim_a = property(lambda self: self.pairs[0].dim_a)
     dim_b = property(lambda self: self.pairs[0].dim_b)
     finite = property(lambda self: all(pair.finite for pair in self.pairs))
@@ -133,8 +131,8 @@ class PairStack:
             raise ValueError("a PairStack needs pairs that share dim_a, dim_b and Kraus rank")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "leaked_mass", max(pair.leaked_mass for pair in pairs))
-        object.__setattr__(self, "chois", np.stack([pair.chois for pair in pairs]))
-        object.__setattr__(self, "kraus", np.stack([pair.kraus for pair in pairs]))
+        for name in ("chois", "kraus", "equal"):  # stacked along a new first axis
+            object.__setattr__(self, name, np.array([getattr(pair, name) for pair in pairs]))
 
 
 def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
@@ -144,7 +142,10 @@ def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
     where LAPACK's tridiagonal reduction keeps its small eigenvalues accurate;
     ascending order loses an order of magnitude on states with a 1e-4 eigenvalue.
     """
-    return kron(v[..., ::-1], np.eye(dim_b))
+    out = np.zeros(v.shape[:-2] + (v.shape[-2] * dim_b, v.shape[-1] * dim_b), dtype=complex)
+    for b in range(dim_b):  # (W x I)[a dim_b + b, c dim_b + b] = W[a, c]
+        out[..., b::dim_b, b::dim_b] = v[..., ::-1]
+    return out
 
 
 def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
@@ -153,7 +154,7 @@ def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
     ``lam`` is rho's ascending spectrum and ``rotated`` Gamma' = (W^dag x I) Gamma (W x I)
     (``_rotation``), so S' = (W^dag x I) S (W x I).  Raises ``MatrixDomainError`` on lam < 0.
     """
-    d = np.repeat(_on_support(lam, np.sqrt)[..., ::-1], dim_b, axis=-1)
+    d = _on_support(lam, np.sqrt)[..., ::-1].repeat(dim_b, axis=-1)
     return rotated * (d[..., :, None] * d[..., None, :]), d
 
 
@@ -187,21 +188,21 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
         rows = slice(start, start + chunk)
         per_pair = (chois[rows], kraus[rows]) if len(chois) > 1 else (chois, kraus)  # or broadcast
         out[rows] = _omega1_rows(w[rows], v[rows], *per_pair, pair.dim_b)
-    if np.any(pair.equal):
-        out[np.broadcast_to(pair.equal, len(v))] = 0.0
+    out.reshape(len(chois), -1, dim, dim)[pair.equal] = 0.0  # per pair; a bool is all or none
     return out.reshape(spec.eigenvectors.shape)
 
 
 def _omega1_rows(w, v, chois: np.ndarray, kraus: np.ndarray, dim_b: int) -> np.ndarray:
     """:func:`omega1` of a row slice (w, v) of states; [Gamma_N; Gamma_M] and K, rows or one."""
     wx = _rotation(v, dim_b)
-    wx_dag = np.conj(np.swapaxes(wx, -1, -2))
+    wx_dag = wx.swapaxes(-1, -2).conj()
     s_m, d = _eigenbasis_sandwiches(wx_dag @ chois[:, 1] @ wx, w, dim_b)
-    a_dag = (np.conj(np.swapaxes(kraus, -1, -2)) @ wx) * d[:, None, :]
-    gram = a_dag @ np.conj(np.swapaxes(a_dag, -1, -2))
+    a_dag = (kraus.swapaxes(-1, -2).conj() @ wx) * d[:, None, :]
+    gram = a_dag @ a_dag.swapaxes(-1, -2).conj()
     inner = kraus @ (a_dag @ matrix_log(s_m) - _log_psd(gram) @ a_dag)
-    d_inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0).reshape(len(w), 1, -1)
-    return partial_trace(inner * d_inv @ wx_dag, w.shape[-1], dim_b, keep="A")
+    d_inv = 1.0 / np.where(d > 0, d, np.inf)  # D^+
+    traced = ((inner * d_inv[:, None, :]) @ wx_dag).reshape(len(w), -1, dim_b, w.shape[-1], dim_b)
+    return sum(traced[:, :, b, :, b] for b in range(dim_b))  # Tr_B, summed from b = 0 on
 
 
 def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.ndarray:
@@ -217,7 +218,7 @@ def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack)
     """
     spec = _spectrum(rho_a)
     wx = _rotation(spec.eigenvectors, pair.dim_b)[..., None, :, :]
-    rotated = np.conj(np.swapaxes(wx, -1, -2)) @ pair.chois @ wx
+    rotated = wx.swapaxes(-1, -2).conj() @ pair.chois @ wx
     sand = _eigenbasis_sandwiches(rotated, spec.eigenvalues[..., None, :], pair.dim_b)[0]
     out = -relative_entropy(sand[..., 0, :, :], sand[..., 1, :, :])
     return float(out) if np.ndim(out) == 0 else out
@@ -341,7 +342,7 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
     grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
     u = _bloch_eigenvectors(grid_t.ravel(), grid_p.ravel())
     wx = _rotation(u, pair.dim_b)
-    rotated_m = np.conj(np.swapaxes(wx, -1, -2)) @ pair.choi_m.mat @ wx
+    rotated_m = wx.swapaxes(-1, -2).conj() @ pair.choi_m.mat @ wx
     k_dag = np.conj(pair.kraus).T @ wx  # K'^dag, (dirs, r_N, n)
     blocks = k_dag.reshape(len(u), -1, pair.dim_a, pair.dim_b)
     grams = np.einsum("...kjb,...ljb->j...kl", blocks, np.conj(blocks))  # G_j, j first

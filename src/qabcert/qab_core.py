@@ -152,10 +152,10 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
     family runs alone.  A stopped run records no more steps, though its row is
     still computed; a failure in any run raises for all.
     """
-    opts, family, stop = runs[0], runs[0].family, runs[0].divergence_stop
     settings = [(o.gamma, o.max_iters, o.divergence_stop, o.family) for o in runs]
-    if any(s != settings[0] for s in settings) or (family.size and len(runs) > 1):
-        raise ValueError("lockstep runs share their settings and family; a family runs alone")
+    if not runs or settings.count(settings[0]) < len(runs) or (runs[0].family.size and runs[1:]):
+        raise ValueError("a non-empty run list shares its settings and family; a family runs alone")
+    opts, family, stop = runs[0], runs[0].family, runs[0].divergence_stop
     start = np.stack([run.initial for run in runs])
     if np.max(np.abs(family.residuals(start[0])), initial=0.0) > CONSTRAINT_TOL:
         try:
@@ -163,15 +163,14 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
         except EProjectionError as exc:
             raise IterationError(0, exc) from exc
     spec = floor_spectrum(start, STATE_FLOOR)
-    rho = spec.matrix()
-
+    rho, log_rho = matrix_fn(spec, lambda w: np.array([w, np.log(w)]))  # one rebuild of both
     omega_cur = obj.omega(spec)
     values = np.einsum("...ij,...ji->...", rho, omega_cur).real
     trajs = [Trajectory([rho[i]], [float(v)], gamma=opts.gamma) for i, v in enumerate(values)]
     running, tau_prev = list(range(len(runs))), None
 
     for t in range(opts.max_iters):
-        log_domain = matrix_fn(spec, np.log) - omega_cur / opts.gamma
+        log_domain = log_rho - omega_cur / opts.gamma
         try:
             base = log_domain[0] if family.size else log_domain
             update, tau_sol = e_project(base, family, tau0=tau_prev)
@@ -182,7 +181,7 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
             trajs[0].tau_history.append(tau_sol)
             update = Spectrum(update.eigenvalues[None], update.eigenvectors[None])
         spec_nxt = floor_spectrum(update, STATE_FLOOR)
-        nxt = spec_nxt.matrix()
+        nxt, log_nxt = matrix_fn(spec_nxt, lambda w: np.array([w, np.log(w)]))
 
         omega_nxt = obj.omega(spec_nxt)
         kl = relative_entropy(spec_nxt, spec)
@@ -196,5 +195,5 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
         running = [i for i in running if stop is None or not kl[i] < stop]
         if not running:
             break
-        spec, omega_cur = spec_nxt, omega_nxt
+        spec, omega_cur, log_rho = spec_nxt, omega_nxt, log_nxt
     return trajs

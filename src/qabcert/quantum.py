@@ -179,7 +179,7 @@ def random_density(dim: int, seed) -> np.ndarray:
 
 def _weights(rho: np.ndarray | Spectrum, u: np.ndarray) -> np.ndarray:
     """The weights <u_k| rho |u_k> of ``rho`` on the columns u_k of ``u``."""
-    udag = np.conj(np.swapaxes(u, -1, -2))
+    udag = u.swapaxes(-1, -2).conj()
     if isinstance(rho, Spectrum):
         overlap = np.abs(udag @ rho.eigenvectors) ** 2
         return np.einsum("...kj,...j->...k", overlap, rho.eigenvalues)
@@ -219,7 +219,7 @@ def _divergence(wr: np.ndarray, weights: np.ndarray, sigma_w: np.ndarray):
     tr_rlogr = _support(wr, lambda x: x * np.log(x))[2].sum(axis=-1)
     outside_mass, tr_rlogs = _split_weights(weights, sigma_w)
     out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):

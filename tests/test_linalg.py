@@ -154,6 +154,15 @@ class TestLogPsd:
 
 
 class TestMatrixFn:
+    @pytest.mark.parametrize("dim, n", [(2, 1), (3, 4)])
+    def test_stacked_functions_of_one_spectrum_keep_their_bits(self, rng, dim, n):
+        # qab_run_many rebuilds rho and log rho from one spectrum in one call;
+        # each equals, byte for byte, the matrix rebuilt alone.
+        spec = floor_spectrum(eigh(random_hermitian(dim, rng, size=n)), 1e-3)
+        rho, log_rho = matrix_fn(spec, lambda w: np.array([w, np.log(w)]))
+        assert rho.tobytes() == spec.matrix().tobytes()
+        assert log_rho.tobytes() == matrix_fn(spec, np.log).tobytes()
+
     def test_diagonal_log(self):
         out = matrix_log(np.diag([1.0, np.e]))
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-14)

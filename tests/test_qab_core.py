@@ -375,6 +375,11 @@ class TestQabRunMany:
         with pytest.raises(ValueError, match="runs alone"):
             qab_run_many(obj, constrained)
 
+    def test_an_empty_run_list_is_a_value_error(self):
+        pairs, _ = lockstep_runs(2, max_iters=5)
+        with pytest.raises(ValueError, match="non-empty run list"):
+            qab_run_many(ChannelObjective(PairStack(pairs)), [])
+
     def test_a_lone_constrained_run_is_its_qab_run_bit_for_bit(self):
         # The start is off the family, so iteration 0 is its e-projection.
         pairs, runs = lockstep_runs(1, max_iters=6, divergence_stop=None)

@@ -277,10 +277,10 @@ def check_a1(
 
 
 def xme_bound(gamma: float, initial: np.ndarray, proxy_star: np.ndarray, t0: int) -> float:
-    """gamma * D(proxy_star || initial) / t0 (proxy precision bound)."""
+    """gamma * D(proxy_star || initial) / t0 (proxy precision bound); D rounded below 0 is 0."""
     if t0 < 1:
         raise ValueError("t0 must be >= 1")
-    return gamma * relative_entropy(proxy_star, initial) / t0
+    return gamma * float(np.maximum(relative_entropy(proxy_star, initial), 0.0)) / t0
 
 
 def certify(

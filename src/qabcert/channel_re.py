@@ -7,9 +7,9 @@ provides the omega map realizing that objective, one solver with a
 posteriori certification (:func:`solve`; constraints reach a run only
 through its ``QabOptions.family``), and two independent oracles
 (closed-form Bell-diagonal, and a brute-force Bloch grid scored ray by ray).
-Finiteness is one verdict of the pair's, ``ChannelPair.finite``.  A
-:class:`PairStack` stands in for a pair so that lockstep runs over several
-pairs take one omega call per step.
+Finiteness is one verdict of the pair's, ``ChannelPair.finite``.  Of a pair,
+omega reads only Gamma_M and Gamma_N's Kraus factor K; a :class:`PairStack`
+stacks those so that lockstep runs over several pairs take one omega call per step.
 
 Every evaluation works in the eigenbasis V of rho, where S_M is
 S'_M = Gamma'_M o dd^T with d = sqrt(lambda) x 1_B, and S_N is scored through
@@ -40,6 +40,7 @@ from .linalg import (
     _log_psd,
     _on_support,
     _spectrum,
+    _support,
     eigh,
     hermitize,
     matrix_log,
@@ -92,7 +93,6 @@ class ChannelPair:
     choi_n: ChoiMatrix
     choi_m: ChoiMatrix
     leaked_mass: float = field(init=False, compare=False)
-    chois: np.ndarray = field(init=False, compare=False, repr=False)  # [Gamma_N; Gamma_M]
     kraus: np.ndarray = field(init=False, compare=False, repr=False)
     equal: bool = field(init=False, compare=False, repr=False)
 
@@ -103,10 +103,10 @@ class ChannelPair:
         root = _on_support(gamma_n.eigenvalues, np.sqrt)
         leaked = support_overlap(self.choi_n.mat, eigh(self.choi_m.mat))[0]
         object.__setattr__(self, "leaked_mass", float(leaked))
-        object.__setattr__(self, "chois", np.stack([self.choi_n.mat, self.choi_m.mat]))
         object.__setattr__(self, "kraus", (gamma_n.eigenvectors * root)[:, root > 0])
         object.__setattr__(self, "equal", np.array_equal(self.choi_n.mat, self.choi_m.mat))
 
+    gamma_m = property(lambda self: self.choi_m.mat)  # Gamma_M itself, not a copy
     dim_a = property(lambda self: self.choi_n.dim_a)
     dim_b = property(lambda self: self.choi_n.dim_b)
     finite = property(lambda self: self.leaked_mass <= OUTSIDE_MASS_TOL)
@@ -118,7 +118,7 @@ class PairStack:
 
     pairs: tuple
     leaked_mass: float = field(init=False, compare=False)  # the largest pair's
-    chois: np.ndarray = field(init=False, compare=False, repr=False)  # (P, 2, n, n)
+    gamma_m: np.ndarray = field(init=False, compare=False, repr=False)  # (P, n, n)
     kraus: np.ndarray = field(init=False, compare=False, repr=False)  # (P, n, r_N)
     equal: np.ndarray = field(init=False, compare=False, repr=False)  # (P,) bool
     dim_a = property(lambda self: self.pairs[0].dim_a)
@@ -131,7 +131,7 @@ class PairStack:
             raise ValueError("a PairStack needs pairs that share dim_a, dim_b and Kraus rank")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "leaked_mass", max(pair.leaked_mass for pair in pairs))
-        for name in ("chois", "kraus", "equal"):  # stacked along a new first axis
+        for name in ("gamma_m", "kraus", "equal"):  # stacked along a new first axis
             object.__setattr__(self, name, np.array([getattr(pair, name) for pair in pairs]))
 
 
@@ -181,22 +181,22 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
     dim = spec.eigenvectors.shape[-1]
     w, v = spec.eigenvalues.reshape(-1, dim), spec.eigenvectors.reshape(-1, dim, dim)
     n, rank = pair.kraus.shape[-2:]
-    chois, kraus = pair.chois.reshape(-1, 2, n, n), pair.kraus.reshape(-1, n, rank)
+    gamma_m, kraus = pair.gamma_m.reshape(-1, n, n), pair.kraus.reshape(-1, n, rank)
     chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
     out = np.empty(v.shape, dtype=complex)
     for start in range(0, len(v), chunk):
         rows = slice(start, start + chunk)
-        per_pair = (chois[rows], kraus[rows]) if len(chois) > 1 else (chois, kraus)  # or broadcast
+        per_pair = (gamma_m[rows], kraus[rows]) if len(gamma_m) > 1 else (gamma_m, kraus)
         out[rows] = _omega1_rows(w[rows], v[rows], *per_pair, pair.dim_b)
-    out.reshape(len(chois), -1, dim, dim)[pair.equal] = 0.0  # per pair; a bool is all or none
+    out.reshape(len(gamma_m), -1, dim, dim)[pair.equal] = 0.0  # per pair; a bool is all or none
     return out.reshape(spec.eigenvectors.shape)
 
 
-def _omega1_rows(w, v, chois: np.ndarray, kraus: np.ndarray, dim_b: int) -> np.ndarray:
-    """:func:`omega1` of a row slice (w, v) of states; [Gamma_N; Gamma_M] and K, rows or one."""
+def _omega1_rows(w, v, gamma_m: np.ndarray, kraus: np.ndarray, dim_b: int) -> np.ndarray:
+    """:func:`omega1` of a row slice (w, v) of states; the pair data Gamma_M and K, rows or one."""
     wx = _rotation(v, dim_b)
     wx_dag = wx.swapaxes(-1, -2).conj()
-    s_m, d = _eigenbasis_sandwiches(wx_dag @ chois[:, 1] @ wx, w, dim_b)
+    s_m, d = _eigenbasis_sandwiches(wx_dag @ gamma_m @ wx, w, dim_b)
     a_dag = (kraus.swapaxes(-1, -2).conj() @ wx) * d[:, None, :]
     gram = a_dag @ a_dag.swapaxes(-1, -2).conj()
     inner = kraus @ (a_dag @ matrix_log(s_m) - _log_psd(gram) @ a_dag)
@@ -210,15 +210,16 @@ def omega(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nda
     return hermitize(omega1(rho_a, pair))
 
 
-def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack):
+def objective_value(rho_a: np.ndarray | Spectrum, pair: ChannelPair):
     """-D(sandwich(rho, Gamma_N) || sandwich(rho, Gamma_M)); -inf on support loss.
 
     ``relative_entropy`` of S'_N and S'_M at full size, the independent reference
-    for omega's Kraus route; the solver's objective is Tr rho omega instead.
+    for omega's Kraus route (one pair, a stack of states); the solver's objective is
+    Tr rho omega instead.
     """
     spec = _spectrum(rho_a)
     wx = _rotation(spec.eigenvectors, pair.dim_b)[..., None, :, :]
-    rotated = wx.swapaxes(-1, -2).conj() @ pair.chois @ wx
+    rotated = wx.swapaxes(-1, -2).conj() @ np.stack([pair.choi_n.mat, pair.choi_m.mat]) @ wx
     sand = _eigenbasis_sandwiches(rotated, spec.eigenvalues[..., None, :], pair.dim_b)[0]
     out = -relative_entropy(sand[..., 0, :, :], sand[..., 1, :, :])
     return float(out) if np.ndim(out) == 0 else out
@@ -295,15 +296,14 @@ def bell_weights(choi: ChoiMatrix) -> np.ndarray:
 def bell_diagonal_oracle(pair: ChannelPair) -> float:
     """Closed-form divergence for Bell-diagonal pairs (teleportation covariant).
 
-    ``+inf`` exactly when the pair is not ``finite``; otherwise sum_i p_i
-    log(p_i / q_i) over the Bell weights both channels carry (p_i and q_i
-    > 1e-15), the channel divergence attained at the maximally entangled input.
+    ``+inf`` exactly when the pair is not ``finite``; otherwise sum_i p_i log(p_i / q_i)
+    over the Bell weights both channels carry (each on its own ``linalg._support``), the
+    channel divergence attained at the maximally entangled input.
     """
-    p = bell_weights(pair.choi_n)
-    q = bell_weights(pair.choi_m)
+    p, q = bell_weights(pair.choi_n), bell_weights(pair.choi_m)
     if not pair.finite:
         return np.inf
-    kept = (p > 1e-15) & (q > 1e-15)
+    kept = (p > _support(np.sort(p), np.log)[0]) & (q > _support(np.sort(q), np.log)[0])
     return float(np.sum(p[kept] * np.log(p[kept] / q[kept])))
 
 

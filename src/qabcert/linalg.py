@@ -19,9 +19,9 @@ Support, floor and tolerance constants, each named once so no caller can
 override it (the relative support rule itself is ``_support``):
 
 ===============================  =====  ==============================================
-``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so
-                                        ``omega``), ``relative_entropy``, ``support_overlap``,
-                                        ``ChannelPair.kraus`` (Gamma_N's Kraus factor)
+``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so ``omega``),
+                                        ``relative_entropy``, ``support_overlap``, the Bell oracle's
+                                        weights, ``ChannelPair.kraus`` (Gamma_N's Kraus factor)
 ``OUTSIDE_MASS_TOL``             1e-10  leaked mass making D ``+inf``; the pair's one verdict
                                         (``ChannelPair.finite``), on which ``omega`` raises
 ``PSD_TOL``                      1e-10  largest |negative eigenvalue| ``relative_entropy`` and

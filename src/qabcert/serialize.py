@@ -141,21 +141,25 @@ def load_channel(path) -> ChoiMatrix:
     raise ValueError(f"unknown channel format {doc['format']!r}")
 
 
-def load_matrix(path) -> np.ndarray:
-    """The matrix of a constraint-matrix file, ``{"matrix": pairs}``: square and non-empty."""
-    doc = json.loads(Path(path).read_text())
+def _constraint_matrix(doc) -> np.ndarray:
+    """The square, non-empty matrix of a ``{"matrix": pairs}`` file or constraints entry."""
     if not isinstance(doc, dict) or "matrix" not in doc:
-        raise ValueError('a constraint-matrix file is {"matrix": [[[re, im], ...], ...]}')
+        raise ValueError('a constraint matrix is {"matrix": [[[re, im], ...], ...]}')
     m = pairs_to_complex_matrix(doc["matrix"])
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"constraint matrix must be square and non-empty, not of shape {m.shape}")
     return m
 
 
+def load_matrix(path) -> np.ndarray:
+    """The matrix of a constraint-matrix file, ``{"matrix": pairs}`` (``_constraint_matrix``)."""
+    return _constraint_matrix(json.loads(Path(path).read_text()))
+
+
 def load_constraints(path) -> MixtureFamily:
     """A constraints file, ``{"constraints": [{"matrix": pairs, "target": c}, ...]}``."""
     entries = json.loads(Path(path).read_text())["constraints"]
-    return MixtureFamily(observables=tuple(pairs_to_complex_matrix(e["matrix"]) for e in entries),
+    return MixtureFamily(observables=tuple(_constraint_matrix(e) for e in entries),
                          targets=tuple(float(e["target"]) for e in entries))
 
 

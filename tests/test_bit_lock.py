@@ -66,7 +66,8 @@ def omega1_before(rho_a, pair) -> np.ndarray:
     dim = spec.eigenvectors.shape[-1]
     w, v = spec.eigenvalues.reshape(-1, dim), spec.eigenvectors.reshape(-1, dim, dim)
     n, rank = pair.kraus.shape[-2:]
-    chois, kraus = pair.chois.reshape(-1, 2, n, n), pair.kraus.reshape(-1, n, rank)
+    chois = np.stack([pair.choi_n.mat, pair.choi_m.mat]).reshape(-1, 2, n, n)
+    kraus = pair.kraus.reshape(-1, n, rank)
     chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
     out = np.empty(v.shape, dtype=complex)
     for start in range(0, len(v), chunk):

@@ -266,6 +266,17 @@ class TestXmeBound:
         rho = random_state(rng, 2)
         assert xme_bound(1.0, rho, rho, 50) == pytest.approx(0.0, abs=1e-12)
 
+    def test_rounding_below_zero_is_zero(self, monkeypatch, rng):
+        # D of two equal states can round below 0; the bound clamps it, and
+        # NaN stays NaN.
+        rho = random_state(rng, 2)
+        for rounded, bound in ((-2.8e-16, 0.0), (-0.0, 0.0), (math.nan, math.nan)):
+            monkeypatch.setattr(importlib.import_module("qabcert.certify"), "relative_entropy",
+                                lambda a, b, d=rounded: d)
+            out = xme_bound(1.0, rho, rho, 3)
+            assert out == bound or (math.isnan(out) and math.isnan(bound))
+            assert math.copysign(1.0, out) == 1.0  # +0.0, not -0.0
+
     def test_linear_in_gamma(self, rng):
         a, b = random_state(rng, 2), random_state(rng, 2)
         assert xme_bound(2.0, a, b, 10) == pytest.approx(2 * xme_bound(1.0, a, b, 10))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ def omega1_reference(rho, pair):
     return -partial_trace(inner, pair.dim_a, pair.dim_b, keep="A")
 
 
+def omega1_40_digits(rho, pair, mpmath):
+    """``omega1_reference``'s formula in 40-digit ``mpmath`` arithmetic on the float inputs."""
+    mp, dim_a, dim_b = mpmath.mp, pair.dim_a, pair.dim_b
+
+    def on_support(m, f):  # f on the eigenvalues above 1e-30 of the largest, zero below
+        w, v = mp.eighe((m + m.H) / 2)
+        return v * mp.diag([f(x) if x > mp.mpf(10) ** -30 * max(w) else 0 for x in w]) * v.H
+
+    def with_eye_b(a):  # a x I_B
+        out = mp.zeros(dim_a * dim_b, dim_a * dim_b)
+        for i, j, b in itertools.product(range(dim_a), range(dim_a), range(dim_b)):
+            out[i * dim_b + b, j * dim_b + b] = a[i, j]
+        return out
+
+    with mp.workdps(40):
+        rho = mp.matrix(rho.tolist())
+        gamma_n, gamma_m = mp.matrix(pair.choi_n.mat.tolist()), mp.matrix(pair.gamma_m.tolist())
+        sq = with_eye_b(on_support(rho, mp.sqrt))
+        inv_sq = with_eye_b(on_support(rho, lambda x: 1 / mp.sqrt(x)))
+        logs = on_support(sq * gamma_n * sq, mp.log) - on_support(sq * gamma_m * sq, mp.log)
+        inner = gamma_n * sq * logs * inv_sq
+        traced = [[mp.fsum(inner[i * dim_b + b, j * dim_b + b] for b in range(dim_b))
+                   for j in range(dim_a)] for i in range(dim_a)]  # Tr_B
+        return -np.array(traced, dtype=complex)
+
+
 def random_kraus_pair(dim_a, dim_b, seed, rank=2):
     """A channel of Kraus rank ``rank`` against a full-rank one (Kraus rank dim_a * dim_b)."""
     low = choi_from_kraus(random_kraus(seed, dim_a, dim_b, rank))
@@ -169,6 +196,28 @@ class TestOmegaMatchesReference:
         states = np.stack([random_state(rng, dim) for _ in range(n)])
         ref = omega1_reference(states, pair)
         assert np.max(np.abs(omega1(states, pair) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("seed", [
+        0,
+        pytest.param(1, marks=pytest.mark.xfail(strict=True, reason=(
+            "omega1 errs 2.8e-13 of max|ref| at state 97 (lambda_min 2.4e-5): LAPACK's float "
+            "spectrum of rho holds lambda_min to 5.5e-12 relative, and rho^(-1/2) carries that "
+            "over; from rho's 40-digit spectrum omega1 errs 5e-15"))),
+        2, 3, 4,
+    ])
+    def test_worst_states_against_40_digits(self, seed):
+        # The float reference errs by up to 3e-12 of max|ref| on states with a
+        # 1e-4 eigenvalue, so test_random_states' 1e-12 bound holds only at its
+        # fixture's seed.  Here the three states where omega1 and that reference
+        # disagree most are scored at 40 digits instead.
+        mpmath = pytest.importorskip("mpmath")
+        pair = paper_pair()
+        rng = np.random.default_rng(seed)
+        states = np.stack([random_state(rng, 2) for _ in range(1000)])
+        got, ref = omega1(states, pair), omega1_reference(states, pair)
+        worst = np.argsort(np.max(np.abs(got - ref), axis=(1, 2)))[-3:]
+        exact = np.stack([omega1_40_digits(states[i], pair, mpmath) for i in worst])
+        assert np.max(np.abs(got[worst] - exact)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize(
         "dim, case", [(2, "paper"), (3, "kraus-d3"), (2, "rank-3"), (3, "kraus-d3-rank-3")]
@@ -239,17 +288,14 @@ class TestOmegaMatchesReference:
 
     def test_pair_stack_pairs_state_i_with_pair_i(self, rng, monkeypatch):
         # Seven qubit pairs in chunks of three states: the chunk loop slices
-        # the Choi stack with the states, and each state gets the omega its
-        # own pair gives it alone.
+        # the Gamma_M and Kraus stacks with the states, and each state gets the
+        # omega its own pair gives it alone.
         monkeypatch.setattr("qabcert.channel_re.OMEGA_CHUNK_ENTRIES", 3 * 2 * 4 * 4)
         pairs = [paper_pair(p) for p in np.linspace(0.01, 0.3, 6)] + [random_kraus_pair(2, 2, 11)]
         states = np.stack([random_state(rng, 2) for _ in pairs])
         stacked = omega1(states, PairStack(pairs))
         for state, pair, om in zip(states, pairs, stacked):
             assert np.array_equal(omega1(state, pair), om)
-        values = objective_value(states, PairStack(pairs))
-        for state, pair, value in zip(states, pairs, values):
-            assert objective_value(state, pair) == value
 
     def test_same_rank_pair_stack_matches_each_pair(self, rng):
         # Three full-rank pairs take the Gram's LAPACK log in the stack; each
@@ -337,12 +383,14 @@ class TestBellDiagonalOracle:
 
     def test_infinite_exactly_when_the_pair_is_not_finite(self):
         # depolarizing(1e-12) leaks 1e-12 of its mass outside supp
-        # dephasing(0.4), below OUTSIDE_MASS_TOL: the pair is finite, and the
-        # oracle sums over the weights both channels carry.
+        # dephasing(0.4), below OUTSIDE_MASS_TOL: the pair is finite.  Its three
+        # 2.5e-13 Bell weights lie below the support cut of its own weights
+        # (SUPPORT_CUTOFF of the largest), so the oracle sums the first alone.
         edge = ChannelPair(depolarizing_choi(1e-12), dephasing_choi(0.4))
         assert 0 < edge.leaked_mass <= OUTSIDE_MASS_TOL and edge.finite
-        p, q = bell_weights(edge.choi_n)[:2], bell_weights(edge.choi_m)[:2]
+        p, q = bell_weights(edge.choi_n)[:1], bell_weights(edge.choi_m)[:1]
         assert bell_diagonal_oracle(edge) == float(np.sum(p * np.log(p / q)))
+        assert bell_diagonal_oracle(edge) == 0.9162907318727175
         assert bell_diagonal_oracle(edge) == pytest.approx(-np.log(0.4), abs=1e-9)
         for pair in (paper_pair(0.0), ChannelPair(depolarizing_choi(0.5), dephasing_choi(0.4))):
             assert not pair.finite
@@ -632,11 +680,11 @@ class TestChannelPair:
         assert finite.sum() > 90
 
     def test_chois_are_stacked_once(self):
+        # Omega reads Gamma_M and the Kraus factor: the pair holds Gamma_M as
+        # the Choi matrix's own array and stacks no Gamma_N.
         pair = paper_pair()
-        assert pair.chois.shape == (2, 4, 4)
-        assert np.array_equal(pair.chois[0], pair.choi_n.mat)
-        assert np.array_equal(pair.chois[1], pair.choi_m.mat)
-        assert "chois" not in repr(pair)
+        assert pair.gamma_m is pair.choi_m.mat
+        assert not hasattr(pair, "chois") and "gamma_m" not in repr(pair)
 
     @pytest.mark.parametrize(
         "make_pair, rank", [(REFERENCE_CASES["rank-1"][0], 1), (paper_pair, 2), (d4_pair, 4)]
@@ -667,7 +715,8 @@ class TestChannelPair:
         pairs = [paper_pair(), ChannelPair(dephasing_choi(0.4), depolarizing_choi(0.0))]
         stack = PairStack(pairs)
         assert (stack.dim_a, stack.dim_b) == (2, 2)
-        assert np.array_equal(stack.chois, np.stack([pair.chois for pair in pairs]))
+        assert stack.gamma_m.shape == (2, 4, 4) and not hasattr(stack, "chois")
+        assert np.array_equal(stack.gamma_m, np.stack([pair.choi_m.mat for pair in pairs]))
         assert stack.leaked_mass == pairs[1].leaked_mass > OUTSIDE_MASS_TOL
         with pytest.raises(ValueError, match="share"):
             PairStack([paper_pair(), random_kraus_pair(2, 3, 31)])

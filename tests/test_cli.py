@@ -82,6 +82,18 @@ class TestSweep:
         assert rows[0]["certified"] == "true"
         assert float(rows[0]["gap"]) < 1e-3
 
+    def test_precision_bound_is_never_negative(self, tmp_path):
+        # N = M: each point starts at its own fixed point, where D(final || first)
+        # rounds to +-4e-16.  A bound below 0 would claim a value past the optimum.
+        out = tmp_path / "s.csv"
+        args = ("--p-min", "0.05", "--p-max", "0.05", "--p-steps", "3", "--samples", "20")
+        assert run("sweep", "--channel-n", "depolarizing:0.05", *args, "--iters", "20",
+                   "--out", str(out)) == 0
+        _, rows = data_rows(out)
+        assert [row["certified"] for row in rows] == ["true"] * 3
+        assert min(float(row["xme_bound"]) for row in rows) == 0.0
+        assert not any(row["xme_bound"].startswith("-") for row in rows)
+
     def test_log_base_two(self, tmp_path):
         out_e, out_2 = tmp_path / "e.csv", tmp_path / "two.csv"
         args = ("sweep", "--p-min", "0.05", "--p-max", "0.05", "--p-steps", "1", *FAST)
@@ -598,6 +610,15 @@ BAD_INPUTS = {
         {"h.json": json.dumps("sigma-z")},
         ["energy", "--constraint", "{tmp}/h.json=0.1"],
     ),
+    # A constraints file's one matrix passes the rule a constraint-matrix file's does.
+    "constraints-file-matrix-1x2": (
+        {"f.json": json.dumps({"constraints": [{"matrix": [[[1, 0], [0, 0]]], "target": 0.1}]})},
+        ["energy", "--constraints-file", "{tmp}/f.json"],
+    ),
+    "constraints-file-matrix-empty": (
+        {"f.json": json.dumps({"constraints": [{"matrix": [], "target": 0.1}]})},
+        ["energy", "--constraints-file", "{tmp}/f.json"],
+    ),
     "config-int-beyond-float-range": (
         {"cfg.json": '{"p_min": 1' + "0" * 400 + "}"},
         ["sweep", "--config", "{tmp}/cfg.json"],
@@ -605,8 +626,8 @@ BAD_INPUTS = {
 }
 
 
-# A malformed constraint-matrix file's error names the shape it found or the
-# document it wants, not a Python exception.
+# A malformed constraint-matrix file's (or constraints file entry's) error names
+# the shape it found or the document it wants, not a Python exception.
 MATRIX_FILE_FORMAT = '{"matrix": [[[re, im], ...], ...]}'
 MATRIX_FILE_MESSAGES = {
     "constraint-matrix-file-empty": "not of shape (0,)",
@@ -614,6 +635,8 @@ MATRIX_FILE_MESSAGES = {
     "constraint-matrix-file-a-string": MATRIX_FILE_FORMAT,
     "constraint-matrix-file-a-bare-list": MATRIX_FILE_FORMAT,
     "matrix-file-without-matrix": MATRIX_FILE_FORMAT,
+    "constraints-file-matrix-1x2": "not of shape (1, 2)",
+    "constraints-file-matrix-empty": "not of shape (0,)",
 }
 
 

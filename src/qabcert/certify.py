@@ -263,7 +263,7 @@ def check_a1(
         scored = np.nonzero(~heavy & _kept(den))[0]
         if scored.size == 0:
             continue
-        sigmas = Spectrum(repaired.eigenvalues[scored], repaired.eigenvectors[scored])
+        sigmas = repaired.take(scored)  # the divergence's verdict, not a second one
         num, err = _a1_numerators(final, omega_final, sigmas, obj)
         below = gate * den[scored] - num
         ok = ~((below > 0) & (below <= err))  # NaN is kept, so it fails closed

@@ -100,7 +100,7 @@ class ChannelPair:
         if (self.choi_n.dim_a, self.choi_n.dim_b) != (self.choi_m.dim_a, self.choi_m.dim_b):
             raise ValueError("Choi matrices must share dim_a and dim_b")
         gamma_n = eigh(self.choi_n.mat)
-        root = _on_support(gamma_n.eigenvalues, np.sqrt)
+        root = _on_support(gamma_n.eigenvalues, np.sqrt, gamma_n.verdict)
         leaked = support_overlap(self.choi_n.mat, eigh(self.choi_m.mat))[0]
         object.__setattr__(self, "leaked_mass", float(leaked))
         object.__setattr__(self, "kraus", (gamma_n.eigenvectors * root)[:, root > 0])
@@ -148,13 +148,13 @@ def _rotation(v: np.ndarray, dim_b: int) -> np.ndarray:
     return out
 
 
-def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int):
+def _eigenbasis_sandwiches(rotated: np.ndarray, lam: np.ndarray, dim_b: int, verdict=None):
     """``(S', d)``: S' = Gamma' o dd^T, d = sqrt(lam) x 1_B (descending, 0 off lam's support).
 
     ``lam`` is rho's ascending spectrum and ``rotated`` Gamma' = (W^dag x I) Gamma (W x I)
     (``_rotation``), so S' = (W^dag x I) S (W x I).  Raises ``MatrixDomainError`` on lam < 0.
     """
-    d = _on_support(lam, np.sqrt)[..., ::-1].repeat(dim_b, axis=-1)
+    d = _on_support(lam, np.sqrt, verdict)[..., ::-1].repeat(dim_b, axis=-1)
     return rotated * (d[..., :, None] * d[..., None, :]), d
 
 
@@ -180,6 +180,7 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
     spec = _spectrum(rho_a)
     dim = spec.eigenvectors.shape[-1]
     w, v = spec.eigenvalues.reshape(-1, dim), spec.eigenvectors.reshape(-1, dim, dim)
+    verdict = spec.verdict if spec.verdict[2] else None  # a full one holds for every row
     n, rank = pair.kraus.shape[-2:]
     gamma_m, kraus = pair.gamma_m.reshape(-1, n, n), pair.kraus.reshape(-1, n, rank)
     chunk = max(1, OMEGA_CHUNK_ENTRIES // (2 * n * n))
@@ -187,16 +188,16 @@ def omega1(rho_a: np.ndarray | Spectrum, pair: ChannelPair | PairStack) -> np.nd
     for start in range(0, len(v), chunk):
         rows = slice(start, start + chunk)
         per_pair = (gamma_m[rows], kraus[rows]) if len(gamma_m) > 1 else (gamma_m, kraus)
-        out[rows] = _omega1_rows(w[rows], v[rows], *per_pair, pair.dim_b)
+        out[rows] = _omega1_rows(w[rows], v[rows], *per_pair, pair.dim_b, verdict)
     out.reshape(len(gamma_m), -1, dim, dim)[pair.equal] = 0.0  # per pair; a bool is all or none
     return out.reshape(spec.eigenvectors.shape)
 
 
-def _omega1_rows(w, v, gamma_m: np.ndarray, kraus: np.ndarray, dim_b: int) -> np.ndarray:
-    """:func:`omega1` of a row slice (w, v) of states; the pair data Gamma_M and K, rows or one."""
+def _omega1_rows(w, v, gamma_m: np.ndarray, kraus: np.ndarray, dim_b: int, verdict) -> np.ndarray:
+    """:func:`omega1` of a row slice (w, v) and its full verdict or None; Gamma_M, K rows or one."""
     wx = _rotation(v, dim_b)
     wx_dag = wx.swapaxes(-1, -2).conj()
-    s_m, d = _eigenbasis_sandwiches(wx_dag @ gamma_m @ wx, w, dim_b)
+    s_m, d = _eigenbasis_sandwiches(wx_dag @ gamma_m @ wx, w, dim_b, verdict)
     a_dag = (kraus.swapaxes(-1, -2).conj() @ wx) * d[:, None, :]
     gram = a_dag @ a_dag.swapaxes(-1, -2).conj()
     inner = kraus @ (a_dag @ matrix_log(s_m) - _log_psd(gram) @ a_dag)
@@ -355,7 +356,7 @@ def brute_force_oracle(pair: ChannelPair, grid_resolution: int):
         spec_m = eigh(s_m)
         gram = sum(lam_j * gram_j for lam_j, gram_j in zip(lam[::-1], grams))
         weights = np.sum(np.abs((k_dag * d) @ spec_m.eigenvectors) ** 2, axis=-2)
-        vals = -_divergence(_eigvalsh(gram), weights, spec_m.eigenvalues)
+        vals = -_divergence(_eigvalsh(gram), weights, spec_m)
         i = int(np.argmin(vals))
         if vals[i] < best:
             best = float(vals[i])

@@ -16,7 +16,7 @@ decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`, :func:`matrix_exp`
 only (``_on_support``), plain :func:`matrix_fn` on all of it.
 
 Support, floor and tolerance constants, each named once so no caller can
-override it (the relative support rule itself is ``_support``):
+override it (the relative support rule itself is ``_verdict``, kept by ``Spectrum``):
 
 ===============================  =====  ==============================================
 ``SUPPORT_CUTOFF``               1e-12  the one support rule: log, sqrt, x^(-1/2) (so ``omega``),
@@ -42,6 +42,7 @@ override it (the relative support rule itself is ``_support``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -96,11 +97,19 @@ class Spectrum:
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
     orthonormal eigenvectors as columns, so ``V diag(w) V^dag`` reconstructs
-    the input.
+    the input.  ``verdict`` is their support verdict (``_verdict``), judged on first use.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    verdict = cached_property(lambda self: _verdict(self.eigenvalues))
+
+    def take(self, index) -> Spectrum:
+        """The spectra ``index`` of a stack, with their rows of its verdict, not a new one."""
+        cut, inside, full = self.verdict
+        out = Spectrum(self.eigenvalues[index], self.eigenvectors[index])
+        out.__dict__["verdict"] = cut[index], inside[index], full or bool(inside[index].all())
+        return out
 
     @property
     def shape(self) -> tuple:
@@ -169,35 +178,38 @@ def _spectrum(m: np.ndarray | Spectrum) -> Spectrum:
     return m if isinstance(m, Spectrum) else eigh(m)
 
 
-def _support(w: np.ndarray, f: Callable):
+def _verdict(w: np.ndarray) -> tuple:
     """The support rule: ascending ``w_i`` is in when ``w_i > SUPPORT_CUTOFF * max(w_max, 0)``.
 
-    Returns ``(cut, inside, fw)``: that threshold, the mask and ``f`` on the
-    support with zeros off it.  Stack-aware.  A full support (most iterates)
-    applies ``f`` to ``w`` directly: the same values without masked copies.
+    Returns ``(cut, inside, full)``: that threshold, the mask and whether all are in.  Stack-aware.
     """
     cut = SUPPORT_CUTOFF * np.maximum(w[..., -1:], 0.0)
     inside = w > cut
-    if inside.all():
-        fw = f(w)
-    else:
-        fw = np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
-    return cut, inside, fw
+    return cut, inside, bool(inside.all())
 
 
-def _on_support(w: np.ndarray, f: Callable) -> np.ndarray:
+def _support(w: np.ndarray, f: Callable, verdict: tuple | None = None):
+    """``(cut, inside, fw)``: ``w``'s ``verdict``, ``f`` on its support, 0 off it.  Stack-aware.
+
+    ``verdict`` is a ``Spectrum``'s (None judges ``w``); a full one applies ``f`` to all of ``w``.
+    """
+    cut, inside, full = _verdict(w) if verdict is None else verdict
+    return cut, inside, f(w) if full else np.where(inside, f(np.where(inside, w, 1.0)), 0.0)
+
+
+def _on_support(w: np.ndarray, f: Callable, verdict: tuple | None = None) -> np.ndarray:
     """``f`` on the support of ``w`` (``_support``), exact zeros off it.
 
     Raises :class:`MatrixDomainError` for eigenvalues below the negated
-    threshold.  Stack-aware.
+    threshold; a full verdict (every w_i > cut >= 0) rules them out.  Stack-aware.
     """
-    cut, _, fw = _support(w, f)
-    if (w < -cut).any():
+    cut, _, full = verdict = _verdict(w) if verdict is None else verdict
+    if not full and (w < -cut).any():
         raise MatrixDomainError(
             "matrix has negative eigenvalues beyond the support cutoff "
             f"(min={float(w.min()):.3e})"
         )
-    return fw
+    return _support(w, f, verdict)[2]
 
 
 def matrix_fn(m: np.ndarray | Spectrum, f: Callable) -> np.ndarray:

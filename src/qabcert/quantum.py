@@ -186,39 +186,40 @@ def _weights(rho: np.ndarray | Spectrum, u: np.ndarray) -> np.ndarray:
     return np.einsum("...ki,...ij,...jk->...k", udag, rho, u).real
 
 
-def _split_weights(weights: np.ndarray, sigma_w: np.ndarray):
+def _split_weights(weights: np.ndarray, sigma_w: np.ndarray, verdict: tuple):
     """``(outside_mass, Tr rho log sigma)`` from rho's weights on sigma's eigenvectors.
 
-    Eigenvectors outside sigma's support (``linalg._support``) carry the
-    outside mass.
+    Eigenvectors outside sigma's support (its ``verdict``, ``linalg._verdict``) carry the
+    outside mass; a full support gives exactly 0.0, typed as the masked sum (a stack's array).
     """
-    _, inside, log_s = _support(sigma_w, np.log)
-    return np.where(inside, 0.0, weights).sum(axis=-1), (weights * log_s).sum(axis=-1)
+    _, inside, log_s = _support(sigma_w, np.log, verdict)
+    out = np.zeros(weights.shape[:-1])[()] if verdict[2] else np.where(inside, 0.0, weights).sum(-1)
+    return out, (weights * log_s).sum(-1)
 
 
 def support_overlap(rho: np.ndarray | Spectrum, sigma: Spectrum):
     """``(outside_mass, Tr rho log sigma)`` from the weights <u_k| rho |u_k>.
 
     The u_k are the eigenvectors of ``sigma``; those outside its support
-    (``linalg._support``) carry the outside mass.
+    (``Spectrum.verdict``) carry the outside mass.
     ``rho`` need not be a state: ``ChannelPair`` passes Gamma_N.
     """
-    return _split_weights(_weights(rho, sigma.eigenvectors), sigma.eigenvalues)
+    return _split_weights(_weights(rho, sigma.eigenvectors), sigma.eigenvalues, sigma.verdict)
 
 
-def _divergence(wr: np.ndarray, weights: np.ndarray, sigma_w: np.ndarray):
+def _divergence(wr: np.ndarray, weights: np.ndarray, sigma: Spectrum, v_r: tuple | None = None):
     """Tr rho (log rho - log sigma) from spectra and weights (rules of :func:`relative_entropy`).
 
-    ``wr`` is rho's spectrum (its nonzero part suffices: x log x vanishes at
-    0), ``weights`` are rho's weights on sigma's eigenvectors (``_weights``)
-    and ``sigma_w`` is sigma's spectrum.  Stack-aware.
+    ``wr`` is rho's spectrum (its nonzero part suffices: x log x vanishes at 0), ``v_r`` its
+    ``linalg._verdict`` (None judges ``wr``) and ``weights`` its weights on sigma's eigenvectors
+    (``_weights``).  A full verdict skips the PSD and (sigma's) outside-mass tests it proves.
     """
-    for name, w in (("rho", wr), ("sigma", sigma_w)):
-        if w.min() < -PSD_TOL:
+    for name, w, v in (("rho", wr, v_r), ("sigma", sigma.eigenvalues, sigma.verdict)):
+        if (v is None or not v[2]) and w.min() < -PSD_TOL:
             raise ValueError(f"{name} has negative eigenvalue {float(w.min()):.3e}")
-    tr_rlogr = _support(wr, lambda x: x * np.log(x))[2].sum(axis=-1)
-    outside_mass, tr_rlogs = _split_weights(weights, sigma_w)
-    out = np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, tr_rlogr - tr_rlogs)
+    outside_mass, tr_rlogs = _split_weights(weights, sigma.eigenvalues, sigma.verdict)
+    out = _support(wr, lambda x: x * np.log(x), v_r)[2].sum(axis=-1) - tr_rlogs
+    out = out if sigma.verdict[2] else np.where(outside_mass > OUTSIDE_MASS_TOL, np.inf, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -228,14 +229,13 @@ def relative_entropy(rho: np.ndarray | Spectrum, sigma: np.ndarray | Spectrum):
     Inputs must be PSD to ``PSD_TOL`` but need not have unit trace.  When
     the eigenvalue mass of ``rho`` outside the support of ``sigma`` exceeds
     ``OUTSIDE_MASS_TOL`` the result is ``+inf``.  Either argument may be a
-    :class:`~qabcert.linalg.Spectrum` already computed by the caller.
-    Accepts stacks on either argument (broadcasting) and then returns an
-    array.
+    :class:`~qabcert.linalg.Spectrum` (with its ``verdict``) already computed by the caller.
+    Accepts stacks on either argument (broadcasting) and then returns an array.
     """
     if isinstance(rho, Spectrum):
-        wr = rho.eigenvalues
+        wr, v_r = rho.eigenvalues, rho.verdict
     else:
         rho = hermitize(rho)
-        wr = np.linalg.eigvalsh(rho)
+        wr, v_r = np.linalg.eigvalsh(rho), None
     spec_s = _spectrum(sigma)
-    return _divergence(wr, _weights(rho, spec_s.eigenvectors), spec_s.eigenvalues)
+    return _divergence(wr, _weights(rho, spec_s.eigenvectors), spec_s, v_r)

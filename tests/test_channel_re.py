@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import itertools
 
 import numpy as np
@@ -50,6 +51,8 @@ from qabcert.quantum import (
 )
 
 from conftest import isometry_kraus_2to3, random_kraus, random_state
+
+certify_module = importlib.import_module("qabcert.certify")  # ``qabcert.certify`` is the function
 
 
 def paper_pair(p=0.05):
@@ -749,3 +752,62 @@ class TestChannelPair:
         qutrit = choi_from_kraus([np.eye(3)])
         with pytest.raises(ValueError):
             ChannelPair(dephasing_choi(0.4), qutrit)
+
+
+@pytest.fixture
+def judged(monkeypatch):
+    """List that gains each eigenvalue array the support rule judges (``linalg._verdict``)."""
+    import qabcert.linalg as linalg
+
+    arrays, verdict = [], linalg._verdict
+
+    def counted(w):
+        arrays.append(w)
+        return verdict(w)
+
+    monkeypatch.setattr(linalg, "_verdict", counted)
+    return arrays
+
+
+class TestOneSupportVerdictPerSpectrum:
+    """Each spectrum is judged by the support rule once, however many paths read it.
+
+    Before spectra kept their verdict, an iterate's eigenvalues went through the
+    rule three times a step: omega's sqrt and both sides of the step divergence.
+    """
+
+    def test_a_run_judges_each_iterate_once(self, judged):
+        seen = []
+
+        class Recording(ChannelObjective):
+            def omega(self, rho):
+                seen.append(rho)
+                return super().omega(rho)
+
+        obj = Recording(amplitude_damping_pair(0.2))
+        judged.clear()  # Gamma_N and Gamma_M, judged as the pair is built
+        traj = qab_run(obj, QabOptions(random_density(2, [20240801, 0, 0]), max_iters=50))
+        assert len(traj.states) == len(seen) == 51
+        iterates = {id(spec.eigenvalues) for spec in seen}
+        on_iterates = [w for w in judged if id(w) in iterates]
+        assert len(on_iterates) == len({id(w) for w in on_iterates}) == 51
+        # Besides: one S'_M spectrum (4 eigenvalues) and one r_N = 2 Gram per omega call.
+        others = [w.shape for w in judged if id(w) not in iterates]
+        assert sorted(others) == [(1, 2)] * 51 + [(1, 4)] * 51
+
+    def test_an_a1_attempt_judges_its_repaired_stack_once(self, judged, monkeypatch):
+        repaired = []
+        original = certify_module._repair_candidates
+
+        def recording(raw):
+            out = original(raw)
+            repaired.append(out[0])
+            return out
+
+        monkeypatch.setattr(certify_module, "_repair_candidates", recording)
+        final = np.diag([0.99, 0.01]).astype(complex)  # many draws clip past 10% of the mass
+        stats = certify_module.check_a1(final, ChannelObjective(paper_pair()), 300, 0.5, seed=4)
+        assert len(repaired) > 1 and stats.skipped == 0  # later attempts redraw rejected rows
+        rows = np.concatenate([spec.eigenvalues for spec in repaired])
+        states = [w for w in judged if w.ndim == 2 and np.isin(w, rows).all()]  # no Gram or S'_M
+        assert [id(w) for w in states] == [id(spec.eigenvalues) for spec in repaired]

@@ -22,6 +22,7 @@ from qabcert.linalg import (
     _finite_hermitian,
     _log_psd,
     _support,
+    _verdict,
     floor_spectrum,
     gibbs_spectrum,
 )
@@ -409,3 +410,28 @@ class TestSupportRule:
     def test_stacked_spectra_use_their_own_largest_eigenvalue(self):
         w = np.array([[1e-13, 1.0], [1e-13, 1e-2]])
         assert _support(w, np.log)[1].tolist() == [[False, True], [True, True]]
+
+
+class TestSupportVerdict:
+    """A spectrum's verdict is the support rule's, judged once and kept."""
+
+    def test_the_verdict_is_the_rule_of_its_eigenvalues(self):
+        w = np.array([[1e-13, 1.0], [1e-13, 1e-2], [0.3, 0.7]])
+        spec = Spectrum(w, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        cut, inside, full = spec.verdict
+        assert np.array_equal(cut, SUPPORT_CUTOFF * w[:, -1:]) and not full
+        assert inside.tolist() == [[False, True], [True, True], [True, True]]
+        assert spec.verdict is spec.verdict  # judged once
+        assert _support(w, np.log)[1].tolist() == inside.tolist()
+        assert _verdict(w[1:])[2]
+
+    def test_rows_taken_keep_their_rows_of_the_verdict(self):
+        w = np.array([[1e-13, 1.0], [1e-13, 1e-2], [0.3, 0.7]])
+        spec = Spectrum(w, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        for index in ([1, 2], [0, 2], np.array([2]), slice(1, None)):
+            rows = spec.take(index)
+            assert np.array_equal(rows.eigenvalues, w[index])
+            assert np.array_equal(rows.eigenvectors, spec.eigenvectors[index])
+            expected = _verdict(w[index])
+            for got, want in zip(rows.verdict, expected):
+                assert np.array_equal(got, want)

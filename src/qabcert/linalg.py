@@ -7,7 +7,7 @@ are always re-symmetrized, so ``||M - M^dag||_F <= 1e-12`` holds for every
 returned matrix.
 
 A :class:`Spectrum` is what layers pass to each other, so each state is
-decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`, :func:`matrix_exp`,
+decomposed once: :func:`matrix_fn` (hence :func:`matrix_log`,
 :func:`matrix_sqrt`, :func:`matrix_inv_sqrt`), :func:`floor_spectrum`,
 ``quantum.relative_entropy``, ``quantum.support_overlap`` (its sigma) and
 ``qab_core.Objective.omega`` (so ``d_omega``'s sigma, ``channel_re.omega``,
@@ -55,7 +55,6 @@ __all__ = [
     "gibbs_spectrum",
     "hermitize",
     "kron",
-    "matrix_exp",
     "matrix_fn",
     "matrix_inv_sqrt",
     "matrix_log",
@@ -223,10 +222,6 @@ def matrix_fn(m: np.ndarray | Spectrum, f: Callable) -> np.ndarray:
 
 def matrix_log(m: np.ndarray | Spectrum) -> np.ndarray:
     return matrix_fn(m, lambda w: _on_support(w, np.log))
-
-
-def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
-    return matrix_fn(m, np.exp)
 
 
 def matrix_sqrt(m: np.ndarray | Spectrum) -> np.ndarray:

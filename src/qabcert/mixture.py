@@ -22,7 +22,6 @@ __all__ = [
     "MixtureFamily",
     "TauSolution",
     "e_project",
-    "free_energy",
     "free_energy_gradient",
 ]
 
@@ -160,15 +159,6 @@ def _hessian(rotated: np.ndarray, w: np.ndarray, p: np.ndarray, mean: np.ndarray
     kernel = p[:, None] * ratio
     kernel[far] = (p[None, :] - p[:, None])[far] / gap[far]
     return np.einsum("jab,kba,ab->jk", rotated, rotated, kernel).real - np.outer(mean, mean)
-
-
-def free_energy(base: np.ndarray, fam: MixtureFamily, tau) -> float:
-    """log Tr exp(base + sum_j tau_j H_j) - sum_j tau_j c_j.
-
-    ``base`` is the log-domain matrix (log rho, possibly shifted by an
-    objective term); the value is finite for every finite tau.
-    """
-    return _evaluate(np.asarray(base, dtype=complex), fam, np.asarray(tau, dtype=float))[0]
 
 
 def free_energy_gradient(base: np.ndarray, fam: MixtureFamily, tau) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class Objective(abc.ABC):
 
     ``omega`` must accept states of shape (..., dim, dim), as matrices or as
     a :class:`~qabcert.linalg.Spectrum`, and return Hermitian matrices of
-    that shape; certification sampling relies on the batched form.
+    that shape; certification sampling relies on the batched form.  It must be
+    a deterministic function of its input's bits: :func:`qab_run_many` replays repeated steps.
     """
 
     @abc.abstractmethod
@@ -139,7 +141,9 @@ def qab_run(obj: Objective, opts: QabOptions) -> Trajectory:
     bare trace-normalized update, and ``tau_history`` stays empty.  Iterate
     eigenvalues are floored at ``STATE_FLOOR`` so the next logarithm stays
     finite.  Each iterate is carried with its spectrum, so omega, log rho and
-    the per-step divergence need no further decomposition of it.
+    the per-step divergence need no further decomposition of it.  A run that
+    repeats a step replays its cycle (:func:`qab_run_many`): the replayed ``states``
+    are the cycle's own array objects, so treat them as read-only.
     """
     return qab_run_many(obj, [opts])[0]
 
@@ -150,7 +154,10 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
     ``obj.omega`` pairs state i with run i (``ChannelObjective`` of a ``PairStack``).
     The runs share gamma, max_iters, divergence_stop and family, and a non-empty
     family runs alone.  A stopped run records no more steps, though its row is
-    still computed; a failure in any run raises for all.
+    still computed; a failure in any run raises for all.  A step reads only its key, the
+    stack's spectrum bits and the warm-start tau (zeros at first).  When a key repeats, each
+    running trajectory cycles its records since the key's first step on to ``max_iters``, with no
+    omega, e-projection or LAPACK call; each replayed divergence already passed the stop rule.
     """
     settings = [(o.gamma, o.max_iters, o.divergence_stop, o.family) for o in runs]
     if not runs or settings.count(settings[0]) < len(runs) or (runs[0].family.size and runs[1:]):
@@ -167,9 +174,16 @@ def qab_run_many(obj: Objective, runs: list[QabOptions]) -> list[Trajectory]:
     omega_cur = obj.omega(spec)
     values = np.einsum("...ij,...ji->...", rho, omega_cur).real
     trajs = [Trajectory([rho[i]], [float(v)], gamma=opts.gamma) for i, v in enumerate(values)]
-    running, tau_prev = list(range(len(runs))), None
+    running, tau_prev, seen = list(range(len(runs))), np.zeros(family.size), {}
 
     for t in range(opts.max_iters):
+        key = spec.eigenvalues.tobytes() + spec.eigenvectors.tobytes() + tau_prev.tobytes()
+        if (first := seen.setdefault(key, t)) < t:  # replay the records of steps first..t-1
+            for tr in (trajs[i] for i in running):
+                for seq, lag in ((tr.states, 1), (tr.values, 1), (tr.step_kl, 0),
+                                 (tr.step_domega, 0), (tr.tau_history, 0)):  # fmt: skip
+                    seq.extend(islice(cycle(seq[first + lag : t + lag]), opts.max_iters - t))
+            break
         log_domain = log_rho - omega_cur / opts.gamma
         try:
             base = log_domain[0] if family.size else log_domain

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qabcert import Objective, Spectrum
+from qabcert import MixtureFamily, Objective, Spectrum, matrix_fn
 from qabcert.cli import main
+from qabcert.mixture import _evaluate
 from qabcert.serialize import complex_matrix_to_pairs, pairs_to_complex_matrix
 
 
@@ -37,6 +38,17 @@ class LinearTraceObjective(Objective):
     def omega(self, rho):
         tr = np.trace(as_matrix(rho), axis1=-2, axis2=-1).real
         return np.asarray(tr)[..., None, None] * self.k
+
+
+class CountingObjective(Objective):
+    """Another objective's omega, counting its calls: a step computed, not replayed, makes one."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def omega(self, rho):
+        self.calls += 1
+        return self.inner.omega(rho)
 
 
 def _record_eig(monkeypatch, record):
@@ -71,6 +83,20 @@ def eig_shapes(monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def matrix_exp(m: np.ndarray | Spectrum) -> np.ndarray:
+    """exp of a Hermitian matrix (stack), as ``matrix_fn`` gives it; the library has no caller."""
+    return matrix_fn(m, np.exp)
+
+
+def free_energy(base: np.ndarray, fam: MixtureFamily, tau) -> float:
+    """log Tr exp(base + sum_j tau_j H_j) - sum_j tau_j c_j, the function ``e_project`` minimizes.
+
+    ``base`` is the log-domain matrix (log rho, possibly shifted by an
+    objective term); the value is finite for every finite tau.
+    """
+    return _evaluate(np.asarray(base, dtype=complex), fam, np.asarray(tau, dtype=float))[0]
 
 
 def random_state(rng, dim):

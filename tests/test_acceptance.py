@@ -24,10 +24,8 @@ from qabcert import (
     dephasing_choi,
     depolarizing_choi,
     e_project,
-    free_energy,
     free_energy_gradient,
     hermitize,
-    matrix_exp,
     matrix_log,
     matrix_sqrt,
     partial_trace,
@@ -37,6 +35,8 @@ from qabcert import (
 )
 from qabcert.cli import main as cli_main
 from qabcert.quantum import BELL_STATES, PAULI_Z, random_density
+
+from conftest import free_energy, matrix_exp
 
 pytestmark = pytest.mark.acceptance
 

@@ -6,7 +6,6 @@ from qabcert import (
     eigh,
     hermitize,
     kron,
-    matrix_exp,
     matrix_fn,
     matrix_inv_sqrt,
     matrix_log,
@@ -27,6 +26,8 @@ from qabcert.linalg import (
     gibbs_spectrum,
 )
 from qabcert.quantum import PAULI_X, maximally_entangled, support_overlap
+
+from conftest import matrix_exp
 
 
 def random_hermitian_scaled(rng, dim, scale=1.0):

@@ -6,7 +6,6 @@ from qabcert import (
     InfeasibleFamilyError,
     MixtureFamily,
     e_project,
-    free_energy,
     free_energy_gradient,
     hermitize,
     matrix_log,
@@ -15,7 +14,7 @@ from qabcert import (
 from qabcert.mixture import _evaluate
 from qabcert.quantum import PAULI_X, PAULI_Z
 
-from conftest import random_state
+from conftest import free_energy, random_state
 
 EMPTY = MixtureFamily(observables=(), targets=())
 

@@ -8,6 +8,7 @@ from qabcert import (
     IterationError,
     MixtureFamily,
     QabOptions,
+    TauSolution,
     d_omega,
     dephasing_choi,
     depolarizing_choi,
@@ -20,7 +21,13 @@ from qabcert.linalg import STATE_FLOOR, eigh, floor_spectrum, gibbs_spectrum, ma
 from qabcert.mixture import CONSTRAINT_TOL
 from qabcert.quantum import PAULI_X, PAULI_Z, choi_from_kraus, random_density
 
-from conftest import ConstantObjective, LinearTraceObjective, random_kraus, random_state
+from conftest import (
+    ConstantObjective,
+    CountingObjective,
+    LinearTraceObjective,
+    random_kraus,
+    random_state,
+)
 
 
 def floor_state(rho: np.ndarray) -> np.ndarray:
@@ -407,6 +414,45 @@ class TestQabRunMany:
             calls[n], matrices[n] = len(eig_calls), sum(eig_calls)
         assert calls[30] - calls[10] == 2 * 20
         assert matrices[30] - matrices[10] == 2 * n_runs * 20
+
+
+class TestCycleReplay:
+    """A step is a function of the iterate's spectrum bits and the warm-start tau.
+
+    Once that key repeats, the run replays the records since its first step, so
+    the objective counts one omega call at the start and one per computed step.
+    """
+
+    @pytest.mark.parametrize(
+        "make_pair",
+        [lambda: ChannelPair(dephasing_choi(0.4), dephasing_choi(0.4)), paper_pair],
+        ids=["equal", "paper"],
+    )
+    def test_a_run_from_its_optimum_replays_within_two_steps(self, make_pair):
+        # Omega of an equal pair is exactly 0; the paper pair's optimum is I/2.
+        obj = CountingObjective(ChannelObjective(make_pair()))
+        traj = qab_run(obj, QabOptions(np.eye(2) / 2, max_iters=1000))
+        assert obj.calls <= 3
+        assert len(traj.states) == len(traj.values) == 1001
+        assert len(traj.step_kl) == len(traj.step_domega) == 1000
+
+    @pytest.mark.parametrize("tau_moves", [True, False], ids=["moving-tau", "fixed-tau"])
+    def test_a_step_repeats_only_with_its_warm_start_tau(self, monkeypatch, tau_moves):
+        fixed, projections = eigh(np.diag([0.3, 0.7])), []
+
+        def project(base, family, tau0=None):
+            projections.append(tau0)
+            tau = float(len(projections)) if tau_moves else 1.0
+            return fixed, TauSolution(np.array([tau]), 0.0, 1)
+
+        monkeypatch.setattr("qabcert.qab_core.e_project", project)
+        fam = MixtureFamily(observables=(PAULI_Z,), targets=(0.0,))  # I/2 is on it
+        obj = CountingObjective(ConstantObjective(np.zeros((2, 2))))
+        traj = qab_run(obj, QabOptions(np.eye(2) / 2, max_iters=50, family=fam))
+        assert len(traj.states) == 51 and len(traj.tau_history) == 50
+        # Fixed tau: step 2 has step 1's key, so steps 2-49 replay step 1.
+        assert (len(projections), obj.calls) == ((50, 51) if tau_moves else (2, 3))
+        assert tau_moves or all(sol is traj.tau_history[1] for sol in traj.tau_history[1:])
 
 
 @pytest.fixture(scope="module")
